@@ -478,9 +478,9 @@ let compiled_flag =
         ~doc:
           "Simulate with the AOT-compiled engine (Sim.Compile): the model is \
            specialized once into flat dispatch tables, then runs \
-           allocation-free.  Combined with $(b,--family), the featured pass \
-           itself runs compiled (Sim.Family_compiled).  Observationally \
-           identical to the interpreter either way")
+           allocation-free.  Observationally identical to the interpreter. \
+           Ignored with $(b,--family), whose featured pass always runs \
+           compiled")
 
 (* One handle regardless of export mode: [flush] after each run's emit
    (a no-op when buffered), [finish] once at the end. *)
@@ -544,10 +544,10 @@ let family_flag =
     & info [ "family" ]
         ~doc:
           "Evaluate the whole variant space in one featured pass \
-           (Sim.Family): shared prefixes execute once, the run splits into \
-           sub-families only where configurations diverge, and every \
-           configuration's result is reported — identical to running each \
-           flattened configuration separately")
+           (Sim.Family_compiled): shared prefixes execute once, the run \
+           splits into sub-families only where configurations diverge, and \
+           every configuration's result is reported — identical to running \
+           each flattened configuration separately")
 
 let deadline_opt_arg =
   Arg.(
@@ -601,8 +601,65 @@ let family_worst_code report =
       max acc (exit_code_of_outcome cr.Sim.Family.result.Sim.Engine.outcome))
     0 report.Sim.Family.runs
 
+(* [tokens] stimuli on every shared (unprefixed) boundary input, [spacing]
+   time units apart: every configuration of the space has these
+   channels, whichever clusters it picks. *)
+let shared_boundary_stimuli ~tokens ~spacing system =
+  let first = V.Flatten.flatten system (V.Flatten.first_cluster system) in
+  List.concat_map
+    (fun cid ->
+      if String.contains (Spi.Ids.Channel_id.to_string cid) '.' then []
+      else
+        List.init tokens (fun i ->
+            {
+              Sim.Engine.at = 1 + (spacing * i);
+              channel = cid;
+              token = Spi.Token.make ~payload:(i + 1) ();
+            }))
+    (Spi.Ids.Channel_id.Set.elements (Spi.Model.unwritten_channels first))
+
+let print_config_traces ~title report =
+  Array.iter
+    (fun cr ->
+      Format.printf "@.--- %s configuration %d (%a) ---@.%a@." title
+        cr.Sim.Family.index V.Variant_space.pp_assignment
+        cr.Sim.Family.assignment Sim.Trace.pp
+        cr.Sim.Family.result.Sim.Engine.trace)
+    report.Sim.Family.runs
+
+(* The tail of every family command: the family-lane timeline of one
+   report, the metrics snapshot, and the exit code of the worst
+   configuration over all [reports]. *)
+let finish_family ~trace_path ~trace_buffered ~metrics_path system ~timeline
+    reports =
+  Option.iter
+    (fun out ->
+      Option.iter (Sim.Family.emit_timeline out.sink system) timeline;
+      out.flush ();
+      out.finish ())
+    (trace_out ~buffered:trace_buffered trace_path);
+  write_metrics metrics_path;
+  let code =
+    List.fold_left (fun acc r -> max acc (family_worst_code r)) 0 reports
+  in
+  if code <> 0 then exit code
+
+(* One featured pass, its per-configuration table, and the shared tail —
+   simulate and simulate-file differ only in how they build the scenario. *)
+let simulate_family ?firing_budget ~policy ~stimuli ~jobs ~deadline ~show_trace
+    ~trace_path ~trace_buffered ~metrics_path system =
+  let report =
+    Sim.Family_compiled.run ~policy ~stimuli ?firing_budget
+      ~jobs:(resolve_jobs jobs)
+      (Sim.Family_compiled.plan system)
+  in
+  print_family_report ?deadline system report;
+  if show_trace then print_config_traces ~title:"trace of" report;
+  finish_family ~trace_path ~trace_buffered ~metrics_path system
+    ~timeline:(Some report) [ report ]
+
 let simulate_cmd =
-  let run_family bundled policy compiled jobs deadline show_trace trace_path
+  let run_family bundled policy jobs deadline show_trace trace_path
       trace_buffered metrics_path =
     match bundled.system with
     | None ->
@@ -611,45 +668,17 @@ let simulate_cmd =
          on figure2-g1, figure2-g2, figure3-v1 and figure3-v2@.";
       exit 1
     | Some sys ->
-      let system = sys () in
-      let stimuli = bundled.stimuli () in
-      let jobs = resolve_jobs jobs in
-      let report =
-        if compiled then
-          Sim.Family_compiled.run ~policy ~stimuli
-            ~firing_budget:bundled.budgets ~jobs
-            (Sim.Family_compiled.plan system)
-        else
-          Sim.Family.run ~policy ~stimuli ~firing_budget:bundled.budgets ~jobs
-            system
-      in
-      Format.printf "%s — whole variant space in one featured pass%s@."
-        bundled.description
-        (if compiled then " [compiled]" else "");
-      print_family_report ?deadline system report;
-      if show_trace then
-        Array.iter
-          (fun cr ->
-            Format.printf "@.--- trace of configuration %d (%a) ---@.%a@."
-              cr.Sim.Family.index V.Variant_space.pp_assignment
-              cr.Sim.Family.assignment Sim.Trace.pp
-              cr.Sim.Family.result.Sim.Engine.trace)
-          report.Sim.Family.runs;
-      (match trace_out ~buffered:trace_buffered trace_path with
-      | None -> ()
-      | Some out ->
-        Sim.Family.emit_timeline out.sink system report;
-        out.flush ();
-        out.finish ());
-      write_metrics metrics_path;
-      let code = family_worst_code report in
-      if code <> 0 then exit code
+      Format.printf "%s — whole variant space in one featured pass@."
+        bundled.description;
+      simulate_family ~firing_budget:bundled.budgets ~policy
+        ~stimuli:(bundled.stimuli ()) ~jobs ~deadline ~show_trace ~trace_path
+        ~trace_buffered ~metrics_path (sys ())
   in
   let run bundled policy compiled family jobs deadline show_trace vcd_path
       trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family then
-      run_family bundled policy compiled jobs deadline show_trace trace_path
+      run_family bundled policy jobs deadline show_trace trace_path
         trace_buffered metrics_path
     else begin
       let model = bundled.model () in
@@ -774,8 +803,8 @@ let faultsim_cmd =
     in
     Sim.Fault.plan ~channels ~processes ~seed ()
   in
-  let run_family model_name seeds no_faults compiled deadline drop transient
-      trace_seed jobs trace_path trace_buffered metrics_path =
+  let run_family model_name seeds no_faults deadline drop transient trace_seed
+      jobs trace_path trace_buffered metrics_path =
     let system =
       match List.assoc_opt model_name family_systems with
       | Some make -> make ()
@@ -787,33 +816,16 @@ let faultsim_cmd =
         exit 1
     in
     let first = V.Flatten.flatten system (V.Flatten.first_cluster system) in
-    (* stimuli on the shared (unprefixed) boundary channels only — every
-       configuration of the space has them *)
-    let stimuli =
-      List.concat_map
-        (fun cid ->
-          if String.contains (Spi.Ids.Channel_id.to_string cid) '.' then []
-          else
-            List.init 5 (fun i ->
-                {
-                  Sim.Engine.at = 1 + (3 * i);
-                  channel = cid;
-                  token = Spi.Token.make ~payload:(i + 1) ();
-                }))
-        (Spi.Ids.Channel_id.Set.elements (Spi.Model.unwritten_channels first))
-    in
-    Format.printf "family fault campaign: %s, %d seeds%s%s@." model_name seeds
-      (if no_faults then " (faults disabled)" else "")
-      (if compiled then " [compiled]" else "");
-    (* with --compiled the variant space is lowered once and every
-       seed's featured pass reuses the plan (it is immutable, so the
-       domain pool shares it freely) *)
-    let plan =
-      if compiled then Some (Sim.Family_compiled.plan system) else None
-    in
+    let stimuli = shared_boundary_stimuli ~tokens:5 ~spacing:3 system in
+    Format.printf "family fault campaign: %s, %d seeds%s@." model_name seeds
+      (if no_faults then " (faults disabled)" else "");
+    (* the variant space is lowered once and every seed's featured pass
+       reuses the plan (it is immutable, so the domain pool shares it
+       freely) *)
+    let plan = Sim.Family_compiled.plan system in
     Format.printf "%4s  %-9s %4s %6s %6s %8s %8s %5s@." "seed" "outcome" "cfgs"
       "splits" "subfam" "executed" "shared" "miss";
-    let worst_code = ref 0 and total_miss = ref 0 in
+    let total_miss = ref 0 in
     let reports =
       List.map
         (fun seed ->
@@ -821,11 +833,9 @@ let faultsim_cmd =
             if no_faults then None
             else Some (family_fault_plan ~drop ~transient ~seed first)
           in
-          let jobs = resolve_jobs jobs in
           let report =
-            match plan with
-            | Some plan -> Sim.Family_compiled.run ~stimuli ?faults ~jobs plan
-            | None -> Sim.Family.run ~stimuli ?faults ~jobs system
+            Sim.Family_compiled.run ~stimuli ?faults ~jobs:(resolve_jobs jobs)
+              plan
           in
           (* headroom is computed once per leaf sub-family and fanned
              out to the leaf's members — a configuration misses the
@@ -836,8 +846,6 @@ let faultsim_cmd =
               0
               (Sim.Family.headroom ~deadline report)
           in
-          let code = family_worst_code report in
-          worst_code := max !worst_code code;
           total_miss := !total_miss + misses;
           let worst_outcome =
             Array.fold_left
@@ -854,14 +862,7 @@ let faultsim_cmd =
             report.Sim.Family.executed_firings report.Sim.Family.shared_firings
             misses;
           if trace_seed = Some seed then
-            Array.iter
-              (fun cr ->
-                Format.printf
-                  "@.--- seed %d, configuration %d (%a) ---@.%a@." seed
-                  cr.Sim.Family.index V.Variant_space.pp_assignment
-                  cr.Sim.Family.assignment Sim.Trace.pp
-                  cr.Sim.Family.result.Sim.Engine.trace)
-              report.Sim.Family.runs;
+            print_config_traces ~title:(Printf.sprintf "seed %d," seed) report;
           (seed, report))
         (List.init seeds (fun i -> i + 1))
     in
@@ -889,24 +890,14 @@ let faultsim_cmd =
         r0.Sim.Family.runs);
     Format.printf
       "@.totals: %d deadline-misses across %d seeds x %d configurations@."
-      !total_miss seeds
-      (match reports with
-      | (_, r) :: _ -> Array.length r.Sim.Family.runs
-      | [] -> 0);
-    (match trace_out ~buffered:trace_buffered trace_path with
-    | None -> ()
-    | Some out ->
-      (* the family lane convention assigns pid = configuration index + 1,
-         so one exported seed keeps the lanes unambiguous; --trace-seed
-         selects it (default: first seed) *)
-      let pick = Option.value trace_seed ~default:1 in
-      (match List.assoc_opt pick reports with
-      | Some report -> Sim.Family.emit_timeline out.sink system report
-      | None -> ());
-      out.flush ();
-      out.finish ());
-    write_metrics metrics_path;
-    if !worst_code <> 0 then exit !worst_code
+      !total_miss seeds (Sim.Family_compiled.configurations plan);
+    (* the family lane convention assigns pid = configuration index + 1,
+       so one exported seed keeps the lanes unambiguous; --trace-seed
+       selects it (default: first seed) *)
+    finish_family ~trace_path ~trace_buffered ~metrics_path system
+      ~timeline:
+        (List.assoc_opt (Option.value trace_seed ~default:1) reports)
+      (List.map snd reports)
   in
   let run model_name seeds no_faults family deadline drop transient trace_seed
       jobs compiled trace_path trace_buffered span_capacity metrics_path =
@@ -916,8 +907,8 @@ let faultsim_cmd =
       exit 1
     end;
     if family then
-      run_family model_name seeds no_faults compiled deadline drop transient
-        trace_seed jobs trace_path trace_buffered metrics_path
+      run_family model_name seeds no_faults deadline drop transient trace_seed
+        jobs trace_path trace_buffered metrics_path
     else
     let with_valves =
       match model_name with
@@ -1125,56 +1116,15 @@ let simulate_file_cmd =
           List.iter (fun e -> Format.eprintf "%a@." V.System.pp_error e) errors;
           exit 1);
         if family then begin
-          (* drive only the shared (unprefixed) boundary channels: every
-             configuration of the space has them, and --variant is moot
-             because the featured pass covers every choice at once *)
+          (* --variant is moot: the featured pass covers every choice *)
           if variants <> [] then
             Format.eprintf
               "simulate-file: note: --variant is ignored with --family (the \
                featured pass covers every cluster choice)@.";
-          let first =
-            V.Flatten.flatten system (V.Flatten.first_cluster system)
-          in
-          let stimuli =
-            List.concat_map
-              (fun cid ->
-                if String.contains (Spi.Ids.Channel_id.to_string cid) '.' then
-                  []
-                else
-                  List.init drive (fun i ->
-                      {
-                        Sim.Engine.at = 1 + i;
-                        channel = cid;
-                        token = Spi.Token.make ~payload:(i + 1) ();
-                      }))
-              (Spi.Ids.Channel_id.Set.elements
-                 (Spi.Model.unwritten_channels first))
-          in
-          let report =
-            if compiled then
-              Sim.Family_compiled.run ~policy ~stimuli
-                ~jobs:(resolve_jobs jobs)
-                (Sim.Family_compiled.plan system)
-            else Sim.Family.run ~policy ~stimuli ~jobs:(resolve_jobs jobs) system
-          in
-          print_family_report ?deadline system report;
-          if show_trace then
-            Array.iter
-              (fun cr ->
-                Format.printf "@.--- trace of configuration %d (%a) ---@.%a@."
-                  cr.Sim.Family.index V.Variant_space.pp_assignment
-                  cr.Sim.Family.assignment Sim.Trace.pp
-                  cr.Sim.Family.result.Sim.Engine.trace)
-              report.Sim.Family.runs;
-          (match trace_out ~buffered:trace_buffered trace_path with
-          | None -> ()
-          | Some out ->
-            Sim.Family.emit_timeline out.sink system report;
-            out.flush ();
-            out.finish ());
-          write_metrics metrics_path;
-          let code = family_worst_code report in
-          if code <> 0 then exit code
+          simulate_family ~policy
+            ~stimuli:(shared_boundary_stimuli ~tokens:drive ~spacing:1 system)
+            ~jobs ~deadline ~show_trace ~trace_path ~trace_buffered
+            ~metrics_path system
         end
         else
         let choice iid =

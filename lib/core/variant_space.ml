@@ -11,8 +11,16 @@ let site_options system =
         List.map Cluster.id iface.Structure.clusters ))
     (System.sites system)
 
+(* Checked arithmetic: variant spaces grow multiplicatively, and a
+   wrapped count would slip past any size cap. *)
+let overflow () = invalid_arg "Variant_space: configuration count overflows"
+let mul a b = if a <> 0 && b > max_int / a then overflow () else a * b
+let add a b = if a > max_int - b then overflow () else a + b
+
 let independent_count system =
-  List.fold_left (fun acc (_, cs) -> acc * List.length cs) 1 (site_options system)
+  List.fold_left
+    (fun acc (_, cs) -> mul acc (List.length cs))
+    1 (site_options system)
 
 let group_of linkage iid =
   List.find_opt (List.exists (I.Interface_id.equal iid)) linkage
@@ -95,13 +103,38 @@ let expand_dim system dim =
                   Flatten.cluster_assignments iid (cluster_at system iid idx))
                 members)))
 
+(* [List.length] of {!Flatten.cluster_assignments} and
+   {!Flatten.interface_assignments}, without materializing them. *)
+let rec cluster_count (cluster : Structure.cluster) =
+  List.fold_left
+    (fun acc site -> mul acc (interface_count site.Structure.iface))
+    1 cluster.Structure.sub_sites
+
+and interface_count (iface : Structure.interface) =
+  List.fold_left
+    (fun acc c -> add acc (cluster_count c))
+    0 iface.Structure.clusters
+
+let dim_count system = function
+  | Single (iid, _) -> interface_count (site_of system iid).Structure.iface
+  | Group (members, n) ->
+    List.fold_left add 0
+      (List.init n (fun idx ->
+           List.fold_left
+             (fun acc iid ->
+               mul acc (cluster_count (cluster_at system iid idx)))
+             1 members))
+
 let count ?(linkage = []) system =
   List.fold_left
-    (fun acc dim -> acc * List.length (expand_dim system dim))
+    (fun acc dim -> mul acc (dim_count system dim))
     1
     (dimensions system linkage)
 
 let enumerate ?(linkage = []) system =
+  (* refuse a space whose size does not even fit an int before trying to
+     materialize it *)
+  ignore (count ~linkage system);
   let dims = dimensions system linkage in
   let assignments = product (List.map (expand_dim system) dims) in
   (* Restore canonical order for stable output: depth-first over the

@@ -19,11 +19,14 @@ type linkage = Spi.Ids.Interface_id.t list list
 
 val independent_count : System.t -> int
 (** Product of the sites' top-level variant counts (nested sub-site
-    choices not included). *)
+    choices not included).
+    @raise Invalid_argument if the product overflows an [int]. *)
 
 val count : ?linkage:linkage -> System.t -> int
 (** [List.length (enumerate ?linkage system)], computed without
-    materializing the assignments. *)
+    materializing the assignments.
+    @raise Invalid_argument if the count overflows an [int] or a linkage
+    group names an unknown interface. *)
 
 val enumerate : ?linkage:linkage -> System.t -> assignment list
 (** All admissible assignments, hierarchically embedded interfaces
@@ -34,7 +37,8 @@ val enumerate : ?linkage:linkage -> System.t -> assignment list
     group whose interfaces have different variant counts is truncated
     to the minimum.
     @raise Invalid_argument if a linkage group names an unknown
-    interface. *)
+    interface, or if the configuration count overflows an [int] (the
+    space is refused before any assignment is built). *)
 
 val to_choice : assignment -> Flatten.choice
 val pp_assignment : Format.formatter -> assignment -> unit

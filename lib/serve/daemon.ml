@@ -5,6 +5,7 @@ let m_connections = Obs.Registry.counter "serve.connections"
 let m_admitted = Obs.Registry.counter "serve.admitted"
 let m_rejections = Obs.Registry.counter "serve.admission_rejections"
 let m_bad_lines = Obs.Registry.counter "serve.unparseable_lines"
+let m_long_lines = Obs.Registry.counter "serve.oversized_lines"
 let m_queue_depth = Obs.Registry.gauge "serve.queue_depth"
 let m_queue_wait = Obs.Registry.histogram "serve.queue_wait_ns"
 let m_inflight = Obs.Registry.gauge "serve.inflight_requests"
@@ -31,9 +32,15 @@ let default_sample_interval_ms = 1000
    incident without growing with uptime. *)
 let trace_ring_limit = 128
 
-(* One connected client: a buffered reader (lines can arrive split
-   across reads or several per read) and its writable fd. *)
-type conn = { fd : Unix.file_descr; buf : Buffer.t }
+(* Longest request line accepted, newline excluded.  The largest
+   request the end-to-end benchmark sends is ~10 KiB of model text, so
+   1 MiB leaves two orders of magnitude of headroom while bounding what
+   a client that never sends a newline can make the daemon hold. *)
+let max_line_bytes = 1 lsl 20
+
+(* One connected client: the unterminated tail of its input (lines can
+   arrive split across reads or several per read) and its fd. *)
+type conn = { fd : Unix.file_descr; pending : Buffer.t }
 
 type pending = {
   p_conn : conn;
@@ -109,27 +116,41 @@ let admit st conn line =
         Obs.Metric.set m_queue_depth (Queue.length st.queue)
       end
 
-(* Drain every complete line out of the connection buffer. *)
-let drain_lines st conn =
-  let data = Buffer.contents conn.buf in
-  match String.rindex_opt data '\n' with
-  | None -> ()
-  | Some last ->
-    Buffer.clear conn.buf;
-    Buffer.add_substring conn.buf data (last + 1)
-      (String.length data - last - 1);
-    String.split_on_char '\n' (String.sub data 0 last)
-    |> List.iter (fun line -> admit st conn line)
+let split_lines pending chunk =
+  let n = String.length chunk in
+  let rec go start lines =
+    match String.index_from_opt chunk start '\n' with
+    | Some nl when Buffer.length pending + (nl - start) <= max_line_bytes ->
+      Buffer.add_substring pending chunk start (nl - start);
+      let line = Buffer.contents pending in
+      Buffer.reset pending;
+      go (nl + 1) (line :: lines)
+    | None when Buffer.length pending + (n - start) <= max_line_bytes ->
+      Buffer.add_substring pending chunk start (n - start);
+      Ok (List.rev lines)
+    | Some _ | None -> Error max_line_bytes
+  in
+  go 0 []
 
 let read_chunk_size = 65536
 
+(* An over-long line gets one structured answer, then the connection
+   goes: there is no way to resynchronize on a line that never ends. *)
 let handle_readable st conn =
   let bytes = Bytes.create read_chunk_size in
   match Unix.read conn.fd bytes 0 read_chunk_size with
   | 0 -> drop_conn st conn
-  | n ->
-    Buffer.add_subbytes conn.buf bytes 0 n;
-    drain_lines st conn
+  | n -> (
+    match split_lines conn.pending (Bytes.sub_string bytes 0 n) with
+    | Ok lines -> List.iter (admit st conn) lines
+    | Error limit ->
+      Obs.Metric.incr m_long_lines;
+      Obs.Log.emit ~level:Obs.Log.Warn "serve.line_too_large"
+        [ ("limit", J.Int limit) ];
+      write_line conn
+        (P.too_large ~limit
+           (Printf.sprintf "request line exceeds %d bytes" limit));
+      drop_conn st conn)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> drop_conn st conn
 
@@ -138,7 +159,7 @@ let accept_conn st =
   | fd, _ ->
     Unix.set_nonblock fd;
     Obs.Metric.incr m_connections;
-    st.conns <- { fd; buf = Buffer.create 256 } :: st.conns
+    st.conns <- { fd; pending = Buffer.create 256 } :: st.conns
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
 
 let process_one st =

@@ -7,7 +7,9 @@
     domain pool).  Admission is load-shedding: when the queue is full
     the request is answered immediately with a structured [overloaded]
     rejection carrying the observed depth and a retry hint, and nothing
-    is enqueued.
+    is enqueued.  A request line longer than {!max_line_bytes} is
+    answered with a {!Protocol.too_large} error and its connection is
+    dropped.
 
     Shutdown is graceful on SIGTERM, SIGINT, or a [shutdown] request:
     the listener closes (new connections are refused by the kernel),
@@ -41,6 +43,20 @@ type config = {
 
 val default_queue_limit : int
 val default_sample_interval_ms : int
+
+val max_line_bytes : int
+(** Longest request line accepted, newline excluded (1 MiB). *)
+
+val split_lines : Buffer.t -> string -> (string list, int) result
+(** [split_lines pending chunk] splits one freshly read chunk of a
+    connection's input.  [pending] holds the unterminated tail of
+    earlier chunks; the complete lines the chunk terminates are returned
+    in order (newlines stripped, the first prefixed with [pending]), and
+    [pending] is left holding the new tail.  Only [chunk] is scanned, so
+    the cost is linear in the input however it is chunked.  Once a line
+    — complete or not — would exceed {!max_line_bytes}, the result is
+    [Error max_line_bytes]; the connection is then beyond repair and
+    [pending] is unspecified.  Socket-free so it can be tested alone. *)
 
 val run : config -> unit
 (** Binds, serves, and blocks until shutdown.  Removes a pre-existing

@@ -17,10 +17,20 @@ let cache_limit = 1024
 
 (* Compiled plans are closures over the model, so unlike Bound_store
    they cannot persist in the journal; the cache warms in-memory across
-   requests instead, keyed by the same Canonical digest
-   (Sim.Compile.plan_key) a persistent store would use.  Bounded FIFO:
+   requests instead.  Per-configuration and family plans share one
+   bounded FIFO, keyed by the Canonical digests a persistent store would
+   use (Sim.Compile.plan_key, Sim.Family_compiled.plan_key) — the two
+   digests carry different tags, so their keys never collide.  Bounded:
    a daemon serving many distinct models must not grow without limit. *)
 let plan_cache_limit = 64
+
+(* A family plan holds one presence bit and one lazily compiled table
+   set per configuration, so a family request is refused before any
+   plan is built once its variant space exceeds this many
+   configurations. *)
+let max_family_configurations = 4096
+
+type plan = Flat of Sim.Compile.plan | Family of Sim.Family_compiled.plan
 
 type t = {
   store : Store.Keyed.t option;
@@ -28,10 +38,8 @@ type t = {
   jobs : int;
   cache : (string, J.t) Hashtbl.t;
   cache_order : string Queue.t;
-  plans : (string, Sim.Compile.plan) Hashtbl.t;
+  plans : (string, plan) Hashtbl.t;
   plan_order : string Queue.t;
-  fplans : (string, Sim.Family_compiled.plan) Hashtbl.t;
-  fplan_order : string Queue.t;
   plan_lock : Mutex.t;
   series : Obs.Series.t option;
   on_trace : (Obs.Rtrace.t -> unit) option;
@@ -48,8 +56,6 @@ let create ?store ?default_deadline_ms ?series ?on_trace ~jobs () =
     cache_order = Queue.create ();
     plans = Hashtbl.create 16;
     plan_order = Queue.create ();
-    fplans = Hashtbl.create 16;
-    fplan_order = Queue.create ();
     plan_lock = Mutex.create ();
     series;
     on_trace;
@@ -68,18 +74,15 @@ let cache_put t id response =
     Hashtbl.add t.cache id response
   end
 
-(* Batch items run on pool domains, so the plan caches are
-   mutex-guarded; compilation happens outside the lock (two racing
-   misses both compile — plans are immutable and equal, so
-   last-put-wins is harmless).  Per-configuration and family plans live
-   in separate tables because their keys come from different digests,
-   but they share the lock and the FIFO discipline. *)
-let cached_plan t ~table ~order ~key ~compile =
+(* Batch items run on pool domains, so the plan cache is mutex-guarded;
+   compilation happens outside the lock (two racing misses both compile
+   — plans are immutable and equal, so last-put-wins is harmless). *)
+let cached_plan t ~key ~compile =
   let cached =
     Mutex.lock t.plan_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.plan_lock)
-      (fun () -> Hashtbl.find_opt table key)
+      (fun () -> Hashtbl.find_opt t.plans key)
   in
   match cached with
   | Some plan ->
@@ -94,23 +97,31 @@ let cached_plan t ~table ~order ~key ~compile =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.plan_lock)
       (fun () ->
-        if not (Hashtbl.mem table key) then begin
-          if Queue.length order >= plan_cache_limit then
-            Hashtbl.remove table (Queue.pop order);
-          Queue.push key order;
-          Hashtbl.add table key plan
+        if not (Hashtbl.mem t.plans key) then begin
+          if Queue.length t.plan_order >= plan_cache_limit then
+            Hashtbl.remove t.plans (Queue.pop t.plan_order);
+          Queue.push key t.plan_order;
+          Hashtbl.add t.plans key plan
         end);
     plan
 
+(* The [assert false] arms are unreachable: a key's tag fixes the kind
+   of plan stored under it. *)
 let plan_for t model =
-  cached_plan t ~table:t.plans ~order:t.plan_order
-    ~key:(Sim.Compile.plan_key model)
-    ~compile:(fun () -> Sim.Compile.compile model)
+  match
+    cached_plan t ~key:(Sim.Compile.plan_key model) ~compile:(fun () ->
+        Flat (Sim.Compile.compile model))
+  with
+  | Flat plan -> plan
+  | Family _ -> assert false
 
 let family_plan_for t system =
-  cached_plan t ~table:t.fplans ~order:t.fplan_order
-    ~key:(Sim.Family_compiled.plan_key system)
-    ~compile:(fun () -> Sim.Family_compiled.plan system)
+  match
+    cached_plan t ~key:(Sim.Family_compiled.plan_key system) ~compile:(fun () ->
+        Family (Sim.Family_compiled.plan system))
+  with
+  | Family plan -> plan
+  | Flat _ -> assert false
 
 (* -- model/tech loading ------------------------------------------------ *)
 
@@ -229,64 +240,67 @@ let outcome_json (r : Sim.Engine.result) =
 
 (* One featured pass over the whole variant space.  The response keeps
    the per-configuration shape of the flat path (one entry per run) and
-   adds the sharing summary; [compiled] picks the engine, results are
-   identical either way. *)
-let simulate_family t ~id ~jobs ~limits ~compiled system =
-  match
-    if compiled then
-      Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system)
-    else Sim.Family.run ~limits ~jobs system
-  with
-  | exception Invalid_argument m -> (P.error ?id m, [])
-  | report ->
-    let runs =
-      Array.to_list report.Sim.Family.runs
-      |> List.map (fun (cr : Sim.Family.config_run) ->
-             J.Obj
-               [
-                 ("configuration", J.Int cr.Sim.Family.index);
-                 ( "assignment",
-                   J.String
-                     (Format.asprintf "%a" V.Variant_space.pp_assignment
-                        cr.Sim.Family.assignment) );
-                 ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
-                 ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
-                 ("outcome", outcome_json cr.Sim.Family.result);
-               ])
-    in
-    ( P.ok ?id
-        [
-          ("op", J.String "simulate");
-          ("compiled", J.Bool compiled);
-          ("family", J.Bool true);
-          ("configurations", J.Int (Array.length report.Sim.Family.runs));
-          ("splits", J.Int report.Sim.Family.splits);
-          ("subfamilies", J.Int report.Sim.Family.subfamilies);
-          ("executed_firings", J.Int report.Sim.Family.executed_firings);
-          ("shared_firings", J.Int report.Sim.Family.shared_firings);
-          ("runs", J.List runs);
-        ],
+   adds the sharing summary.  The pass always runs compiled, whatever
+   the request's [compiled] says. *)
+let simulate_family t ~id ~jobs ~limits system =
+  let too_large =
+    match V.Variant_space.count system with
+    | n -> n > max_family_configurations
+    | exception Invalid_argument _ -> true (* the count overflows *)
+  in
+  if too_large then
+    ( P.too_large ?id ~limit:max_family_configurations
+        (Printf.sprintf
+           "family simulate: the variant space has more than %d \
+            configurations"
+           max_family_configurations),
       [] )
+  else (
+    match Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system) with
+    | exception Invalid_argument m -> (P.error ?id m, [])
+    | report ->
+      let runs =
+        Array.to_list report.Sim.Family.runs
+        |> List.map (fun (cr : Sim.Family.config_run) ->
+               J.Obj
+                 [
+                   ("configuration", J.Int cr.Sim.Family.index);
+                   ( "assignment",
+                     J.String
+                       (Format.asprintf "%a" V.Variant_space.pp_assignment
+                          cr.Sim.Family.assignment) );
+                   ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
+                   ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
+                   ("outcome", outcome_json cr.Sim.Family.result);
+                 ])
+      in
+      ( P.ok ?id
+          [
+            ("op", J.String "simulate");
+            ("compiled", J.Bool true);
+            ("family", J.Bool true);
+            ("configurations", J.Int (Array.length report.Sim.Family.runs));
+            ("splits", J.Int report.Sim.Family.splits);
+            ("subfamilies", J.Int report.Sim.Family.subfamilies);
+            ("executed_firings", J.Int report.Sim.Family.executed_firings);
+            ("shared_firings", J.Int report.Sim.Family.shared_firings);
+            ("runs", J.List runs);
+          ],
+        [] ))
 
 let simulate t ~id ~jobs ~model ~until ~compiled ~family =
+  let limits =
+    match until with
+    | None -> Sim.Engine.default_limits
+    | Some max_time -> { Sim.Engine.default_limits with max_time }
+  in
   match load_system model with
   | Error e -> (P.error ?id e, [])
-  | Ok system when family ->
-    let limits =
-      match until with
-      | None -> Sim.Engine.default_limits
-      | Some max_time -> { Sim.Engine.default_limits with max_time }
-    in
-    simulate_family t ~id ~jobs ~limits ~compiled system
+  | Ok system when family -> simulate_family t ~id ~jobs ~limits system
   | Ok system -> (
     match V.Flatten.applications system with
     | exception Invalid_argument m -> (P.error ?id m, [])
     | models ->
-      let limits =
-        match until with
-        | None -> Sim.Engine.default_limits
-        | Some max_time -> { Sim.Engine.default_limits with max_time }
-      in
       let runs =
         List.map
           (fun (clusters, model) ->

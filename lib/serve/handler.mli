@@ -9,6 +9,11 @@
 
 type t
 
+val max_family_configurations : int
+(** Family simulate requests whose variant space has more
+    configurations than this are answered with a
+    {!Protocol.too_large} error before any plan is built. *)
+
 val create :
   ?store:Store.Keyed.t ->
   ?default_deadline_ms:int ->

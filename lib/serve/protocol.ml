@@ -155,6 +155,17 @@ let error ?id message =
     :: ("status", J.String "error")
     :: with_id ?id [ ("message", J.String message) ])
 
+let too_large ?id ~limit message =
+  J.Obj
+    (("schema", J.String schema)
+    :: ("status", J.String "error")
+    :: with_id ?id
+         [
+           ("error", J.String "too_large");
+           ("limit", J.Int limit);
+           ("message", J.String message);
+         ])
+
 let overloaded ?id ~queue_depth ~queue_limit ~retry_after_ms () =
   J.Obj
     (("schema", J.String schema)

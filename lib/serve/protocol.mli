@@ -27,9 +27,9 @@ type op =
           {!Sim.Compile.plan_key} — identical results, amortized
           specialization across requests for the same model.  [family]
           (default [false]) covers the whole variant space in one
-          featured pass ({!Sim.Family}); with [compiled] it runs on
-          {!Sim.Family_compiled} plans cached by
-          {!Sim.Family_compiled.plan_key} *)
+          featured pass on {!Sim.Family_compiled} plans cached by
+          {!Sim.Family_compiled.plan_key}; [compiled] is ignored then
+          and the response reports [compiled = true] *)
   | Batch of request list
       (** sub-requests run on the work-stealing pool; nesting depth 1 *)
 
@@ -63,6 +63,11 @@ val ok : ?id:string -> (string * Obs.Json.t) list -> Obs.Json.t
 
 val error : ?id:string -> string -> Obs.Json.t
 (** [status = "error"] with a ["message"]. *)
+
+val too_large : ?id:string -> limit:int -> string -> Obs.Json.t
+(** [status = "error"] with [error = "too_large"], the [limit] that was
+    exceeded and a ["message"]: the structured rejection of a request
+    line or variant space over a fixed size cap. *)
 
 val overloaded :
   ?id:string -> queue_depth:int -> queue_limit:int -> retry_after_ms:int ->

@@ -1,5 +1,4 @@
 module I = Spi.Ids
-module P = Variants.Presence
 
 type config_run = {
   index : int;
@@ -17,17 +16,6 @@ type report = {
   shared_firings : int;
   leaves : leaf array;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Observability.                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let m_runs = Obs.Registry.counter "sim.family.runs"
-let m_configs = Obs.Registry.counter "sim.family.configs"
-let m_splits = Obs.Registry.counter "sim.family.splits"
-let m_subfamilies = Obs.Registry.counter "sim.family.subfamilies"
-let m_shared_firings = Obs.Registry.counter "sim.family.shared_firings"
-let m_configs_per_firing = Obs.Registry.histogram "sim.family.configs_per_firing"
 
 (* ------------------------------------------------------------------ *)
 (* Site prefixes.                                                      *)
@@ -57,14 +45,16 @@ let validate_prefixes system sites =
           if i <> j && has_prefix q p then
             invalid_arg
               (Printf.sprintf
-                 "Family.run: site prefix %S extends site prefix %S" q p))
+                 "Family_compiled.plan: site prefix %S extends site prefix %S"
+                 q p))
         prefixes)
     prefixes;
   let check_shared what id =
     if List.exists (has_prefix id) prefixes then
       invalid_arg
         (Printf.sprintf
-           "Family.run: shared %s id %S collides with a site prefix" what id)
+           "Family_compiled.plan: shared %s id %S collides with a site prefix"
+           what id)
   in
   List.iter
     (fun p -> check_shared "process" (I.Process_id.to_string (Spi.Process.id p)))
@@ -72,680 +62,6 @@ let validate_prefixes system sites =
   List.iter
     (fun c -> check_shared "channel" (I.Channel_id.to_string (Spi.Chan.id c)))
     (Variants.System.channels system)
-
-(* ------------------------------------------------------------------ *)
-(* Sub-family state.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine-visible slice of [Engine.process_state]: family runs take
-   no abstract configurations, so there is no confcur/allowed/config. *)
-type pstate = {
-  mutable busy : bool;
-  mutable budget : int option;
-  mutable recover_at : int;
-}
-
-type event =
-  | Inject of I.Channel_id.t * Spi.Token.t
-  | Complete of completion
-  | Recover of I.Process_id.t
-  | Crash of I.Process_id.t
-
-and completion = {
-  proc : I.Process_id.t;
-  mode : Spi.Mode.t;
-  started_at : int;
-  payload : int option;
-  consumed : (I.Channel_id.t * Spi.Token.t list) list;
-}
-
-(* One sub-family: a presence condition plus one concrete execution on
-   the representative configuration's flattened model.  Everything a
-   per-configuration [Engine.run] would hold lives here, so forking a
-   sub-family is copying this record. *)
-type sub = {
-  mutable members : P.t;
-  rep : int;
-  model : Spi.Model.t;
-  mutable cold : I.Interface_id.t list;  (* site order *)
-  mutable warm : I.Channel_id.Set.t;
-      (* cold-site channels every member declares identically, carried
-         live instead of splitting when the environment writes them *)
-  mutable state : Spi.Semantics.state;
-  proc_states : pstate array;
-  proc_index : int I.Process_id.Map.t;
-  heap : event Heap.t;
-  fstate : Fault.state option;
-  mutable trace : Trace.entry list;  (* reversed *)
-  mutable firings : int;
-  mutable now : int;
-}
-
-(* What a freshly (re)started task must do before entering the event
-   loop: the root and probe-split siblings just sweep; a sibling forked
-   on an environment injection into a site still owes itself the
-   delivery its parent popped from the shared heap. *)
-type pending = Sweep | Deliver of I.Channel_id.t * Spi.Token.t
-
-type task = { sub : sub; start : pending }
-
-type stats = {
-  mutable splits : int;
-  mutable subfamilies : int;
-  mutable executed : int;
-  mutable shared : int;
-  mutable leaves : leaf list;
-}
-
-let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
-    ?(overflow = Spi.Semantics.Reject) ?(stimuli = []) ?(firing_budget = [])
-    ?faults ?(linkage = []) ?(jobs = 1) ?(split = `Narrow) system =
-  let narrow = split = `Narrow in
-  let start_ns = Obs.Clock.now_ns () in
-  (match faults with
-  | Some p when p.Fault.degrade <> None ->
-    invalid_arg
-      "Family.run: degradation plans are not supported (flattened \
-       per-configuration models have no configuration to fall back to)"
-  | Some _ | None -> ());
-  let space = P.space ~linkage system in
-  let n = P.size space in
-  let sites = P.sites space in
-  validate_prefixes system sites;
-  (* Per-configuration models and initial states, built on demand and
-     shared across domains.  An explicit mutex (not [Lazy]) because
-     worker domains race on first touch. *)
-  let cache_lock = Mutex.create () in
-  let models = Array.make n None in
-  let inits = Array.make n None in
-  let model_of i =
-    Mutex.lock cache_lock;
-    let m =
-      match models.(i) with
-      | Some m -> m
-      | None ->
-        let m =
-          Variants.Flatten.flatten system
-            (Variants.Variant_space.to_choice (P.assignment space i))
-        in
-        models.(i) <- Some m;
-        m
-    in
-    Mutex.unlock cache_lock;
-    m
-  in
-  let init_of i =
-    let m = model_of i in
-    Mutex.lock cache_lock;
-    let s =
-      match inits.(i) with
-      | Some s -> s
-      | None ->
-        let s = Spi.Semantics.initial m in
-        inits.(i) <- Some s;
-        s
-    in
-    Mutex.unlock cache_lock;
-    s
-  in
-  let budget_of pid p =
-    match
-      List.find_opt (fun (q, _) -> I.Process_id.equal q pid) firing_budget
-    with
-    | Some (_, b) -> Some b
-    | None ->
-      if I.Channel_id.Set.is_empty (Spi.Process.inputs p) then Some 0 else None
-  in
-  let fresh_pstates processes =
-    let index =
-      List.fold_left
-        (fun (i, acc) p ->
-          (i + 1, I.Process_id.Map.add (Spi.Process.id p) i acc))
-        (0, I.Process_id.Map.empty) processes
-      |> snd
-    in
-    (index, processes)
-  in
-  let choose_rate = Engine.pick policy in
-  let results = Array.make n None in
-  (* ---------------- root sub-family ---------------- *)
-  let root =
-    let model = model_of 0 in
-    let processes = Spi.Model.processes model in
-    let proc_index, _ = fresh_pstates processes in
-    let proc_states =
-      Array.of_list
-        (List.map
-           (fun p ->
-             {
-               busy = false;
-               budget = budget_of (Spi.Process.id p) p;
-               recover_at = 0;
-             })
-           processes)
-    in
-    let heap = Heap.create () in
-    List.iter
-      (fun s ->
-        Heap.push ~time:s.Engine.at (Inject (s.Engine.channel, s.Engine.token))
-          heap)
-      stimuli;
-    let fstate = Option.map Fault.start faults in
-    (match fstate with
-    | None -> ()
-    | Some fs ->
-      List.iter
-        (fun (pid, at) -> Heap.push ~time:at (Crash pid) heap)
-        (Fault.crash_schedule fs));
-    {
-      members = P.full space;
-      rep = 0;
-      model;
-      cold = sites;
-      warm = I.Channel_id.Set.empty;
-      state = init_of 0;
-      proc_states;
-      proc_index;
-      heap;
-      fstate;
-      trace = [];
-      firings = 0;
-      now = 0;
-    }
-  in
-  (* ---------------- per-sub-family machinery ---------------- *)
-  let pstate c pid = c.proc_states.(I.Process_id.Map.find pid c.proc_index) in
-  let emit c e = c.trace <- e :: c.trace in
-  let process_crashed c pid =
-    match c.fstate with Some fs -> Fault.crashed fs pid | None -> false
-  in
-  (* Fork [c] at site [site]: one part per cluster the members select
-     there, ordered by smallest member.  [c] keeps the first part (its
-     representative is the global minimum, hence in the first part);
-     every other part gets a fresh sub on its own representative's
-     model, with the shared execution so far transplanted in.  The site
-     leaves [cold] for all parts. *)
-  let split stats offer ~sibling_start c site =
-    let old_cold = c.cold in
-    let is_old_cold id = Option.is_some (cold_site_of old_cold id) in
-    (* Warm channels live inside cold sites but already carry the shared
-       history (identical declaration in every member), so they
-       transplant like resolved channels. *)
-    let keeps_initial cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && is_old_cold (I.Channel_id.to_string cid)
-    in
-    let parts = P.partition_at space c.members site in
-    let new_cold =
-      List.filter (fun s -> not (I.Interface_id.equal s site)) old_cold
-    in
-    match parts with
-    | [] -> assert false (* members are never empty *)
-    | (_, first_part) :: rest ->
-      stats.splits <- stats.splits + List.length rest;
-      List.iter
-        (fun (_, part) ->
-          let rep_b =
-            match P.first part with Some i -> i | None -> assert false
-          in
-          let model_b = model_of rep_b in
-          (* Channels of resolved sites and of the shared skeleton carry
-             the shared history; channels of sites cold until this split
-             still hold their initial tokens in every member's own run,
-             so the sibling's fresh initial state is already right for
-             them. *)
-          let state_b =
-            List.fold_left
-              (fun st ch ->
-                let cid = Spi.Chan.id ch in
-                if keeps_initial cid then st
-                else
-                  let st = Spi.Semantics.clear_channel cid st in
-                  List.fold_left
-                    (fun st tok -> Spi.Semantics.inject model_b cid tok st)
-                    st
-                    (Spi.Semantics.contents c.state cid))
-              (init_of rep_b)
-              (Spi.Model.channels model_b)
-          in
-          let processes_b = Spi.Model.processes model_b in
-          let proc_index_b, _ = fresh_pstates processes_b in
-          let proc_states_b =
-            Array.of_list
-              (List.map
-                 (fun p ->
-                   let pid = Spi.Process.id p in
-                   if is_old_cold (I.Process_id.to_string pid) then
-                     { busy = false; budget = budget_of pid p; recover_at = 0 }
-                   else
-                     let ps = pstate c pid in
-                     {
-                       busy = ps.busy;
-                       budget = ps.budget;
-                       recover_at = ps.recover_at;
-                     })
-                 processes_b)
-          in
-          let sub_b =
-            {
-              members = part;
-              rep = rep_b;
-              model = model_b;
-              cold = new_cold;
-              warm = c.warm;
-              state = state_b;
-              proc_states = proc_states_b;
-              proc_index = proc_index_b;
-              heap = Heap.copy c.heap;
-              fstate = Option.map Fault.copy c.fstate;
-              trace = c.trace;
-              firings = c.firings;
-              now = c.now;
-            }
-          in
-          offer { sub = sub_b; start = sibling_start })
-        rest;
-      c.members <- first_part;
-      c.cold <- new_cold
-  in
-  (* Would any variant of cold site [site] start a process right now, in
-     the configurations of [part]?  Answered on the part
-     representative's own model, with the site's channels read from that
-     model's initial state (per-member exact: nothing has touched them)
-     and all shared/resolved channels read from the live state. *)
-  let site_hot c site (_, part) =
-    let rep_b = match P.first part with Some i -> i | None -> assert false in
-    let model_b = model_of rep_b in
-    let init_b = init_of rep_b in
-    let pfx = prefix_of site in
-    let cold_owned cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (cold_site_of c.cold (I.Channel_id.to_string cid))
-    in
-    let view =
-      {
-        Spi.Predicate.tokens_available =
-          (fun cid ->
-            if cold_owned cid then Spi.Semantics.tokens_available init_b cid
-            else Spi.Semantics.tokens_available c.state cid);
-        first_tags =
-          (fun cid ->
-            if cold_owned cid then Spi.Semantics.first_tags init_b cid
-            else Spi.Semantics.first_tags c.state cid);
-      }
-    in
-    List.exists
-      (fun p ->
-        let pid = Spi.Process.id p in
-        has_prefix (I.Process_id.to_string pid) pfx
-        && budget_of pid p <> Some 0
-        && (not (process_crashed c pid))
-        && Spi.Activation.enabled view (Spi.Process.activation p) <> [])
-      (Spi.Model.processes model_b)
-  in
-  (* Resolve every cold site whose variants could act: split there, then
-     re-probe (the split may leave other sites hot for the remaining
-     members).  Must run before every scheduling sweep — otherwise the
-     sweep would fire the representative's own variant while the
-     sub-family still covers configurations with a different one. *)
-  let rec settle stats offer c =
-    let hot =
-      List.find_opt
-        (fun site ->
-          List.exists (site_hot c site) (P.partition_at space c.members site))
-        c.cold
-    in
-    match hot with
-    | None -> ()
-    | Some site ->
-      split stats offer ~sibling_start:Sweep c site;
-      settle stats offer c
-  in
-  (* One scheduling sweep, [Engine.run]'s [try_start] minus cold-site
-     processes — the probe just proved none of them can act, in any
-     member configuration, so skipping them changes nothing and keeps
-     the sweep identical to each member's own. *)
-  let try_start stats c now =
-    List.iter
-      (fun p ->
-        let pid = Spi.Process.id p in
-        if not (Option.is_some (cold_site_of c.cold (I.Process_id.to_string pid)))
-        then begin
-          let ps = pstate c pid in
-          let may_fire =
-            (not ps.busy) && ps.budget <> Some 0 && not (process_crashed c pid)
-          in
-          if may_fire then
-            match Spi.Semantics.enabled_rule c.model c.state pid with
-            | None -> ()
-            | Some rule -> (
-              match
-                Spi.Process.find_mode (Spi.Activation.target_mode rule) p
-              with
-              | None -> ()
-              | Some mode -> (
-                let mid = Spi.Mode.id mode in
-                let attempt =
-                  match c.fstate with
-                  | None -> Fault.Proceed { overrun = None }
-                  | Some fs -> Fault.on_attempt fs ~time:now pid mid
-                in
-                match attempt with
-                | Fault.Retry { retry; backoff } ->
-                  emit c
-                    (Trace.Faulted
-                       {
-                         time = now;
-                         fault =
-                           Fault.Transient_failure
-                             { process = pid; mode = mid; retry; backoff };
-                       });
-                  let until = now + max 1 backoff in
-                  ps.busy <- true;
-                  ps.recover_at <- until;
-                  Heap.push ~time:until (Recover pid) c.heap
-                | Fault.Exhausted ->
-                  emit c
-                    (Trace.Faulted
-                       {
-                         time = now;
-                         fault =
-                           Fault.Retries_exhausted { process = pid; mode = mid };
-                       })
-                | Fault.Proceed { overrun } ->
-                  let state', consumed =
-                    Spi.Semantics.consume ~choose_rate mode c.state
-                  in
-                  c.state <- state';
-                  let payload = Spi.Semantics.inherited_payload mode consumed in
-                  let extra = Option.value ~default:0 overrun in
-                  let latency =
-                    Engine.pick policy (Spi.Mode.latency mode) + extra
-                  in
-                  ps.busy <- true;
-                  ps.budget <- Option.map (fun b -> b - 1) ps.budget;
-                  c.firings <- c.firings + 1;
-                  stats.executed <- stats.executed + 1;
-                  let width = P.cardinal c.members in
-                  if width > 1 then stats.shared <- stats.shared + 1;
-                  Obs.Metric.observe m_configs_per_firing width;
-                  emit c
-                    (Trace.Started
-                       { time = now; process = pid; mode = mid; reconfiguration = None });
-                  (match overrun with
-                  | Some extra ->
-                    emit c
-                      (Trace.Faulted
-                         {
-                           time = now;
-                           fault =
-                             Fault.Latency_overrun
-                               { process = pid; mode = mid; extra };
-                         })
-                  | None -> ());
-                  Heap.push ~time:(now + latency)
-                    (Complete
-                       { proc = pid; mode; started_at = now; payload; consumed })
-                    c.heap))
-        end)
-      (Spi.Model.processes c.model)
-  in
-  (* Environment injection, [Engine.run]'s [inject_token] — but a token
-     aimed inside a still-cold site resolves that site first: the
-     variants there disagree on the target channel's very declaration,
-     so the members must part ways before the write.  The fault draw
-     happens after the fork, at the same stream position in every
-     branch, exactly as each member's own run would draw it. *)
-  (* Does every member of [c] declare [cid] with the same kind, capacity
-     and initial contents?  Then a write into the still-cold site cannot
-     distinguish the members, and the channel can be carried live
-     ("warm") instead of forcing the site apart — the split happens
-     later, only if a variant actually activates.  Checking one model
-     per subtree-choice part covers every member, because a site's
-     channels are a function of the subtree choice [partition_at]
-     groups by. *)
-  let narrowable c site cid =
-    let decl_of part =
-      let rep_b = match P.first part with Some i -> i | None -> assert false in
-      Spi.Model.find_channel cid (model_of rep_b)
-    in
-    match P.partition_at space c.members site with
-    | [] -> assert false (* members are never empty *)
-    | (_, part0) :: rest -> (
-      match decl_of part0 with
-      | None -> false
-      | Some ch0 ->
-        let same ch =
-          Spi.Chan.kind ch = Spi.Chan.kind ch0
-          && Spi.Chan.capacity ch = Spi.Chan.capacity ch0
-          && List.compare_lengths (Spi.Chan.initial ch) (Spi.Chan.initial ch0)
-             = 0
-          && List.for_all2 Spi.Token.equal (Spi.Chan.initial ch)
-               (Spi.Chan.initial ch0)
-        in
-        List.for_all
-          (fun (_, part) ->
-            match decl_of part with Some ch -> same ch | None -> false)
-          rest)
-  in
-  let rec handle_inject stats offer c time cid tok =
-    let cold_target =
-      if I.Channel_id.Set.mem cid c.warm then None
-      else cold_site_of c.cold (I.Channel_id.to_string cid)
-    in
-    match cold_target with
-    | Some site when narrow && narrowable c site cid ->
-      c.warm <- I.Channel_id.Set.add cid c.warm;
-      handle_inject stats offer c time cid tok
-    | Some site ->
-      split stats offer ~sibling_start:(Deliver (cid, tok)) c site;
-      handle_inject stats offer c time cid tok
-    | None -> (
-      let outcome =
-        match c.fstate with
-        | None -> Fault.Deliver
-        | Some fs -> Fault.on_token fs ~time cid tok
-      in
-      let deliver tok =
-        c.state <- Spi.Semantics.inject ~overflow c.model cid tok c.state;
-        emit c (Trace.Injected { time; channel = cid; token = tok })
-      in
-      match outcome with
-      | Fault.Deliver -> deliver tok
-      | Fault.Dropped ->
-        emit c
-          (Trace.Faulted
-             { time; fault = Fault.Token_dropped { channel = cid; token = tok } })
-      | Fault.Corrupted tok' ->
-        emit c
-          (Trace.Faulted
-             {
-               time;
-               fault = Fault.Token_corrupted { channel = cid; token = tok' };
-             });
-        deliver tok'
-      | Fault.Duplicated ->
-        emit c
-          (Trace.Faulted
-             {
-               time;
-               fault = Fault.Token_duplicated { channel = cid; token = tok };
-             });
-        deliver tok;
-        deliver tok)
-  in
-  (* Leaf: the sub-family ran to its outcome.  Every member gets the
-     result its own [Engine.run] would have produced: the shared trace,
-     and a final state that is the live state on shared/resolved
-     channels plus the member's own initial tokens on channels of sites
-     that never went hot. *)
-  let finish stats c outcome =
-    stats.subfamilies <- stats.subfamilies + 1;
-    let trace = List.rev c.trace in
-    let is_cold cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (cold_site_of c.cold (I.Channel_id.to_string cid))
-    in
-    (* The deadline-relevant number of the whole leaf, computed once: the
-       shared trace is every member's trace, so the last completion time
-       is every member's makespan. *)
-    let makespan =
-      List.fold_left
-        (fun acc entry ->
-          match entry with
-          | Trace.Completed { time; _ } -> max acc time
-          | _ -> acc)
-        0 c.trace
-    in
-    stats.leaves <-
-      { leaf_members = P.indices c.members; leaf_makespan = makespan }
-      :: stats.leaves;
-    P.iter
-      (fun i ->
-        let final_state =
-          if i = c.rep then c.state
-          else
-            let model_i = model_of i in
-            List.fold_left
-              (fun st ch ->
-                let cid = Spi.Chan.id ch in
-                if is_cold cid then st
-                else
-                  let st = Spi.Semantics.clear_channel cid st in
-                  List.fold_left
-                    (fun st tok -> Spi.Semantics.inject model_i cid tok st)
-                    st
-                    (Spi.Semantics.contents c.state cid))
-              (init_of i)
-              (Spi.Model.channels model_i)
-        in
-        results.(i) <-
-          Some
-            {
-              Engine.trace;
-              final_state;
-              end_time = c.now;
-              outcome;
-              firings = c.firings;
-              reconfiguration_time = 0;
-            })
-      c.members
-  in
-  (* The event loop, [Engine.run]'s [loop] with the probe wedged in
-     front of every sweep. *)
-  let exec stats offer { sub = c; start } =
-    (match start with
-    | Sweep -> ()
-    | Deliver (cid, tok) -> handle_inject stats offer c c.now cid tok);
-    settle stats offer c;
-    try_start stats c c.now;
-    let rec loop () =
-      if c.firings > limits.Engine.max_firings then
-        finish stats c Engine.Firing_limit_reached
-      else
-        match Heap.pop_min c.heap with
-        | None ->
-          emit c (Trace.Quiescent { time = c.now });
-          finish stats c Engine.Quiescent
-        | Some (time, _) when time > limits.Engine.max_time ->
-          finish stats c Engine.Time_limit_reached
-        | Some (time, event) ->
-          c.now <- time;
-          (match event with
-          | Inject (cid, tok) -> handle_inject stats offer c time cid tok
-          | Complete { proc; mode; started_at; payload; consumed } ->
-            let state', produced =
-              Spi.Semantics.produce ~overflow ~choose_rate c.model mode
-                ~inherited_payload:payload c.state
-            in
-            c.state <- state';
-            let ps = pstate c proc in
-            if ps.recover_at = 0 then ps.busy <- false;
-            let firing =
-              {
-                Spi.Semantics.process = proc;
-                mode = Spi.Mode.id mode;
-                consumed;
-                produced;
-              }
-            in
-            emit c (Trace.Completed { time; started_at; process = proc; firing })
-          | Recover pid ->
-            let ps = pstate c pid in
-            if ps.recover_at <= time then begin
-              ps.recover_at <- 0;
-              ps.busy <- false
-            end
-          | Crash pid -> (
-            match c.fstate with
-            | Some fs when not (Fault.crashed fs pid) ->
-              Fault.mark_crashed fs pid;
-              Fault.note_failure fs pid;
-              emit c
-                (Trace.Faulted { time; fault = Fault.Crashed { process = pid } })
-            | Some _ | None -> ()));
-          settle stats offer c;
-          try_start stats c time;
-          loop ()
-    in
-    loop ()
-  in
-  (* ---------------- drive the sub-families ---------------- *)
-  let totals =
-    Synth.Par.fold ~jobs
-      ~init:(fun () ->
-        { splits = 0; subfamilies = 0; executed = 0; shared = 0; leaves = [] })
-      ~merge:(fun a b ->
-        {
-          splits = a.splits + b.splits;
-          subfamilies = a.subfamilies + b.subfamilies;
-          executed = a.executed + b.executed;
-          shared = a.shared + b.shared;
-          leaves = a.leaves @ b.leaves;
-        })
-      ~f:(fun pool stats task ->
-        (* Forked sub-families go to the pool; when its deque is full
-           they stay on a local stack and run here — either way every
-           fork is executed exactly once. *)
-        let local = Stack.create () in
-        let offer t = if not (Synth.Par.push pool t) then Stack.push t local in
-        exec stats offer task;
-        while not (Stack.is_empty local) do
-          exec stats offer (Stack.pop local)
-        done;
-        stats)
-      [| { sub = root; start = Sweep } |]
-  in
-  let runs =
-    Array.init n (fun i ->
-        match results.(i) with
-        | Some result -> { index = i; assignment = P.assignment space i; result }
-        | None ->
-          (* unreachable: the leaves partition the full space *)
-          invalid_arg "Family.run: configuration left unfinished")
-  in
-  Obs.Metric.incr m_runs;
-  Obs.Metric.add m_configs n;
-  Obs.Metric.add m_splits totals.splits;
-  Obs.Metric.add m_subfamilies totals.subfamilies;
-  Obs.Metric.add m_shared_firings totals.shared;
-  Obs.Registry.record_span ~name:"sim.family.run_ns" ~start_ns
-    ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
-  let leaves =
-    (* sort by smallest member for a jobs-count-independent order *)
-    Array.of_list
-      (List.sort
-         (fun a b -> compare (List.hd a.leaf_members) (List.hd b.leaf_members))
-         totals.leaves)
-  in
-  {
-    runs;
-    splits = totals.splits;
-    subfamilies = totals.subfamilies;
-    executed_firings = totals.executed;
-    shared_firings = totals.shared;
-    leaves;
-  }
 
 let headroom ~deadline report =
   let out = Array.make (Array.length report.runs) 0 in

@@ -1,34 +1,18 @@
-(** Family-based ("featured") simulation of a variant space.
+(** Reports of family-based ("featured") simulation.
 
-    {!Engine.run} evaluates one flattened configuration at a time, so
-    covering a system's whole variant space costs
-    O(configurations x scenario).  This module lifts the simulation over
-    the space: one run starts from a single {e sub-family} covering
-    every configuration (a presence condition over
-    {!Variants.Presence}), executes work shared by all members once, and
-    splits into smaller sub-families only at the first event where the
-    members' behaviors can diverge — when a variant of a still-inactive
-    site could activate, or when the environment injects into a site's
-    internals.  Configurations whose distinguishing clusters never
-    activate under the scenario are never split apart: the run covers
-    them all with one execution.
+    {!Family_compiled.run} evaluates a variant system's whole
+    configuration space in one featured pass: shared prefixes execute
+    once, and the run splits into sub-families only where members can
+    diverge.  This module holds what that pass returns — one
+    {!config_run} per configuration, the finished sub-families
+    ({!leaf}) and the sharing counters — plus the read-outs every caller
+    needs: per-configuration makespans and deadline headroom, the
+    per-configuration timeline export and a one-line summary.
 
-    The per-configuration results are {e exactly} the results
-    per-configuration {!Engine.run}s would produce on the flattened
-    models — trace entry for entry, final channel contents, outcome,
-    firing counts and the fault-plan RNG stream included.  The
-    differential qcheck harness in [test/test_family.ml] enforces this
-    structurally and at rendered-byte level across generated systems,
-    fault plans and seeds; docs/FAMILY.md states the proof obligation.
-
-    Restrictions (checked, [Invalid_argument]):
-    - shared element ids must not collide with any site's ["<site>."]
-      prefix, and no site prefix may extend another's — the prefixes are
-      how the engine attributes state to sites;
-    - fault plans must not carry a degradation policy: flattened
-      per-configuration models have no {!Variants.Configuration.t}s to
-      fall back to, so a degrading family run would have no
-      per-configuration reference. *)
+    Every configuration's [result] is exactly what {!Engine.run} produces
+    on that configuration's flattened model; the differential harness in
+    [test/test_family_compiled.ml] checks it against {!Engine} (the
+    oracle) and {!Compile}. *)
 
 type config_run = {
   index : int;  (** position in {!Variants.Variant_space.enumerate} order *)
@@ -65,48 +49,6 @@ type report = {
           configuration indices *)
 }
 
-val run :
-  ?policy:Engine.policy ->
-  ?limits:Engine.limits ->
-  ?overflow:Spi.Semantics.overflow ->
-  ?stimuli:Engine.stimulus list ->
-  ?firing_budget:(Spi.Ids.Process_id.t * int) list ->
-  ?faults:Fault.plan ->
-  ?linkage:Variants.Variant_space.linkage ->
-  ?jobs:int ->
-  ?split:[ `Narrow | `Full ] ->
-  Variants.System.t ->
-  report
-(** Simulates every configuration of the system's variant space in one
-    featured pass.  The scenario parameters have {!Engine.run}'s
-    semantics and apply uniformly to every configuration; stimuli may
-    target shared (unprefixed) channels or a site's internals.
-
-    [split] picks the policy for a stimulus aimed inside a still-cold
-    site.  [`Full] (the original heuristic) forces the site's
-    sub-families apart at injection time.  [`Narrow] (the default) first
-    checks whether every member declares the target channel identically
-    (kind, capacity, initial tokens): if so the channel is marked
-    {e warm} and the write is carried live by the whole sub-family — the
-    split happens later, and only if one of the site's variants actually
-    activates.  Narrow splitting never forks more sub-families than full
-    splitting, and the per-configuration results are identical under
-    both policies.
-
-    [jobs] (default 1) runs sub-families as steal-able tasks on the
-    {!Synth.Par} work-stealing domain pool: each split offers the new
-    sub-families to idle domains, so a heavily-splitting space fans out.
-    Results are identical for every job count.
-
-    Registers [sim.family.*] metrics: [runs], [configs], [splits],
-    [subfamilies], [shared_firings], the [configs_per_firing] histogram
-    and the [sim.family.run_ns] span.
-
-    @raise Invalid_argument on prefix collisions or degradation plans
-    (see above); exceptions a per-configuration run would raise
-    ({!Spi.Semantics.Channel_overflow}, [Not_found] on stimuli naming
-    channels absent from a member's model) propagate. *)
-
 val makespans : report -> (int * int) array
 (** [(index, makespan)] per configuration — the end time of the last
     completion in its trace (0 when nothing completed).  The basis of
@@ -133,8 +75,8 @@ val pp_summary : Format.formatter -> report -> unit
 
 (**/**)
 
-(* Site-prefix bookkeeping, shared with {!Family_compiled} so the two
-   family engines attribute state to cold sites identically. *)
+(* Site-prefix bookkeeping used by {!Family_compiled} to attribute
+   state to still-cold variant sites. *)
 
 val prefix_of : Spi.Ids.Interface_id.t -> string
 val has_prefix : string -> string -> bool

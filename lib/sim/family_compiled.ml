@@ -6,10 +6,9 @@ open Crt
 (* Compiled per-representative tables.                                 *)
 (*                                                                     *)
 (* A sub-family executes on its representative configuration's         *)
-(* flattened model, exactly like the interpreted {!Family} engine —     *)
-(* but here the model is lowered to {!Compile}-style flat int tables    *)
-(* (no configuration dispatch: family runs reject degradation plans,   *)
-(* so modes never carry masks and firings never reconfigure).          *)
+(* flattened model, lowered to {!Compile}-style flat int tables (no     *)
+(* configuration dispatch: family runs reject degradation plans, so    *)
+(* modes never carry masks and firings never reconfigure).             *)
 (* ------------------------------------------------------------------ *)
 
 type fmode = {
@@ -54,9 +53,7 @@ type plan = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Observability: the family counters are shared with {!Family} (the   *)
-(* registry deduplicates by name), so dashboards see one family        *)
-(* workload whichever engine ran it.                                   *)
+(* Observability.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let m_runs = Obs.Registry.counter "sim.family.runs"
@@ -66,7 +63,6 @@ let m_subfamilies = Obs.Registry.counter "sim.family.subfamilies"
 let m_shared_firings = Obs.Registry.counter "sim.family.shared_firings"
 let m_configs_per_firing = Obs.Registry.histogram "sim.family.configs_per_firing"
 let m_plans = Obs.Registry.counter "sim.family.compiles"
-let m_compiled_runs = Obs.Registry.counter "sim.family.compiled_runs"
 
 (* ------------------------------- plan ------------------------------- *)
 
@@ -470,9 +466,9 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       c.cold
   in
   (* Would any variant of the part's configurations start a site process
-     right now?  Same probe as the interpreted engine's [site_hot]:
-     cold-owned (and not warm) channels read the part representative's
-     initial state, everything else reads the live rings. *)
+     right now?  Cold-owned (and not warm) channels read the part
+     representative's initial state, everything else reads the live
+     rings. *)
   let part_hot c hp =
     let cold_owned cid =
       (not (I.Channel_id.Set.mem cid c.warm))
@@ -786,10 +782,9 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       end
     done
   in
-  (* Same narrowing test as the interpreted engine: every member must
-     declare the target channel with identical kind, capacity and
-     initial contents; checking one model per subtree-choice part covers
-     every member. *)
+  (* Narrowing test: every member must declare the target channel with
+     identical kind, capacity and initial contents; checking one model
+     per subtree-choice part covers every member. *)
   let narrowable c site cid =
     let decl_of part =
       let rep_b = match P.first part with Some i -> i | None -> assert false in
@@ -977,8 +972,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       c.members
   in
   (* The event loop: {!Compile}'s closure-free dispatch with the
-     presence probe wedged in front of every sweep, exactly where the
-     interpreted engine runs it. *)
+     presence probe wedged in front of every sweep. *)
   let exec stats offer { sub = c; start } =
     (match start with
     | Sweep -> ()
@@ -1048,12 +1042,11 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
           invalid_arg "Family_compiled.run: configuration left unfinished")
   in
   Obs.Metric.incr m_runs;
-  Obs.Metric.incr m_compiled_runs;
   Obs.Metric.add m_configs n;
   Obs.Metric.add m_splits totals.splits;
   Obs.Metric.add m_subfamilies totals.subfamilies;
   Obs.Metric.add m_shared_firings totals.shared;
-  Obs.Registry.record_span ~name:"sim.family.compiled_run_ns" ~start_ns
+  Obs.Registry.record_span ~name:"sim.family.run_ns" ~start_ns
     ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
   let leaves =
     Array.of_list

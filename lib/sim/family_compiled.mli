@@ -1,23 +1,40 @@
-(** Compiled family-based simulation.
+(** Family-based ("featured") simulation of a variant space.
 
-    The interpreted {!Family} engine executes each sub-family through
-    {!Spi.Semantics} — persistent-map channel states, closure-based
-    guard checks, list scans per event.  This module runs the same
-    algorithm on {!Compile}-style flat tables (shared with that engine
-    through {!Crt}): dense channel indexes into ring buffers, compiled
-    guards, an int-coded {!Heap.Int_heap} event loop, and the
-    presence-condition bookkeeping (split detection, fork transplants,
-    narrowing) hoisted out of the hot path.
+    {!Engine.run} evaluates one flattened configuration at a time, so
+    covering a system's whole variant space costs
+    O(configurations x scenario).  This module lifts the simulation over
+    the space: one run starts from a single {e sub-family} covering
+    every configuration (a presence condition over
+    {!Variants.Presence}), executes work shared by all members once, and
+    splits into smaller sub-families only at the first event where the
+    members' behaviors can diverge — when a variant of a still-inactive
+    site could activate, or when the environment injects into a site's
+    internals.  Configurations whose distinguishing clusters never
+    activate under the scenario are never split apart.
 
-    The contract is unchanged and engine-independent: the report is a
-    {!Family.report}, and every configuration's result is byte-identical
-    to what {!Engine.run}, {!Compile.run} and interpreted {!Family.run}
-    produce for it — the four-way differential harness in
+    Sub-families execute on {!Compile}-style flat tables (shared with
+    that engine through {!Crt}): dense channel indexes into ring
+    buffers, compiled guards, an int-coded {!Heap.Int_heap} event loop,
+    and the presence-condition bookkeeping (split detection, fork
+    transplants, narrowing) hoisted out of the hot path.
+
+    The report is a {!Family.report}, and every configuration's result
+    is byte-identical to what {!Engine.run} (the oracle) and
+    {!Compile.run} produce for it — trace entry for entry, final channel
+    contents, outcome, firing counts and the fault-plan RNG stream
+    included.  The three-way differential harness in
     [test/test_family_compiled.ml] enforces this across generated
-    systems, fault plans, seeds, job counts and split policies.
+    systems, fault plans, seeds, job counts and split policies;
+    docs/FAMILY.md states the proof obligation.
 
-    Like {!Family.run}, degradation plans are rejected and shared ids
-    must not collide with site prefixes ([Invalid_argument]). *)
+    Restrictions (checked, [Invalid_argument]):
+    - shared element ids must not collide with any site's ["<site>."]
+      prefix, and no site prefix may extend another's — the prefixes are
+      how the engine attributes state to sites;
+    - fault plans must not carry a degradation policy: flattened
+      per-configuration models have no {!Variants.Configuration.t}s to
+      fall back to, so a degrading family run would have no
+      per-configuration reference. *)
 
 type plan
 (** Compiled variant space: presence space, site list, and
@@ -29,7 +46,8 @@ val plan : ?linkage:Variants.Variant_space.linkage -> Variants.System.t -> plan
 (** Lowers the system's variant space for family execution.  Site
     prefixes are validated here, once, rather than per run.
 
-    @raise Invalid_argument on prefix collisions (see {!Family.run}). *)
+    @raise Invalid_argument on prefix collisions (see above) or when the
+    configuration count overflows ({!Variants.Variant_space.count}). *)
 
 val plan_key : ?linkage:Variants.Variant_space.linkage -> Variants.System.t -> string
 (** The key {!plan} would assign, without compiling — hex digest over
@@ -53,15 +71,31 @@ val run :
   ?split:[ `Narrow | `Full ] ->
   plan ->
   Family.report
-(** Simulates every configuration in one featured pass on the compiled
-    tables.  Parameters have {!Family.run}'s semantics exactly,
-    including [`Narrow] split narrowing (the default) and [jobs]-way
-    work stealing over {!Synth.Par}; results are identical for every
-    job count and split policy.
+(** Simulates every configuration of the plan's variant space in one
+    featured pass.  The scenario parameters have {!Engine.run}'s
+    semantics and apply uniformly to every configuration; stimuli may
+    target shared (unprefixed) channels or a site's internals.
 
-    Shares the [sim.family.*] metrics with the interpreted engine and
-    additionally bumps [sim.family.compiled_runs] and records the
-    [sim.family.compiled_run_ns] span.
+    [split] picks the policy for a stimulus aimed inside a still-cold
+    site.  [`Full] forces the site's sub-families apart at injection
+    time.  [`Narrow] (the default) first checks whether every member
+    declares the target channel identically (kind, capacity, initial
+    tokens): if so the channel is marked {e warm} and the write is
+    carried live by the whole sub-family — the split happens later, and
+    only if one of the site's variants actually activates.  Narrow
+    splitting never forks more sub-families than full splitting, and the
+    per-configuration results are identical under both policies.
+
+    [jobs] (default 1) runs sub-families as steal-able tasks on the
+    {!Synth.Par} work-stealing domain pool: each split offers the new
+    sub-families to idle domains.  Results are identical for every job
+    count.
+
+    Registers [sim.family.*] metrics: [runs], [configs], [splits],
+    [subfamilies], [shared_firings], [compiles] (plans built), the
+    [configs_per_firing] histogram and the [sim.family.run_ns] span.
 
     @raise Invalid_argument on degradation plans; exceptions a
-    per-configuration run would raise propagate unchanged. *)
+    per-configuration run would raise ({!Spi.Semantics.Channel_overflow},
+    [Not_found] on stimuli naming channels absent from a member's model)
+    propagate unchanged. *)

@@ -175,9 +175,9 @@ let sim_stimuli ?(tokens = 3) model =
 (* ------------------- family simulation workloads --------------------- *)
 
 (* The same generated workload family as [sim_model], but kept as a
-   variant system: [Sim.Family.run] takes the system itself, and the
-   differential harness flattens it once per configuration for the
-   per-configuration reference runs. *)
+   variant system: [Sim.Family_compiled.plan] takes the system itself,
+   and the differential harness flattens it once per configuration for
+   the per-configuration reference runs. *)
 let family_system ~seed =
   let sites = 1 + (seed mod 3) in
   let cluster_processes = 1 + (seed mod 2) in

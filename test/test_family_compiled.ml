@@ -1,116 +1,152 @@
-(* Four-way differential proof for the compiled family engine: for every
-   configuration of a variant space, the interpreter (Sim.Engine), the
-   compiled per-configuration engine (Sim.Compile), the interpreted
-   family engine (Sim.Family) and the compiled family engine
-   (Sim.Family_compiled) produce the same result — trace entry for
+(* Three-way differential proof for the family engine: for every
+   configuration of a variant space, the compiled per-configuration
+   engine (Sim.Compile) and the featured pass (Sim.Family_compiled)
+   produce exactly what the interpreter (Sim.Engine, the oracle)
+   produces on that configuration's flattened model — trace entry for
    entry, final channel contents, outcome, counters, and rendered
-   trace/stats bytes (Test_compile.result_eq) — and the two family
-   engines agree on every family-level statistic, leaf for leaf.
-   Exercised across generated flat and nested systems,
-   split-adversarial stimulus schedules, policies, fault plans, split
-   heuristics and job counts. *)
+   trace/stats bytes (Test_compile.result_eq).  The family-level
+   statistics answer to the oracle as well: the leaves partition the
+   configurations, and every member's leaf makespan is the last
+   completion of its reference trace.  Exercised across generated flat
+   and nested systems, split-adversarial stimulus schedules, policies,
+   fault plans, limits and firing budgets, split heuristics and job
+   counts. *)
 
 module I = Spi.Ids
 
 let render_assignment a =
   Format.asprintf "%a" Variants.Variant_space.pp_assignment a
 
-let leaf_eq (a : Sim.Family.leaf) (b : Sim.Family.leaf) =
-  a.Sim.Family.leaf_members = b.Sim.Family.leaf_members
-  && a.Sim.Family.leaf_makespan = b.Sim.Family.leaf_makespan
+let last_completion trace =
+  List.fold_left
+    (fun acc entry ->
+      match entry with
+      | Sim.Trace.Completed { time; _ } -> max acc time
+      | _ -> acc)
+    0 trace
 
-(* Family-level statistics must agree between the two family engines:
-   same splits, same leaves covering the same members with the same
-   makespans. *)
-let reports_agree (a : Sim.Family.report) (b : Sim.Family.report) =
-  a.Sim.Family.splits = b.Sim.Family.splits
-  && a.Sim.Family.subfamilies = b.Sim.Family.subfamilies
-  && a.Sim.Family.executed_firings = b.Sim.Family.executed_firings
-  && a.Sim.Family.shared_firings = b.Sim.Family.shared_firings
-  && Array.length a.Sim.Family.leaves = Array.length b.Sim.Family.leaves
-  && Array.for_all2 leaf_eq a.Sim.Family.leaves b.Sim.Family.leaves
+(* Leaf invariants against the oracle: one leaf per finished
+   sub-family, member lists partitioning 0..n-1, and each member's
+   [leaf_makespan] equal to the last completion in its reference trace. *)
+let leaves_agree (report : Sim.Family.report)
+    (references : Sim.Engine.result array) =
+  let members =
+    Array.to_list report.Sim.Family.leaves
+    |> List.concat_map (fun leaf -> leaf.Sim.Family.leaf_members)
+    |> List.sort compare
+  in
+  Array.length report.Sim.Family.leaves = report.Sim.Family.subfamilies
+  && members = List.init (Array.length references) Fun.id
+  && Array.for_all
+       (fun leaf ->
+         List.for_all
+           (fun i ->
+             leaf.Sim.Family.leaf_makespan
+             = last_completion references.(i).Sim.Engine.trace)
+           leaf.Sim.Family.leaf_members)
+       report.Sim.Family.leaves
 
-(* The tentpole check: both family engines vs per-configuration
-   interpreter and compiled runs, under one scenario. *)
-let four_way ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
+(* The tentpole check: the featured pass and per-configuration compiled
+   runs vs the per-configuration interpreter, under one scenario. *)
+let three_way ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
     ?(jobs = 1) ?split system =
-  let interpreted =
-    Sim.Family.run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
-      ~jobs ?split system
-  in
-  let plan = Sim.Family_compiled.plan system in
-  let compiled =
+  let report =
     Sim.Family_compiled.run ?policy ?limits ?overflow ?stimuli ?firing_budget
-      ?faults ~jobs ?split plan
+      ?faults ~jobs ?split
+      (Sim.Family_compiled.plan system)
   in
-  let assignments = Variants.Variant_space.enumerate system in
-  Array.length interpreted.Sim.Family.runs = List.length assignments
-  && reports_agree interpreted compiled
-  && List.for_all
-       (fun (i, assignment) ->
-         let model =
-           Variants.Flatten.flatten system
-             (Variants.Variant_space.to_choice assignment)
-         in
-         let reference =
-           Sim.Engine.run ?policy ?limits ?overflow ?stimuli ?firing_budget
-             ?faults model
-         in
-         let compiled_ref =
-           Sim.Compile.run ?policy ?limits ?overflow ?stimuli ?firing_budget
-             ?faults
-             (Sim.Compile.compile model)
-         in
-         let fr = interpreted.Sim.Family.runs.(i) in
-         let cr = compiled.Sim.Family.runs.(i) in
-         fr.Sim.Family.index = i
-         && cr.Sim.Family.index = i
-         && render_assignment fr.Sim.Family.assignment
-            = render_assignment assignment
-         && render_assignment cr.Sim.Family.assignment
-            = render_assignment assignment
-         && Test_compile.result_eq model reference compiled_ref
-         && Test_compile.result_eq model reference fr.Sim.Family.result
-         && Test_compile.result_eq model reference cr.Sim.Family.result)
-       (List.mapi (fun i a -> (i, a)) assignments)
+  let assignments = Array.of_list (Variants.Variant_space.enumerate system) in
+  let models =
+    Array.map
+      (fun a ->
+        Variants.Flatten.flatten system (Variants.Variant_space.to_choice a))
+      assignments
+  in
+  let references =
+    Array.map
+      (Sim.Engine.run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults)
+      models
+  in
+  Array.length report.Sim.Family.runs = Array.length assignments
+  && leaves_agree report references
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i model ->
+            let compiled_ref =
+              Sim.Compile.run ?policy ?limits ?overflow ?stimuli ?firing_budget
+                ?faults
+                (Sim.Compile.compile model)
+            in
+            let cr = report.Sim.Family.runs.(i) in
+            cr.Sim.Family.index = i
+            && render_assignment cr.Sim.Family.assignment
+               = render_assignment assignments.(i)
+            && Test_compile.result_eq model references.(i) compiled_ref
+            && Test_compile.result_eq model references.(i) cr.Sim.Family.result)
+          models)
+
+(* Every job count must report the identical per-configuration results
+   and the identical family statistics. *)
+let jobs_invariant ?faults ~stimuli system =
+  let plan = Sim.Family_compiled.plan system in
+  let fingerprint jobs =
+    let r = Sim.Family_compiled.run ~stimuli ?faults ~jobs plan in
+    let runs =
+      Array.to_list r.Sim.Family.runs
+      |> List.map (fun cr ->
+             Format.asprintf "%d %s %a" cr.Sim.Family.index
+               (render_assignment cr.Sim.Family.assignment)
+               Sim.Trace.pp cr.Sim.Family.result.Sim.Engine.trace)
+      |> String.concat "\n"
+    in
+    ( runs,
+      r.Sim.Family.splits,
+      r.Sim.Family.subfamilies,
+      r.Sim.Family.executed_firings,
+      r.Sim.Family.shared_firings )
+  in
+  let reference = fingerprint 1 in
+  List.for_all (fun jobs -> fingerprint jobs = reference) [ 2; 4 ]
+
+let run_family ?faults ~stimuli system =
+  Sim.Family_compiled.run ~stimuli ?faults (Sim.Family_compiled.plan system)
 
 (* --------------------------- qcheck properties ----------------------- *)
 
 let prop_generated_workloads =
   QCheck.Test.make
-    ~name:"four-way differential (generated systems, all policies)" ~count:20
+    ~name:"three-way differential (generated systems, all policies)" ~count:20
     QCheck.(int_range 0 9999)
     (fun seed ->
       let system = Harness.family_system ~seed in
       let stimuli = Harness.family_stimuli system in
       List.for_all
-        (fun policy -> four_way ~policy ~stimuli system)
+        (fun policy -> three_way ~policy ~stimuli system)
         [ Sim.Engine.Best_case; Sim.Engine.Typical; Sim.Engine.Worst_case ])
 
 let prop_nested_adversarial =
   QCheck.Test.make
-    ~name:"four-way differential (nested sites, adversarial stimuli)"
+    ~name:"three-way differential (nested sites, adversarial stimuli)"
     ~count:20
     QCheck.(int_range 0 9999)
     (fun seed ->
       let system = Harness.nested_family_system ~seed in
       let stimuli = Harness.nested_family_stimuli system in
-      four_way ~stimuli system
-      && four_way ~stimuli ~split:`Full system)
+      three_way ~stimuli system && three_way ~stimuli ~split:`Full system)
 
 let prop_nested_with_faults =
-  QCheck.Test.make ~name:"four-way differential (nested sites, fault plans)"
+  QCheck.Test.make ~name:"three-way differential (nested sites, fault plans)"
     ~count:15
     QCheck.(int_range 0 9999)
     (fun seed ->
       let system = Harness.nested_family_system ~seed in
       let stimuli = Harness.nested_family_stimuli ~tokens:4 system in
       let faults = Harness.family_fault_plan ~seed system in
-      four_way ~stimuli ~faults system)
+      three_way ~stimuli ~faults system)
 
 (* The narrow heuristic's contract: it never forks more sub-families
    than full splitting, and the per-configuration results are identical
-   under both policies — on both engines. *)
+   under both policies. *)
 let prop_narrow_never_worse =
   QCheck.Test.make ~name:"narrow splitting <= full splitting, same results"
     ~count:20
@@ -125,19 +161,14 @@ let prop_narrow_never_worse =
                  cr.Sim.Family.result.Sim.Engine.trace)
         |> String.concat "\n"
       in
-      let check run =
-        let narrow = run ~split:`Narrow in
-        let full = run ~split:`Full in
-        narrow.Sim.Family.splits <= full.Sim.Family.splits
-        && narrow.Sim.Family.subfamilies <= full.Sim.Family.subfamilies
-        && fingerprint narrow = fingerprint full
-      in
       let plan = Sim.Family_compiled.plan system in
-      check (fun ~split -> Sim.Family.run ~stimuli ~split system)
-      && check (fun ~split -> Sim.Family_compiled.run ~stimuli ~split plan))
+      let narrow = Sim.Family_compiled.run ~stimuli ~split:`Narrow plan in
+      let full = Sim.Family_compiled.run ~stimuli ~split:`Full plan in
+      narrow.Sim.Family.splits <= full.Sim.Family.splits
+      && narrow.Sim.Family.subfamilies <= full.Sim.Family.subfamilies
+      && fingerprint narrow = fingerprint full)
 
-(* Sub-families are steal-able tasks: every job count must produce the
-   identical report, and one compiled plan may serve all the runs. *)
+(* Sub-families are steal-able tasks, and one plan serves every run. *)
 let prop_jobs_invariant =
   QCheck.Test.make ~name:"compiled family run is job-count invariant" ~count:5
     QCheck.(int_range 0 999)
@@ -145,31 +176,52 @@ let prop_jobs_invariant =
       let system = Harness.nested_family_system ~seed in
       let stimuli = Harness.nested_family_stimuli system in
       let faults = Harness.family_fault_plan ~seed system in
-      let plan = Sim.Family_compiled.plan system in
-      let fingerprint jobs =
-        let r = Sim.Family_compiled.run ~stimuli ~faults ~jobs plan in
-        let runs =
-          Array.to_list r.Sim.Family.runs
-          |> List.map (fun cr ->
-                 Format.asprintf "%d %s %a" cr.Sim.Family.index
-                   (render_assignment cr.Sim.Family.assignment)
-                   Sim.Trace.pp cr.Sim.Family.result.Sim.Engine.trace)
-          |> String.concat "\n"
-        in
-        ( runs,
-          r.Sim.Family.splits,
-          r.Sim.Family.subfamilies,
-          r.Sim.Family.executed_firings,
-          r.Sim.Family.shared_firings )
+      jobs_invariant ~faults ~stimuli system)
+
+(* Flat generated systems, the family-level properties. *)
+
+let prop_flat_with_faults =
+  QCheck.Test.make ~name:"family = per-config engine (fault plans)" ~count:25
+    QCheck.(int_range 0 9999)
+    (fun seed ->
+      let system = Harness.family_system ~seed in
+      let stimuli = Harness.family_stimuli ~tokens:5 system in
+      let faults = Harness.family_fault_plan ~seed system in
+      three_way ~stimuli ~faults system)
+
+let prop_limits_and_budgets =
+  QCheck.Test.make ~name:"family = per-config engine (limits, budgets)"
+    ~count:20
+    QCheck.(pair (int_range 0 999) (int_range 1 30))
+    (fun (seed, max_firings) ->
+      let system = Harness.family_system ~seed in
+      let stimuli = Harness.family_stimuli ~tokens:4 system in
+      let limits = { Sim.Engine.max_time = 200; max_firings } in
+      let firing_budget =
+        List.filteri
+          (fun i _ -> i mod 2 = 0)
+          (List.map
+             (fun p -> (Spi.Process.id p, 1 + (seed mod 3)))
+             (Spi.Model.processes
+                (Variants.Flatten.flatten system
+                   (Variants.Flatten.first_cluster system))))
       in
-      let reference = fingerprint 1 in
-      List.for_all (fun jobs -> fingerprint jobs = reference) [ 2; 4 ])
+      three_way ~limits ~stimuli ~firing_budget system)
+
+let prop_flat_jobs_invariant =
+  QCheck.Test.make ~name:"family run is job-count invariant" ~count:6
+    QCheck.(int_range 0 999)
+    (fun seed ->
+      let system = Harness.family_system ~seed:((seed * 3) + 2) in
+      let stimuli = Harness.family_stimuli ~tokens:4 system in
+      let faults = Harness.family_fault_plan ~seed system in
+      jobs_invariant ~faults ~stimuli system)
 
 (* ------------------------------ unit tests --------------------------- *)
 
 (* The acceptance sweep: 200 seeded workloads alternating flat and
    nested systems, policies, fault plans and split heuristics — every
-   configuration byte-identical across all four engines. *)
+   configuration byte-identical across the three engines. *)
 let test_200_workloads () =
   for seed = 0 to 199 do
     let system, stimuli =
@@ -194,43 +246,52 @@ let test_200_workloads () =
     Alcotest.(check bool)
       (Format.sprintf "workload %d" seed)
       true
-      (four_way ~policy ~stimuli ?faults ~split system)
+      (three_way ~policy ~stimuli ?faults ~split system)
   done
 
-(* Compiling the family must beat nothing semantically: the compiled
-   report's headroom agrees with per-configuration makespans, computed
-   once per leaf. *)
+(* The flat-system acceptance sweep: 200 seeded flat systems mixing
+   policies and fault plans, every configuration byte-identical across
+   the three engines under the default split heuristic. *)
+let test_200_flat_systems () =
+  for seed = 0 to 199 do
+    let system = Harness.family_system ~seed in
+    let stimuli = Harness.family_stimuli system in
+    let policy =
+      match seed mod 3 with
+      | 0 -> Sim.Engine.Best_case
+      | 1 -> Sim.Engine.Typical
+      | _ -> Sim.Engine.Worst_case
+    in
+    let faults =
+      if seed mod 2 = 1 then Some (Harness.family_fault_plan ~seed system)
+      else None
+    in
+    Alcotest.(check bool)
+      (Format.sprintf "system %d" seed)
+      true
+      (three_way ~policy ~stimuli ?faults system)
+  done
+
+(* Headroom is computed once per leaf and must agree with the
+   per-configuration makespans. *)
 let test_headroom_per_leaf () =
   let system = Harness.nested_family_system ~seed:6 in
-  let stimuli = Harness.nested_family_stimuli system in
-  let check (report : Sim.Family.report) =
-    let deadline = 50 in
-    let spans = Sim.Family.makespans report in
-    let head = Sim.Family.headroom ~deadline report in
-    Alcotest.(check int) "one headroom per configuration" (Array.length spans)
-      (Array.length head);
-    Array.iteri
-      (fun i (index, h) ->
-        let mi, makespan = spans.(i) in
-        Alcotest.(check int) (Format.sprintf "index %d" i) mi index;
-        Alcotest.(check int)
-          (Format.sprintf "headroom of config %d" i)
-          (deadline - makespan) h)
-      head;
-    Alcotest.(check int) "one leaf per finished sub-family"
-      report.Sim.Family.subfamilies
-      (Array.length report.Sim.Family.leaves);
-    let covered =
-      Array.fold_left
-        (fun acc leaf -> acc + List.length leaf.Sim.Family.leaf_members)
-        0 report.Sim.Family.leaves
-    in
-    Alcotest.(check int) "leaves partition the configurations"
-      (Array.length report.Sim.Family.runs)
-      covered
+  let report =
+    run_family ~stimuli:(Harness.nested_family_stimuli system) system
   in
-  check (Sim.Family.run ~stimuli system);
-  check (Sim.Family_compiled.run ~stimuli (Sim.Family_compiled.plan system))
+  let deadline = 50 in
+  let spans = Sim.Family.makespans report in
+  let head = Sim.Family.headroom ~deadline report in
+  Alcotest.(check int) "one headroom per configuration" (Array.length spans)
+    (Array.length head);
+  Array.iteri
+    (fun i (index, h) ->
+      let mi, makespan = spans.(i) in
+      Alcotest.(check int) (Format.sprintf "index %d" i) mi index;
+      Alcotest.(check int)
+        (Format.sprintf "headroom of config %d" i)
+        (deadline - makespan) h)
+    head
 
 (* One plan, many runs: scenario parameters bind at run time, and a
    reused plan must behave exactly like a fresh one. *)
@@ -270,8 +331,10 @@ let test_plan_key () =
     (List.length (Variants.Variant_space.enumerate sys_a))
     (Sim.Family_compiled.configurations plan_a)
 
-let test_degradation_rejected () =
-  let system = Harness.family_system ~seed:1 in
+(* Flattened per-configuration models have no configuration to fall
+   back to, so a degradation plan is refused up front, whatever the
+   system shape, split heuristic or job count. *)
+let degradation_rejected ?jobs ?split system () =
   let plan = Sim.Family_compiled.plan system in
   let faults =
     Sim.Fault.plan
@@ -279,11 +342,136 @@ let test_degradation_rejected () =
       ~seed:7 ()
   in
   let rejected =
-    match Sim.Family_compiled.run ~faults plan with
+    match Sim.Family_compiled.run ~faults ?jobs ?split plan with
     | (_ : Sim.Family.report) -> false
     | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "degradation plans are rejected" true rejected
+
+(* 3^64 configurations overflow an int: counting, enumerating and
+   planning must refuse the space instead of wrapping or allocating. *)
+let test_oversized_space () =
+  let system =
+    Variants.Generator.generate
+      { Variants.Generator.default with sites = 64; variants_per_site = 3 }
+  in
+  let refused what f =
+    Alcotest.(check bool) what true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  refused "independent_count" (fun () ->
+      ignore (Variants.Variant_space.independent_count system));
+  refused "count" (fun () -> ignore (Variants.Variant_space.count system));
+  refused "enumerate" (fun () ->
+      ignore (Variants.Variant_space.enumerate system));
+  refused "plan" (fun () -> ignore (Sim.Family_compiled.plan system));
+  (* below the overflow the counts stay exact *)
+  let small =
+    Variants.Generator.generate
+      { Variants.Generator.default with sites = 39; variants_per_site = 3 }
+  in
+  let expected =
+    List.fold_left (fun acc _ -> acc * 3) 1 (List.init 39 Fun.id)
+  in
+  Alcotest.(check int) "3^39" expected (Variants.Variant_space.count small)
+
+(* The point of the whole exercise: on a sharing-friendly workload the
+   featured pass executes strictly fewer firings than the
+   per-configuration sweep it replaces, because the shared prefix ran
+   once for every member. *)
+let test_sharing_pays () =
+  let system = Harness.family_system ~seed:2 (* 3 sites, 8 configurations *) in
+  let report = run_family ~stimuli:(Harness.family_stimuli system) system in
+  let per_config =
+    Array.fold_left
+      (fun acc cr -> acc + cr.Sim.Family.result.Sim.Engine.firings)
+      0 report.Sim.Family.runs
+  in
+  Alcotest.(check int) "8 configurations" 8
+    (Array.length report.Sim.Family.runs);
+  Alcotest.(check bool) "some firings were shared" true
+    (report.Sim.Family.shared_firings > 0);
+  Alcotest.(check bool) "family executed fewer firings than N passes" true
+    (report.Sim.Family.executed_firings < per_config)
+
+let test_makespans () =
+  let system = Harness.family_system ~seed:5 in
+  let report = run_family ~stimuli:(Harness.family_stimuli system) system in
+  let spans = Sim.Family.makespans report in
+  Alcotest.(check int) "one makespan per configuration"
+    (Array.length report.Sim.Family.runs)
+    (Array.length spans);
+  Array.iteri
+    (fun i (index, makespan) ->
+      let cr = report.Sim.Family.runs.(i) in
+      Alcotest.(check int) (Format.sprintf "index %d" i) i index;
+      Alcotest.(check int)
+        (Format.sprintf "makespan of config %d" i)
+        (last_completion cr.Sim.Family.result.Sim.Engine.trace)
+        makespan)
+    spans
+
+let timeline_bytes emit =
+  let t = Obs.Trace_event.create () in
+  emit (Obs.Trace_event.buffer_sink t);
+  (t, Obs.Json.to_string (Obs.Trace_event.to_json t))
+
+(* The family lane convention: configuration [i] exports as process
+   group [pid = i + 1], so one trace file holds every configuration's
+   schedule side by side. *)
+let test_timeline_lanes () =
+  let system = Harness.family_system ~seed:4 in
+  let report = run_family ~stimuli:(Harness.family_stimuli system) system in
+  let t, _ =
+    timeline_bytes (fun sink -> Sim.Family.emit_timeline sink system report)
+  in
+  let configs = Array.length report.Sim.Family.runs in
+  let pids =
+    List.sort_uniq compare
+      (List.map Obs.Trace_event.pid_of (Obs.Trace_event.events t))
+  in
+  Alcotest.(check bool) "events were emitted" true
+    (Obs.Trace_event.length t > 0);
+  Alcotest.(check bool)
+    (Format.sprintf "pids cover 1..%d" configs)
+    true
+    (List.for_all (fun pid -> pid >= 1 && pid <= configs) pids
+    && List.length pids = configs)
+
+(* Timeline identity against the oracle: the family export must be the
+   trace/v1 bytes of each configuration's own Sim.Engine run emitted
+   under the family lane convention. *)
+let test_timeline_matches_oracle () =
+  List.iter
+    (fun (system, stimuli, faults) ->
+      let report = run_family ?faults ~stimuli system in
+      let _, family =
+        timeline_bytes (fun sink -> Sim.Family.emit_timeline sink system report)
+      in
+      let _, oracle =
+        timeline_bytes (fun sink ->
+            List.iteri
+              (fun i a ->
+                let model =
+                  Variants.Flatten.flatten system
+                    (Variants.Variant_space.to_choice a)
+                in
+                Sim.Timeline.emit ~pid:(i + 1)
+                  ~name:(Format.asprintf "cfg %d: %s" i (render_assignment a))
+                  sink model
+                  (Sim.Engine.run ~stimuli ?faults model))
+              (Variants.Variant_space.enumerate system))
+      in
+      Alcotest.(check string) "family timeline = per-config oracle timelines"
+        oracle family)
+    (let flat = Harness.family_system ~seed:4 in
+     let nested = Harness.nested_family_system ~seed:7 in
+     [
+       (flat, Harness.family_stimuli flat, None);
+       ( nested,
+         Harness.nested_family_stimuli nested,
+         Some (Harness.family_fault_plan ~seed:7 nested) );
+     ])
 
 let suite =
   ( "family_compiled",
@@ -293,7 +481,7 @@ let suite =
       QCheck_alcotest.to_alcotest ~long:false prop_nested_with_faults;
       QCheck_alcotest.to_alcotest ~long:false prop_narrow_never_worse;
       QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant;
-      Alcotest.test_case "200 seeded workloads, four engines byte-identical"
+      Alcotest.test_case "200 seeded workloads, three engines byte-identical"
         `Slow test_200_workloads;
       Alcotest.test_case "headroom agrees with per-config makespans" `Quick
         test_headroom_per_leaf;
@@ -302,5 +490,29 @@ let suite =
       Alcotest.test_case "plan keys are stable and discriminating" `Quick
         test_plan_key;
       Alcotest.test_case "degradation plans are rejected" `Quick
-        test_degradation_rejected;
+        (degradation_rejected ~jobs:2 ~split:`Full
+           (Harness.nested_family_system ~seed:1));
+      Alcotest.test_case "oversized variant spaces are refused" `Quick
+        test_oversized_space;
+    ] )
+
+(* Family semantics and the Sim.Family report read-outs, on flat
+   generated systems. *)
+let family_suite =
+  ( "family",
+    [
+      QCheck_alcotest.to_alcotest ~long:false prop_flat_with_faults;
+      QCheck_alcotest.to_alcotest ~long:false prop_limits_and_budgets;
+      QCheck_alcotest.to_alcotest ~long:false prop_flat_jobs_invariant;
+      Alcotest.test_case "shared prefixes execute once" `Quick
+        test_sharing_pays;
+      Alcotest.test_case "200 seeded systems are byte-identical" `Slow
+        test_200_flat_systems;
+      Alcotest.test_case "degradation plans are rejected" `Quick
+        (degradation_rejected (Harness.family_system ~seed:1));
+      Alcotest.test_case "makespans follow the traces" `Quick test_makespans;
+      Alcotest.test_case "timeline lanes per configuration" `Quick
+        test_timeline_lanes;
+      Alcotest.test_case "timeline identical to the engine oracle's" `Quick
+        test_timeline_matches_oracle;
     ] )

@@ -433,31 +433,23 @@ let test_handler_simulate_family () =
   in
   let hits = Obs.Registry.counter "serve.plan_cache_hits" in
   let misses = Obs.Registry.counter "serve.plan_cache_misses" in
-  let interpreted = simulate false in
-  Alcotest.(check string) "ok" "ok" (P.status_of_response interpreted);
-  Alcotest.(check (option bool)) "family tagged" (Some true)
-    (Option.bind (J.member "family" interpreted) J.to_bool);
-  Alcotest.(check (option int)) "two configurations" (Some 2)
-    (Option.bind (J.member "configurations" interpreted) J.to_int);
-  Alcotest.(check (option int)) "split into two subfamilies" (Some 2)
-    (Option.bind (J.member "subfamilies" interpreted) J.to_int);
   let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
-  let compiled1 = simulate true in
-  let compiled2 = simulate true in
-  Alcotest.(check string) "compiled ok" "ok" (P.status_of_response compiled1);
-  (* wire-level differential: the compiled family pass answers with the
-     interpreted pass's runs and sharing summary, byte for byte *)
-  Alcotest.(check bool) "compiled runs = interpreted runs" true
-    (run_fields compiled1 = run_fields interpreted);
-  List.iter
-    (fun field ->
-      Alcotest.(check (option int)) field
-        (Option.bind (J.member field interpreted) J.to_int)
-        (Option.bind (J.member field compiled1) J.to_int))
-    [ "configurations"; "splits"; "subfamilies"; "executed_firings";
-      "shared_firings" ];
-  Alcotest.(check bool) "repeat request is stable" true
-    (run_fields compiled1 = run_fields compiled2);
+  let first = simulate false in
+  Alcotest.(check string) "ok" "ok" (P.status_of_response first);
+  Alcotest.(check (option bool)) "family tagged" (Some true)
+    (Option.bind (J.member "family" first) J.to_bool);
+  Alcotest.(check (option int)) "two configurations" (Some 2)
+    (Option.bind (J.member "configurations" first) J.to_int);
+  Alcotest.(check (option int)) "split into two subfamilies" (Some 2)
+    (Option.bind (J.member "subfamilies" first) J.to_int);
+  (* one family engine: [compiled] is ignored, so both settings answer
+     with the same response, byte for byte, [compiled: true] included *)
+  let compiled = simulate true in
+  Alcotest.(check (option bool)) "always compiled" (Some true)
+    (Option.bind (J.member "compiled" first) J.to_bool);
+  Alcotest.(check string) "compiled:false = compiled:true"
+    (J.to_string ~minify:true first)
+    (J.to_string ~minify:true compiled);
   (* the family plan cache warms like the per-configuration one *)
   Alcotest.(check int) "one miss" (m0 + 1) (Obs.Metric.value misses);
   Alcotest.(check int) "one hit" (h0 + 1) (Obs.Metric.value hits);
@@ -480,7 +472,90 @@ let test_handler_simulate_family () =
     |> List.sort compare
   in
   Alcotest.(check (list int)) "family end times = flat end times"
-    (end_times flat) (end_times interpreted)
+    (end_times flat) (end_times first)
+
+(* 8 sites x 3 variants = 6561 configurations, over the handler's cap:
+   the request gets a structured too_large error naming the limit, and
+   the handler keeps serving. *)
+let test_family_request_capped () =
+  let t = Serve.Handler.create ~jobs:1 () in
+  let model =
+    Lang.Printer.to_string
+      (V.Generator.generate
+         { V.Generator.default with sites = 8; variants_per_site = 3 })
+  in
+  let misses = Obs.Registry.counter "serve.plan_cache_misses" in
+  let m0 = Obs.Metric.value misses in
+  let r =
+    handle ~handler:t
+      { (plain (P.Simulate { model; until = None; compiled = true; family = true }))
+        with P.id = Some "too-big" }
+  in
+  Alcotest.(check string) "error" "error" (P.status_of_response r);
+  Alcotest.(check (option string)) "too_large" (Some "too_large")
+    (Option.bind (J.member "error" r) J.to_string_opt);
+  Alcotest.(check (option int)) "names the limit"
+    (Some Serve.Handler.max_family_configurations)
+    (Option.bind (J.member "limit" r) J.to_int);
+  Alcotest.(check (option string)) "id echoed" (Some "too-big")
+    (Option.bind (J.member "id" r) J.to_string_opt);
+  Alcotest.(check int) "no plan was built" m0 (Obs.Metric.value misses);
+  let next =
+    handle ~handler:t
+      (plain
+         (P.Simulate
+            { model = family_model_source; until = Some 500; compiled = true;
+              family = true }))
+  in
+  Alcotest.(check string) "next request served" "ok"
+    (P.status_of_response next)
+
+(* --------------------------- line framing ------------------------- *)
+
+(* Lines of cap-1, cap and cap+1 bytes, each fed in uneven chunks with
+   its newline in the last one: the first two come out whole, the third
+   is refused with the cap as soon as its tail passes it. *)
+let test_split_lines_cap () =
+  let cap = Serve.Daemon.max_line_bytes in
+  let feed line =
+    let pending = Buffer.create 16 in
+    let input = line ^ "\n" in
+    let n = String.length input in
+    let rec go off acc =
+      if off >= n then Ok (List.rev acc)
+      else
+        let len = min (n - off) (1 + (off mod 65521) + 40_000) in
+        match Serve.Daemon.split_lines pending (String.sub input off len) with
+        | Error limit -> Error limit
+        | Ok lines -> go (off + len) (List.rev_append lines acc)
+    in
+    go 0 []
+  in
+  List.iter
+    (fun size ->
+      let line = String.make size 'x' in
+      match feed line with
+      | Ok [ got ] ->
+        Alcotest.(check int) (Printf.sprintf "%d bytes intact" size) size
+          (String.length got)
+      | Ok lines ->
+        Alcotest.failf "%d bytes: %d lines" size (List.length lines)
+      | Error _ -> Alcotest.failf "%d bytes refused" size)
+    [ cap - 1; cap ];
+  (match feed (String.make (cap + 1) 'x') with
+  | Error limit -> Alcotest.(check int) "refused at the cap" cap limit
+  | Ok _ -> Alcotest.fail "cap+1 bytes accepted");
+  (* several lines per chunk, one split across chunks *)
+  let pending = Buffer.create 16 in
+  let step chunk =
+    match Serve.Daemon.split_lines pending chunk with
+    | Ok lines -> lines
+    | Error _ -> Alcotest.fail "short lines refused"
+  in
+  Alcotest.(check (list string)) "two whole lines" [ "a"; "bc" ] (step "a\nbc\nd");
+  Alcotest.(check (list string)) "tail kept" [] (step "e");
+  Alcotest.(check (list string)) "joined across chunks" [ "def"; "" ]
+    (step "f\n\n")
 
 (* --------------------------- telemetry ---------------------------- *)
 
@@ -706,4 +781,8 @@ let suite =
         test_metrics_under_load;
       Alcotest.test_case "client retries are logged" `Quick
         test_client_retry_logged;
+      Alcotest.test_case "over-cap family request is refused" `Quick
+        test_family_request_capped;
+      Alcotest.test_case "request lines are capped" `Quick
+        test_split_lines_cap;
     ] )

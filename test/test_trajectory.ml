@@ -4,8 +4,8 @@
 
 module T = Trajectory
 
-let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family
-    ?family_compiled ?(costs = [ 34; 34; 34 ]) () =
+let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family_compiled
+    ?(costs = [ 34; 34; 34 ]) () =
   {
     T.label;
     max_jobs = 4;
@@ -16,7 +16,6 @@ let record ?(label = "") ?(name = "w") ?(speedup = 2.0) ?sim ?family
           T.w_name = name;
           speedup;
           sim_speedup = sim;
-          family_speedup = family;
           family_compiled_speedup = family_compiled;
           runs =
             List.mapi
@@ -116,7 +115,7 @@ let test_old_baseline_skips_new_fields () =
   match
     check
       ~baseline:(Some (record ~speedup:2.0 ()))
-      ~fresh:(record ~speedup:1.9 ~sim:5.0 ~family:3.0 ~family_compiled:6.0 ())
+      ~fresh:(record ~speedup:1.9 ~sim:5.0 ~family_compiled:6.0 ())
       ()
   with
   | Ok summary ->
@@ -130,24 +129,12 @@ let test_old_fresh_skips_new_fields () =
   match
     check
       ~baseline:
-        (Some (record ~speedup:2.0 ~sim:5.0 ~family:3.0 ~family_compiled:6.0 ()))
+        (Some (record ~speedup:2.0 ~sim:5.0 ~family_compiled:6.0 ()))
       ~fresh:(record ~speedup:1.9 ())
       ()
   with
   | Ok _ -> ()
   | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
-
-let test_family_gate_fires () =
-  match
-    check
-      ~baseline:(Some (record ~family:4.0 ()))
-      ~fresh:(record ~family:1.0 ())
-      ()
-  with
-  | Ok s -> Alcotest.failf "regressed family speedup passed: %s" s
-  | Error fs ->
-    Alcotest.(check bool) "failure names the family arm" true
-      (List.exists (fun f -> has_sub f "family speedup regressed") fs)
 
 let test_family_compiled_gate_fires () =
   match
@@ -173,8 +160,8 @@ let test_sim_gate_fires () =
 let test_family_within_tolerance () =
   match
     check
-      ~baseline:(Some (record ~sim:2.0 ~family:2.0 ()))
-      ~fresh:(record ~sim:1.6 ~family:1.5 ())
+      ~baseline:(Some (record ~sim:2.0 ~family_compiled:2.0 ()))
+      ~fresh:(record ~sim:1.6 ~family_compiled:1.5 ())
       ()
   with
   | Ok _ -> ()
@@ -225,8 +212,6 @@ let test_parse_record () =
       (* a record from before the sim/family fields existed *)
       Alcotest.(check (option (float 1e-9))) "no sim field" None w.T.sim_speedup;
       Alcotest.(check (option (float 1e-9)))
-        "no family field" None w.T.family_speedup;
-      Alcotest.(check (option (float 1e-9)))
         "no family_compiled field" None w.T.family_compiled_speedup
     | ws -> Alcotest.failf "expected 1 workload, got %d" (List.length ws))
   | Ok rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)
@@ -259,9 +244,8 @@ let test_parse_sim_and_family_fields () =
   match T.records_of_string sample_json_with_fields with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok [ { T.workloads = [ w ]; _ } ] ->
+    (* the old interpreted "family" object is still accepted, unread *)
     Alcotest.(check (option (float 1e-9))) "sim" (Some 4.0) w.T.sim_speedup;
-    Alcotest.(check (option (float 1e-9)))
-      "family" (Some 2.5) w.T.family_speedup;
     Alcotest.(check (option (float 1e-9)))
       "family_compiled" (Some 6.0) w.T.family_compiled_speedup
   | Ok _ -> Alcotest.fail "expected 1 record with 1 workload"
@@ -294,8 +278,6 @@ let suite =
         test_old_baseline_skips_new_fields;
       Alcotest.test_case "old fresh record skips the sim/family arms" `Quick
         test_old_fresh_skips_new_fields;
-      Alcotest.test_case "family arm fires on regression" `Quick
-        test_family_gate_fires;
       Alcotest.test_case "family_compiled arm fires on regression" `Quick
         test_family_compiled_gate_fires;
       Alcotest.test_case "sim arm fires on regression" `Quick
