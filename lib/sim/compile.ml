@@ -49,6 +49,9 @@ type plan = {
   chan_cap : int array;  (** -1 = unbounded *)
   chan_initial : Spi.Token.t list array;
   chan_index : int I.Channel_id.Tbl.t;
+  init_state : Spi.Semantics.state;
+      (** the reference semantics' initial state, the base every run's
+          final state is rebuilt on *)
   key : string;
 }
 
@@ -269,6 +272,7 @@ let compile ?(configurations = []) model =
         chan_decls;
     chan_initial = Array.map Spi.Chan.initial chan_decls;
     chan_index;
+    init_state = Spi.Semantics.initial model;
     key = key_of model configurations;
   }
 
@@ -773,17 +777,13 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
   in
   loop ();
   let trace = List.rev !trace in
-  (* The final channel contents, rebuilt through the reference
-     semantics' own constructors. *)
-  let final_state = ref (Spi.Semantics.initial plan.model) in
+  (* The final channel contents, set in bulk on the plan's initial state
+     (ring contents always fit their channel). *)
+  let final_state = ref plan.init_state in
   Array.iteri
     (fun i cs ->
-      let cid = plan.chan_ids.(i) in
-      final_state := Spi.Semantics.clear_channel cid !final_state;
-      for k = 0 to cs.count - 1 do
-        let tok = cs.buf.((cs.head + k) mod Array.length cs.buf) in
-        final_state := Spi.Semantics.inject plan.model cid tok !final_state
-      done)
+      final_state :=
+        Spi.Semantics.set_contents plan.chan_ids.(i) (contents cs) !final_state)
     chans;
   Obs.Metric.incr m_compiled_runs;
   Engine.record_metrics ~start_ns trace;

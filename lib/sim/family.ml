@@ -30,11 +30,18 @@ type report = {
 let prefix_of site = I.Interface_id.to_string site ^ "."
 
 let has_prefix id pfx =
-  String.length id >= String.length pfx
-  && String.sub id 0 (String.length pfx) = pfx
+  let n = String.length pfx in
+  let rec from i = i = n || (id.[i] = pfx.[i] && from (i + 1)) in
+  String.length id >= n && from 0
 
-let cold_site_of cold id =
-  List.find_opt (fun site -> has_prefix id (prefix_of site)) cold
+(* [has_prefix id (prefix_of site)] without building the prefix. *)
+let under_site id site =
+  let s = I.Interface_id.to_string site in
+  String.length id > String.length s
+  && id.[String.length s] = '.'
+  && has_prefix id s
+
+let cold_site_of cold id = List.find_opt (under_site id) cold
 
 let validate_prefixes system sites =
   let prefixes = List.map prefix_of sites in

@@ -256,18 +256,23 @@ type dispatch = {
   d_nprod : int array array array;
 }
 
-(* Cached settle-probe structures for one still-cold site: the presence
-   partition and, per part, the part representative's initial state and
-   its site-prefixed processes that could ever fire.  Rebuilt only when
-   the sub-family's membership changes (a split), so the per-event probe
-   does no partitioning, no model scans and no string prefix tests. *)
-type hpart = {
-  hp_part : P.t;
-  hp_init : Spi.Semantics.state;
-  hp_procs : Spi.Process.t list;
-}
+(* One compiled settle probe: a site process of some part's
+   representative that could ever fire, with its activation guards
+   disjoined into one predicate over the sub-family's live channel
+   indexes.  Channels a cold site owns (and that are not warm) cannot
+   change while the site stays cold, so their atoms are folded to
+   constants from the part representative's initial state. *)
+type probe = { pb_pid : I.Process_id.t; pb_guard : gpred }
 
-type hotspot = { hs_site : I.Interface_id.t; hs_parts : hpart list }
+(* Cached settle-probe structures for one still-cold site: its presence
+   partition and the probes of every part.  Rebuilt when the sub-family's
+   membership changes (a split) or its warm set grows (folding depends on
+   it), so the per-event probe is one [eval] per guard. *)
+type hotspot = {
+  hs_site : I.Interface_id.t;
+  hs_parts : P.t list;
+  hs_probes : probe array;
+}
 
 type sub = {
   mutable members : P.t;
@@ -433,73 +438,90 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     write ~register:c.entry.ce_chan_register ~cap:c.entry.ce_chan_cap
       ~ids:c.entry.ce_chan_ids ~overflow c.chans ix tok
   in
+  let chan_ix c cid =
+    match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
+    | Some ix -> ix
+    | None -> -1
+  in
   let budget_of_proc p =
     budget_of_pid (Spi.Process.id p)
       ~source:(I.Channel_id.Set.is_empty (Spi.Process.inputs p))
+  in
+  let cold_owned c cid =
+    (not (I.Channel_id.Set.mem cid c.warm))
+    && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
+  in
+  (* A guard compiled against [c]'s live rings, with atoms over
+     cold-owned channels decided by [init] and constants folded away. *)
+  let rec probe_guard c init =
+    let module Pr = Spi.Predicate in
+    function
+    | Pr.Atom (Pr.Num_at_least (cid, _) | Pr.First_has_tag (cid, _)) as p
+      when cold_owned c cid ->
+      if Pr.eval (Spi.Semantics.view init) p then G_true else G_false
+    | (Pr.True | Pr.False | Pr.Atom _) as p -> compile_pred ~ix_of:(chan_ix c) p
+    | Pr.And (a, b) -> (
+      match probe_guard c init a, probe_guard c init b with
+      | G_false, _ | _, G_false -> G_false
+      | G_true, g | g, G_true -> g
+      | ga, gb -> G_and (ga, gb))
+    | Pr.Or (a, b) -> g_or (probe_guard c init a) (probe_guard c init b)
+    | Pr.Not a -> (
+      match probe_guard c init a with
+      | G_true -> G_false
+      | G_false -> G_true
+      | g -> G_not g)
+  and g_or a b =
+    match a, b with
+    | G_true, _ | _, G_true -> G_true
+    | G_false, g | g, G_false -> g
+    | _ -> G_or (a, b)
   in
   let hotspots_of c =
     List.map
       (fun site ->
         let pfx = Family.prefix_of site in
-        let parts = P.partition_at space c.members site in
+        let parts = List.map snd (P.partition_at space c.members site) in
+        let probes_of part =
+          let rep_b = match P.first part with Some i -> i | None -> assert false in
+          let init = init_of plan rep_b in
+          List.filter_map
+            (fun p ->
+              if
+                Family.has_prefix (I.Process_id.to_string (Spi.Process.id p)) pfx
+                && budget_of_proc p <> 0
+              then
+                let guard =
+                  List.fold_left
+                    (fun acc r ->
+                      g_or acc (probe_guard c init (Spi.Activation.guard r)))
+                    G_false
+                    (Spi.Activation.rules (Spi.Process.activation p))
+                in
+                match guard with
+                | G_false -> None
+                | _ -> Some { pb_pid = Spi.Process.id p; pb_guard = guard }
+              else None)
+            (Spi.Model.processes (model_of plan rep_b))
+        in
         {
           hs_site = site;
-          hs_parts =
-            List.map
-              (fun (_, part) ->
-                let rep_b =
-                  match P.first part with Some i -> i | None -> assert false
-                in
-                let model_b = model_of plan rep_b in
-                let procs =
-                  List.filter
-                    (fun p ->
-                      Family.has_prefix
-                        (I.Process_id.to_string (Spi.Process.id p))
-                        pfx
-                      && budget_of_proc p <> 0)
-                    (Spi.Model.processes model_b)
-                in
-                { hp_part = part; hp_init = init_of plan rep_b; hp_procs = procs })
-              parts;
+          hs_parts = parts;
+          hs_probes = Array.of_list (List.concat_map probes_of parts);
         })
       c.cold
   in
-  (* Would any variant of the part's configurations start a site process
-     right now?  Cold-owned (and not warm) channels read the part
-     representative's initial state, everything else reads the live
-     rings. *)
-  let part_hot c hp =
-    let cold_owned cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
+  (* Would any variant of the sub-family's configurations start a process
+     of the hotspot's site right now? *)
+  let site_hot c h =
+    let probes = h.hs_probes in
+    let rec from k =
+      k < Array.length probes
+      && ((eval c.chans probes.(k).pb_guard
+          && not (process_crashed c probes.(k).pb_pid))
+         || from (k + 1))
     in
-    let view =
-      {
-        Spi.Predicate.tokens_available =
-          (fun cid ->
-            if cold_owned cid then Spi.Semantics.tokens_available hp.hp_init cid
-            else
-              match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
-              | Some ix -> c.chans.(ix).count
-              | None -> 0);
-        first_tags =
-          (fun cid ->
-            if cold_owned cid then Spi.Semantics.first_tags hp.hp_init cid
-            else
-              match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
-              | Some ix ->
-                let cs = c.chans.(ix) in
-                if cs.count = 0 then None
-                else Some (Spi.Token.tags cs.buf.(cs.head))
-              | None -> None);
-      }
-    in
-    List.exists
-      (fun p ->
-        (not (process_crashed c (Spi.Process.id p)))
-        && Spi.Activation.enabled view (Spi.Process.activation p) <> [])
-      hp.hp_procs
+    from 0
   in
   (* Fork [c] at [site], mirroring {!Family}'s [split] on the compiled
      representation.  [c] keeps the first part; every other part gets a
@@ -508,17 +530,13 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
   let split stats offer ~sibling_start c site =
     let old_cold = c.cold in
     let is_old_cold id = Option.is_some (Family.cold_site_of old_cold id) in
-    let keeps_initial cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && is_old_cold (I.Channel_id.to_string cid)
-    in
     let parts =
       match c.hotspots with
       | Some hs -> (
         match
           List.find_opt (fun h -> I.Interface_id.equal h.hs_site site) hs
         with
-        | Some h -> List.map (fun hp -> hp.hp_part) h.hs_parts
+        | Some h -> h.hs_parts
         | None -> List.map snd (P.partition_at space c.members site))
       | None -> List.map snd (P.partition_at space c.members site)
     in
@@ -541,7 +559,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
           let chans_b =
             Array.init (Array.length e_b.ce_chan_ids) (fun i ->
                 let cid = e_b.ce_chan_ids.(i) in
-                if keeps_initial cid then make_chan e_b.ce_chan_initial.(i)
+                if cold_owned c cid then make_chan e_b.ce_chan_initial.(i)
                 else
                   match
                     I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid
@@ -638,9 +656,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
           c.hotspots <- Some h;
           h
       in
-      match
-        List.find_opt (fun h -> List.exists (part_hot c) h.hs_parts) hotspots
-      with
+      match List.find_opt (site_hot c) hotspots with
       | None -> ()
       | Some h ->
         split stats offer ~sibling_start:Sweep c h.hs_site;
@@ -826,6 +842,8 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     match cold_target with
     | Some site when narrow && narrowable c site cid ->
       c.warm <- I.Channel_id.Set.add cid c.warm;
+      (* probes folded [cid] to a constant while it was cold-owned *)
+      c.hotspots <- None;
       handle_inject stats offer c time cid tok
     | Some site ->
       split stats offer ~sibling_start:(Deliver (cid, tok)) c site;
@@ -916,17 +934,14 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     | Some _ | None -> ()
   in
   (* Leaf: every member gets the result its own per-configuration run
-     would produce — shared trace, plus a final state rebuilt through
-     the reference semantics (live ring contents on shared/resolved/warm
-     channels, the member's own initial tokens on channels of sites that
-     never went hot). *)
+     would produce — shared trace, plus a final state set on the member's
+     initial state: live ring contents on shared/resolved/warm channels,
+     the member's own initial tokens on channels of sites that never went
+     hot.  Each channel's final contents are read once per leaf, and
+     [set_contents] is linear in them. *)
   let finish stats c outcome =
     stats.subfamilies <- stats.subfamilies + 1;
     let trace = List.rev c.trace in
-    let is_cold cid =
-      (not (I.Channel_id.Set.mem cid c.warm))
-      && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
-    in
     let makespan =
       List.fold_left
         (fun acc entry ->
@@ -938,26 +953,32 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     stats.leaves <-
       { Family.leaf_members = P.indices c.members; leaf_makespan = makespan }
       :: stats.leaves;
-    let live_contents cid =
-      match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
-      | Some ix -> contents c.chans.(ix)
-      | None -> []
+    (* [None]: cold-owned, the member keeps its initial tokens *)
+    let finals = I.Channel_id.Tbl.create 64 in
+    let final_contents cid =
+      match I.Channel_id.Tbl.find_opt finals cid with
+      | Some f -> f
+      | None ->
+        let f =
+          if cold_owned c cid then None
+          else
+            let ix = chan_ix c cid in
+            Some (if ix < 0 then [] else contents c.chans.(ix))
+        in
+        I.Channel_id.Tbl.add finals cid f;
+        f
     in
     P.iter
       (fun i ->
-        let model_i = model_of plan i in
         let final_state =
           List.fold_left
             (fun st ch ->
               let cid = Spi.Chan.id ch in
-              if is_cold cid then st
-              else
-                let st = Spi.Semantics.clear_channel cid st in
-                List.fold_left
-                  (fun st tok -> Spi.Semantics.inject model_i cid tok st)
-                  st (live_contents cid))
+              match final_contents cid with
+              | None -> st
+              | Some toks -> Spi.Semantics.set_contents cid toks st)
             (init_of plan i)
-            (Spi.Model.channels model_i)
+            (Spi.Model.channels (model_of plan i))
         in
         results.(i) <-
           Some

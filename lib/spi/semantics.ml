@@ -59,6 +59,24 @@ let clear_channel cid state =
     (function None -> None | Some cs -> Some { cs with tokens = [] })
     state
 
+let set_contents cid tokens state =
+  Cmap.update cid
+    (function
+      | None -> ( match tokens with [] -> None | _ :: _ -> raise Not_found)
+      | Some cs ->
+        let fits =
+          match Chan.kind cs.decl, Chan.capacity cs.decl with
+          | Chan.Register, _ -> List.compare_length_with tokens 1 <= 0
+          | Chan.Queue, Some cap -> List.compare_length_with tokens cap <= 0
+          | Chan.Queue, None -> true
+        in
+        if not fits then
+          invalid_arg
+            (Format.asprintf "Semantics.set_contents: %a cannot hold %d tokens"
+               Ids.Channel_id.pp cid (List.length tokens));
+        Some { cs with tokens })
+    state
+
 let enabled_rule model state pid =
   let p = Model.get_process pid model in
   Activation.select (view state) (Process.activation p)

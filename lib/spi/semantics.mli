@@ -36,6 +36,17 @@ val clear_channel : Ids.Channel_id.t -> state -> state
 (** Empties a channel; cluster termination destroys internal buffers
     (paper, Section 4). *)
 
+val set_contents : Ids.Channel_id.t -> Token.t list -> state -> state
+(** [set_contents cid tokens state] replaces the channel's contents with
+    [tokens] (front first) in time linear in [tokens] — the same state
+    as {!clear_channel} followed by one {!inject} per token, for any
+    contents the channel can hold.  The simulators rebuild final states
+    with it.
+    @raise Invalid_argument when [tokens] do not fit: more than one token
+    for a register, more than the capacity for a bounded queue.
+    @raise Not_found when [tokens] is non-empty and [state] lacks the
+    channel. *)
+
 val enabled_rule : Model.t -> state -> Ids.Process_id.t -> Activation.rule option
 (** First activation rule of the process enabled in [state]. *)
 

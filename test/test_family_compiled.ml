@@ -411,6 +411,140 @@ let test_makespans () =
         makespan)
     spans
 
+(* ------------------------ hand-built family systems ------------------ *)
+
+let chan = I.Channel_id.of_string
+
+let proc ?(lat = 1) ?(take = 1) ?(give = 1) name ~from_ ~to_ =
+  Spi.Process.simple ~latency:(Interval.point lat)
+    ~consumes:[ (from_, Interval.point take) ]
+    ~produces:(List.map (fun c -> (c, Spi.Mode.produce (Interval.point give))) to_)
+    (I.Process_id.of_string name)
+
+let pin = Variants.Port.channel_of (I.Port_id.of_string "pin")
+let pout = Variants.Port.channel_of (I.Port_id.of_string "pout")
+
+(* A two-port site wired [from_] -> [to_] with one cluster per
+   [(channels, processes)] variant. *)
+let site name ~from_ ~to_ variants =
+  let ports () = [ Variants.Port.input "pin"; Variants.Port.output "pout" ] in
+  {
+    Variants.Structure.iface =
+      Variants.Interface.make ~ports:(ports ())
+        ~clusters:
+          (List.mapi
+             (fun v (channels, processes) ->
+               Variants.Cluster.make ~channels ~ports:(ports ()) ~processes
+                 (Format.sprintf "%s_var%d" name (v + 1)))
+             variants)
+        name;
+    wiring =
+      [ (I.Port_id.of_string "pin", from_); (I.Port_id.of_string "pout", to_) ];
+  }
+
+let system name ~channels ~processes sites =
+  let s = Variants.System.make ~processes ~channels ~sites name in
+  Variants.System.validate_exn s;
+  s
+
+(* [tokens] initial tokens stream through sites A and B (variants that
+   double and halve the stream) into the sink [c3], which nobody reads,
+   so thousands of tokens are left at quiescence; a register keeps the
+   last one.  Site C is never reached: its members keep their own
+   initial tokens (one or two) in [C.k]. *)
+let leftover_system ~tokens =
+  let c i = chan (Format.sprintf "c%d" i) in
+  let k_with n = Spi.Chan.queue ~initial:(Spi.Token.replicate n Spi.Token.plain) (chan "k") in
+  let c_variant n =
+    ( [ k_with n ],
+      [ proc "cin" ~from_:pin ~to_:[ chan "k" ];
+        proc "cout" ~take:3 ~from_:(chan "k") ~to_:[ pout ] ] )
+  in
+  system "leftovers"
+    ~channels:
+      (Spi.Chan.queue
+         ~initial:(List.init tokens (fun i -> Spi.Token.make ~payload:i ()))
+         (c 0)
+      :: Spi.Chan.register (chan "r")
+      :: List.init 5 (fun i -> Spi.Chan.queue (c (i + 1))))
+    ~processes:[ proc "S1" ~from_:(c 0) ~to_:[ c 1; chan "r" ] ]
+    [
+      site "A" ~from_:(c 1) ~to_:(c 2)
+        [ ([], [ proc "a" ~from_:pin ~to_:[ pout ] ]);
+          ([], [ proc "a" ~lat:2 ~give:2 ~from_:pin ~to_:[ pout ] ]) ];
+      site "B" ~from_:(c 2) ~to_:(c 3)
+        [ ([], [ proc "b" ~from_:pin ~to_:[ pout ] ]);
+          ([], [ proc "b" ~take:2 ~from_:pin ~to_:[ pout ] ]) ];
+      site "C" ~from_:(c 4) ~to_:(c 5) [ c_variant 1; c_variant 2 ];
+    ]
+
+(* Leaf finish with large leftovers: every member's final state —
+   thousands of tokens on the sink, per-member initial tokens on the
+   never-reached site — matches the oracle's. *)
+let test_large_leftovers () =
+  let system = leftover_system ~tokens:1500 in
+  Alcotest.(check bool) "three-way, jobs 1" true (three_way system);
+  Alcotest.(check bool) "three-way, jobs 2" true (three_way ~jobs:2 system);
+  let report = run_family ~stimuli:[] system in
+  let left =
+    Array.map
+      (fun cr ->
+        Spi.Semantics.tokens_available cr.Sim.Family.result.Sim.Engine.final_state
+          (chan "c3"))
+      report.Sim.Family.runs
+  in
+  Alcotest.(check bool) "thousands of tokens left on the sink" true
+    (Array.for_all (fun n -> n >= 750) left && Array.exists (fun n -> n >= 3000) left)
+
+(* Probe invalidation: site X's only way in is its internal channel
+   [X.k], and X's probes fold [X.k] to "empty" while it is cold.  Site Y
+   splits the run at t=2, the probes are rebuilt and cached, and at t=5
+   a stimulus into [X.k] warms the channel under [`Narrow] (every
+   variant declares it alike).  The cached probes must be rebuilt then,
+   or X would never be seen hot and its processes never fire. *)
+let warm_probe_system () =
+  let c i = chan (Format.sprintf "c%d" i) in
+  let x_variant lat =
+    ( [ Spi.Chan.queue (chan "k") ],
+      [ proc "xin" ~from_:pin ~to_:[ chan "k" ];
+        proc "xk" ~lat ~from_:(chan "k") ~to_:[ pout ] ] )
+  in
+  system "warm_probe"
+    ~channels:
+      (Spi.Chan.queue ~initial:(Spi.Token.replicate 3 Spi.Token.plain) (c 0)
+      :: List.init 4 (fun i -> Spi.Chan.queue (c (i + 1))))
+    ~processes:[ proc "S1" ~lat:2 ~from_:(c 0) ~to_:[ c 1 ] ]
+    [
+      site "Y" ~from_:(c 1) ~to_:(c 2)
+        [ ([], [ proc "y" ~from_:pin ~to_:[ pout ] ]);
+          ([], [ proc "y" ~lat:3 ~from_:pin ~to_:[ pout ] ]) ];
+      site "X" ~from_:(c 3) ~to_:(c 4) [ x_variant 1; x_variant 4 ];
+    ]
+
+let test_warm_invalidates_probes () =
+  let system = warm_probe_system () in
+  let stimuli =
+    List.map
+      (fun at ->
+        { Sim.Engine.at; channel = chan "X.k"; token = Spi.Token.make ~payload:at () })
+      [ 5; 9 ]
+  in
+  List.iter
+    (fun (split, jobs) ->
+      Alcotest.(check bool)
+        (Format.sprintf "three-way, %s, jobs %d"
+           (match split with `Narrow -> "narrow" | `Full -> "full")
+           jobs)
+        true
+        (three_way ~stimuli ~split ~jobs system))
+    [ (`Narrow, 1); (`Narrow, 2); (`Full, 1); (`Full, 2) ];
+  let narrow =
+    Sim.Family_compiled.run ~stimuli ~split:`Narrow
+      (Sim.Family_compiled.plan system)
+  in
+  Alcotest.(check int) "X split every Y sub-family" 4
+    narrow.Sim.Family.subfamilies
+
 let timeline_bytes emit =
   let t = Obs.Trace_event.create () in
   emit (Obs.Trace_event.buffer_sink t);
@@ -494,6 +628,10 @@ let suite =
            (Harness.nested_family_system ~seed:1));
       Alcotest.test_case "oversized variant spaces are refused" `Quick
         test_oversized_space;
+      Alcotest.test_case "thousands of leftover tokens, three engines agree"
+        `Quick test_large_leftovers;
+      Alcotest.test_case "warming a cold site's channel re-probes it" `Quick
+        test_warm_invalidates_probes;
     ] )
 
 (* Family semantics and the Sim.Family report read-outs, on flat

@@ -175,6 +175,74 @@ let prop_conservation =
       && S.tokens_available !st (cid "b") = n
       && S.total_tokens !st = n)
 
+(* Property: the bulk setter is exactly a clear followed by one inject
+   per token, on unbounded queues, bounded queues filled up to their
+   capacity and registers holding at most one token — and it leaves the
+   other channels alone. *)
+let prop_set_contents =
+  let gen =
+    QCheck.Gen.(
+      let* kind = int_range 0 2 in
+      let* cap = int_range 1 8 in
+      let limit = match kind with 0 -> 40 | 1 -> cap | _ -> 1 in
+      let* initial = int_range 0 limit in
+      let* target = int_range 0 limit in
+      let* first = int_range 0 1000 in
+      return (kind, cap, initial, target, first))
+  in
+  let print (kind, cap, initial, target, first) =
+    Printf.sprintf "kind=%d cap=%d initial=%d target=%d first=%d" kind cap
+      initial target first
+  in
+  QCheck.Test.make ~name:"set_contents = clear_channel + inject" ~count:300
+    (QCheck.make ~print gen)
+    (fun (kind, cap, initial, target, first) ->
+      let toks n from = List.init n (fun i -> Spi.Token.make ~payload:(from + i) ()) in
+      let init = toks initial 5000 in
+      let chan_a =
+        match kind with
+        | 0 -> Spi.Chan.queue ~initial:init (cid "a")
+        | 1 -> Spi.Chan.queue ~capacity:cap ~initial:init (cid "a")
+        | _ -> Spi.Chan.register ?initial:(List.nth_opt init 0) (cid "a")
+      in
+      let model = copy_model ~chan_a () in
+      let st =
+        S.inject model (cid "b") (Spi.Token.make ~payload:(-1) ()) (S.initial model)
+      in
+      let tokens = toks target first in
+      let bulk = S.set_contents (cid "a") tokens st in
+      let reference =
+        List.fold_left
+          (fun st tok -> S.inject model (cid "a") tok st)
+          (S.clear_channel (cid "a") st)
+          tokens
+      in
+      let same c =
+        let a = S.contents bulk c and b = S.contents reference c in
+        List.length a = List.length b && List.for_all2 Spi.Token.equal a b
+      in
+      same (cid "a") && same (cid "b") && S.total_tokens bulk = S.total_tokens reference)
+
+let test_set_contents_rejects () =
+  let rejects what chan_a n =
+    let model = copy_model ~chan_a () in
+    Alcotest.(check bool) what true
+      (match
+         S.set_contents (cid "a")
+           (Spi.Token.replicate n Spi.Token.plain)
+           (S.initial model)
+       with
+      | (_ : S.state) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "register holds one token" (Spi.Chan.register (cid "a")) 2;
+  rejects "bounded queue holds its capacity"
+    (Spi.Chan.queue ~capacity:3 (cid "a"))
+    4;
+  Alcotest.check_raises "undeclared channel" Not_found (fun () ->
+      ignore
+        (S.set_contents (cid "zz") [ Spi.Token.plain ] (S.initial (copy_model ()))))
+
 let suite =
   ( "semantics",
     [
@@ -188,4 +256,7 @@ let suite =
       Alcotest.test_case "enabled rule/mode" `Quick test_enabled_rule_and_mode;
       Alcotest.test_case "fresh payload policy" `Quick test_fresh_payload_policy;
       QCheck_alcotest.to_alcotest ~long:false prop_conservation;
+      QCheck_alcotest.to_alcotest ~long:false prop_set_contents;
+      Alcotest.test_case "set_contents refuses what does not fit" `Quick
+        test_set_contents_rejects;
     ] )
