@@ -66,13 +66,18 @@ let rec cas_max cell v =
   let cur = Atomic.get cell in
   if v > cur && not (Atomic.compare_and_set cell cur v) then cas_max cell v
 
-let observe h v =
-  let v = max 0 v in
-  ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of v) 1);
-  ignore (Atomic.fetch_and_add h.h_count 1);
-  ignore (Atomic.fetch_and_add h.h_sum v);
-  cas_min h.h_lo v;
-  cas_max h.h_hi v
+let observe_n h v k =
+  if k < 0 then invalid_arg "Metric.observe_n: negative count"
+  else if k > 0 then begin
+    let v = max 0 v in
+    ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of v) k);
+    ignore (Atomic.fetch_and_add h.h_count k);
+    ignore (Atomic.fetch_and_add h.h_sum (v * k));
+    cas_min h.h_lo v;
+    cas_max h.h_hi v
+  end
+
+let observe h v = observe_n h v 1
 
 let count h = Atomic.get h.h_count
 let sum h = Atomic.get h.h_sum

@@ -50,6 +50,11 @@ val histogram_name : histogram -> string
 val observe : histogram -> int -> unit
 (** Negative values are clamped to 0. *)
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v k] records [k] observations of [v] — the same as [k]
+    calls of [observe h v] — in five atomic operations.  Negative
+    counts are rejected with [Invalid_argument]. *)
+
 val count : histogram -> int
 val sum : histogram -> int
 

@@ -74,6 +74,9 @@ let drop_conn st conn =
   st.conns <- List.filter (fun c -> c.fd != conn.fd) st.conns;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
+let rid_fields (request : P.request) =
+  match request.P.id with Some i -> [ ("rid", J.String i) ] | None -> []
+
 (* Admission: parse failures answer immediately (they carry no work),
    a full queue sheds load with a structured rejection, everything else
    enqueues with its admission stamp — deadlines start here. *)
@@ -86,11 +89,7 @@ let admit st conn line =
       write_line conn (P.error e)
     | Ok request ->
       let depth = Queue.length st.queue in
-      let rid_fields =
-        match request.P.id with
-        | Some i -> [ ("rid", J.String i) ]
-        | None -> []
-      in
+      let rid_fields = rid_fields request in
       if depth >= st.config.queue_limit then begin
         Obs.Metric.incr m_rejections;
         Obs.Log.emit ~level:Obs.Log.Warn "serve.shed"
@@ -165,6 +164,11 @@ let accept_conn st =
 let process_one st =
   match Queue.take_opt st.queue with
   | None -> ()
+  | Some { p_conn; p_request; _ } when not (List.memq p_conn st.conns) ->
+    (* the client hung up and its fd is closed — possibly already reused
+       by a newer client, who must not get this answer *)
+    Obs.Metric.set m_queue_depth (Queue.length st.queue);
+    Obs.Log.emit ~level:Obs.Log.Debug "serve.skipped_closed" (rid_fields p_request)
   | Some { p_conn; p_request; p_admitted_ns } ->
     Obs.Metric.set m_queue_depth (Queue.length st.queue);
     Obs.Metric.observe m_queue_wait (Obs.Clock.elapsed_ns p_admitted_ns);

@@ -9,7 +9,9 @@
     rejection carrying the observed depth and a retry hint, and nothing
     is enqueued.  A request line longer than {!max_line_bytes} is
     answered with a {!Protocol.too_large} error and its connection is
-    dropped.
+    dropped.  Requests still queued for a connection that has closed
+    are skipped, not executed: their fd may already belong to a newer
+    client.
 
     Shutdown is graceful on SIGTERM, SIGINT, or a [shutdown] request:
     the listener closes (new connections are refused by the kernel),

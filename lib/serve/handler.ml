@@ -25,10 +25,11 @@ let cache_limit = 1024
 let plan_cache_limit = 64
 
 (* A family plan holds one presence bit and one lazily compiled table
-   set per configuration, so a family request is refused before any
-   plan is built once its variant space exceeds this many
+   set per configuration, and a flat request flattens and compiles every
+   configuration, so a simulate request of either shape is refused
+   before any plan is built once its variant space exceeds this many
    configurations. *)
-let max_family_configurations = 4096
+let max_configurations = 4096
 
 type plan = Flat of Sim.Compile.plan | Family of Sim.Family_compiled.plan
 
@@ -243,50 +244,37 @@ let outcome_json (r : Sim.Engine.result) =
    adds the sharing summary.  The pass always runs compiled, whatever
    the request's [compiled] says. *)
 let simulate_family t ~id ~jobs ~limits system =
-  let too_large =
-    match V.Variant_space.count system with
-    | n -> n > max_family_configurations
-    | exception Invalid_argument _ -> true (* the count overflows *)
-  in
-  if too_large then
-    ( P.too_large ?id ~limit:max_family_configurations
-        (Printf.sprintf
-           "family simulate: the variant space has more than %d \
-            configurations"
-           max_family_configurations),
+  match Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system) with
+  | exception Invalid_argument m -> (P.error ?id m, [])
+  | report ->
+    let runs =
+      Array.to_list report.Sim.Family.runs
+      |> List.map (fun (cr : Sim.Family.config_run) ->
+             J.Obj
+               [
+                 ("configuration", J.Int cr.Sim.Family.index);
+                 ( "assignment",
+                   J.String
+                     (Format.asprintf "%a" V.Variant_space.pp_assignment
+                        cr.Sim.Family.assignment) );
+                 ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
+                 ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
+                 ("outcome", outcome_json cr.Sim.Family.result);
+               ])
+    in
+    ( P.ok ?id
+        [
+          ("op", J.String "simulate");
+          ("compiled", J.Bool true);
+          ("family", J.Bool true);
+          ("configurations", J.Int (Array.length report.Sim.Family.runs));
+          ("splits", J.Int report.Sim.Family.splits);
+          ("subfamilies", J.Int report.Sim.Family.subfamilies);
+          ("executed_firings", J.Int report.Sim.Family.executed_firings);
+          ("shared_firings", J.Int report.Sim.Family.shared_firings);
+          ("runs", J.List runs);
+        ],
       [] )
-  else (
-    match Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system) with
-    | exception Invalid_argument m -> (P.error ?id m, [])
-    | report ->
-      let runs =
-        Array.to_list report.Sim.Family.runs
-        |> List.map (fun (cr : Sim.Family.config_run) ->
-               J.Obj
-                 [
-                   ("configuration", J.Int cr.Sim.Family.index);
-                   ( "assignment",
-                     J.String
-                       (Format.asprintf "%a" V.Variant_space.pp_assignment
-                          cr.Sim.Family.assignment) );
-                   ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
-                   ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
-                   ("outcome", outcome_json cr.Sim.Family.result);
-                 ])
-      in
-      ( P.ok ?id
-          [
-            ("op", J.String "simulate");
-            ("compiled", J.Bool true);
-            ("family", J.Bool true);
-            ("configurations", J.Int (Array.length report.Sim.Family.runs));
-            ("splits", J.Int report.Sim.Family.splits);
-            ("subfamilies", J.Int report.Sim.Family.subfamilies);
-            ("executed_firings", J.Int report.Sim.Family.executed_firings);
-            ("shared_firings", J.Int report.Sim.Family.shared_firings);
-            ("runs", J.List runs);
-          ],
-        [] ))
 
 let simulate t ~id ~jobs ~model ~until ~compiled ~family =
   let limits =
@@ -294,8 +282,19 @@ let simulate t ~id ~jobs ~model ~until ~compiled ~family =
     | None -> Sim.Engine.default_limits
     | Some max_time -> { Sim.Engine.default_limits with max_time }
   in
+  let too_large system =
+    match V.Variant_space.count system with
+    | n -> n > max_configurations
+    | exception Invalid_argument _ -> true (* the count overflows *)
+  in
   match load_system model with
   | Error e -> (P.error ?id e, [])
+  | Ok system when too_large system ->
+    ( P.too_large ?id ~limit:max_configurations
+        (Printf.sprintf
+           "simulate: the variant space has more than %d configurations"
+           max_configurations),
+      [] )
   | Ok system when family -> simulate_family t ~id ~jobs ~limits system
   | Ok system -> (
     match V.Flatten.applications system with

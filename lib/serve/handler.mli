@@ -9,10 +9,11 @@
 
 type t
 
-val max_family_configurations : int
-(** Family simulate requests whose variant space has more
+val max_configurations : int
+(** Simulate requests, family or flat, whose variant space has more
     configurations than this are answered with a
-    {!Protocol.too_large} error before any plan is built. *)
+    {!Protocol.too_large} error before any model is flattened or plan
+    built. *)
 
 val create :
   ?store:Store.Keyed.t ->

@@ -1,13 +1,14 @@
 (** AOT specialization of SPI models for the simulator.
 
-    {!compile} lowers a loaded model (plus its configuration sets) into
-    a {!plan}: flat int-indexed process/channel/mode tables, activation
-    guards compiled to a closure-free predicate over channel indexes,
-    and per-configuration dispatch data (reconfiguration latencies,
-    degradation mode masks) resolved to dense arrays.  {!run} then
-    drives a tight event loop over ring-buffered channels and the
-    allocation-free {!Heap.Int_heap}: per firing it allocates only what
-    the trace itself records.
+    {!compile} validates a loaded model's configuration sets and lowers
+    both into a {!plan} with {!Crt.lower}: flat int-indexed
+    process/channel/mode tables, activation guards compiled to a
+    closure-free predicate over channel indexes, and per-configuration
+    dispatch data (reconfiguration latencies, degradation mode masks)
+    resolved to dense arrays.  {!run} then drives {!Crt.loop}, the
+    event loop {!Family_compiled} shares, over ring-buffered channels
+    and the allocation-free {!Heap.Int_heap}: per firing it allocates
+    only what the trace itself records.
 
     The compiled engine is {e observationally identical} to
     {!Engine.run}: same trace (entry for entry, token for token), same

@@ -1,13 +1,26 @@
-(** Shared runtime of the compiled engines.
+(** The compiled event loop, shared by both compiled engines.
 
-    {!Compile} (per-configuration AOT simulation) and {!Family_compiled}
-    (compiled family-based simulation) lower models onto the same
-    closure-free primitives: ring-buffered channel state, activation
-    guards compiled over dense channel indexes, and an int-coded event
-    scheme for the flat {!Heap.Int_heap}.  Keeping them here guarantees
-    the two engines agree byte-for-byte on channel and event semantics —
-    the four-way differential harness in [test/test_family_compiled.ml]
-    leans on that. *)
+    {!Compile} (one configuration per run) and {!Family_compiled} (every
+    configuration of a variant space in one featured pass) run the same
+    code, defined here once:
+
+    - the model lowering ({!lower}): flat int-indexed process, mode and
+      channel tables, activation guards compiled to closure-free
+      predicates over dense channel indexes, configuration dispatch data
+      resolved to arrays, and the process-index table;
+    - the per-run state ({!run}): policy-realized dispatch arrays,
+      ring-buffered channels, per-process state, the int-coded
+      {!Heap.Int_heap}, the fault state and the injection pool;
+    - the step functions: consume, complete, fault-filtered {!inject},
+      recover, crash, degrade, and the scheduling sweep with
+      configuration dispatch and a [frozen] skip mask;
+    - the event {!loop}.
+
+    A featured run restricted to one product is that product's run, so
+    {!Family_compiled} adds only presence bookkeeping, entering the loop
+    through its [settle] and [inject] hooks.  The three-way differential
+    harness in [test/test_family_compiled.ml] checks both engines
+    byte-for-byte against the {!Engine} oracle. *)
 
 (** {1 Channel state} *)
 
@@ -20,37 +33,14 @@ type cstate = {
     (destructive write); queues are FIFO with amortized O(1)
     push/pop. *)
 
-val dummy_token : Spi.Token.t
-(** Fills unused ring slots so popped tokens are not retained. *)
-
 val make_chan : Spi.Token.t list -> cstate
 (** A fresh ring holding the given initial tokens, in order. *)
 
 val copy_chan : cstate -> cstate
-(** Independent clone with identical contents and layout —
-    {!Family_compiled} transplants live channels across sub-family
-    forks with this. *)
-
-val ring_push : cstate -> Spi.Token.t -> unit
-val ring_pop : cstate -> Spi.Token.t
+(** Independent clone with identical contents and layout. *)
 
 val contents : cstate -> Spi.Token.t list
 (** FIFO-order contents, head first. *)
-
-val write :
-  register:bool array ->
-  cap:int array ->
-  ids:Spi.Ids.Channel_id.t array ->
-  overflow:Spi.Semantics.overflow ->
-  cstate array ->
-  int ->
-  Spi.Token.t ->
-  unit
-(** [write ~register ~cap ~ids ~overflow chans ix tok] performs one
-    channel write with the reference semantics: destructive on
-    registers; on a full bounded queue ([cap.(ix) >= 0]) it raises
-    {!Spi.Semantics.Channel_overflow} under [Reject] and discards the
-    token under [Drop_newest]. *)
 
 (** {1 Compiled guards} *)
 
@@ -67,21 +57,6 @@ type gpred =
           no tags, exactly like the interpreter's view of an absent
           channel. *)
 
-type crule = { guard : gpred; target : int  (** mode index; -1 unknown *) }
-
-type ccons = {
-  c_ix : int;  (** channel index; -1 when the model lacks the channel *)
-  c_cid : Spi.Ids.Channel_id.t;
-  c_rate : Interval.t;
-}
-
-type cprod = {
-  p_ix : int;
-  p_cid : Spi.Ids.Channel_id.t;
-  p_rate : Interval.t;
-  p_tags : Spi.Tag.Set.t;
-}
-
 val compile_pred :
   ix_of:(Spi.Ids.Channel_id.t -> int) -> Spi.Predicate.t -> gpred
 
@@ -94,7 +69,126 @@ val eval : cstate array -> gpred -> bool
     recovery of process [p], [4*k+3] scripted crash #k — dispatch on
     [v land 3], operand is [v lsr 2]. *)
 
-val ev_inject : int -> int
 val ev_complete : int -> int
 val ev_recover : int -> int
-val ev_crash : int -> int
+
+(** {1 Lowering} *)
+
+type crule
+type cmode
+type cconf
+(** Lowered activation rules, modes and configuration sets. *)
+
+type cproc = {
+  pr_pid : Spi.Ids.Process_id.t;
+  pr_source : bool;  (** no input channels: default firing budget 0 *)
+  pr_rules : crule array;
+  pr_modes : cmode array;
+  pr_conf : cconf option;
+}
+
+type table = {
+  model : Spi.Model.t;
+  procs : cproc array;  (** in model process order *)
+  proc_index : int Spi.Ids.Process_id.Tbl.t;
+  chan_ids : Spi.Ids.Channel_id.t array;  (** in model channel order *)
+  chan_register : bool array;
+  chan_cap : int array;  (** -1 = unbounded *)
+  chan_initial : Spi.Token.t list array;
+  chan_index : int Spi.Ids.Channel_id.Tbl.t;
+}
+(** A lowered model.  Immutable, so runs and domains may share it. *)
+
+val lower : ?configurations:Variants.Configuration.t list -> Spi.Model.t -> table
+(** Lowers [model] with the configuration sets of its processes
+    (default none).  The sets are not validated here. *)
+
+val chan_ix : table -> Spi.Ids.Channel_id.t -> int
+(** Dense index of a channel; -1 when the model does not declare it. *)
+
+(** {1 Run state} *)
+
+type dispatch
+(** One policy's realization of every interval of a table. *)
+
+val dispatch : Engine.policy -> table -> dispatch
+
+type pstate = {
+  mutable busy : bool;
+  mutable budget : int;  (** negative = unlimited *)
+  mutable conf_ix : int;
+      (** -1 none; -2 a fallback target outside the configuration set *)
+  mutable conf_id : Spi.Ids.Config_id.t option;
+  mutable allowed : bool array option;  (** degradation mask over modes *)
+  mutable recover_at : int;
+  mutable slot_mode : int;  (** the one in-flight completion's mode *)
+  mutable slot_started : int;
+  mutable slot_payload : int option;
+  mutable slot_consumed : (Spi.Ids.Channel_id.t * Spi.Token.t list) list;
+}
+
+val budget :
+  firing_budget:(Spi.Ids.Process_id.t * int) list ->
+  Spi.Ids.Process_id.t ->
+  source:bool ->
+  int
+(** A process's firing budget: its entry in [firing_budget], else 0 for
+    a source and unlimited (-1) otherwise — {!Engine.run}'s rule. *)
+
+val fresh_pstate :
+  firing_budget:(Spi.Ids.Process_id.t * int) list -> cproc -> pstate
+
+type pool
+(** Pending injections, indexed by the [ev_inject] operand.  Degradation
+    appends recovery stimuli; family runs reject degradation, so their
+    forks share one pool that never grows. *)
+
+type run = {
+  tbl : table;
+  dsp : dispatch;
+  chans : cstate array;
+  pstates : pstate array;
+  heap : Heap.Int_heap.t;
+  fstate : Fault.state option;
+  overflow : Spi.Semantics.overflow;
+  pool : pool;
+  crashes : Spi.Ids.Process_id.t array;  (** scripted crash #k's process *)
+  mutable frozen : bool array;  (** per process: skipped by the sweep *)
+  mutable trace : Trace.entry list;  (** reversed *)
+  mutable firings : int;
+  mutable now : int;
+  mutable reconf_time : int;
+}
+(** One run of a table: {!Engine.run}'s state, int-coded. *)
+
+val start :
+  overflow:Spi.Semantics.overflow ->
+  stimuli:Engine.stimulus list ->
+  firing_budget:(Spi.Ids.Process_id.t * int) list ->
+  ?faults:Fault.plan ->
+  table ->
+  dispatch ->
+  run
+(** Fresh run state at time 0: initial channel contents, fresh process
+    states, nothing frozen, the stimuli and the fault plan's scripted
+    crashes scheduled (in that order). *)
+
+(** {1 Stepping} *)
+
+val inject : run -> int -> Spi.Ids.Channel_id.t -> Spi.Token.t -> unit
+(** [inject r time cid tok] delivers an environment token through the
+    fault plan's channel filter (drop, corrupt, duplicate).
+    @raise Not_found when the model does not declare [cid]. *)
+
+val loop :
+  ?settle:(unit -> unit) ->
+  ?inject:(int -> Spi.Ids.Channel_id.t -> Spi.Token.t -> unit) ->
+  limits:Engine.limits ->
+  run ->
+  Engine.outcome
+(** Runs [r] from [r.now] to quiescence or a limit: a sweep, then one
+    event per step (injection, completion, recovery or crash) followed
+    by a sweep.  [settle] (default: nothing) runs before every sweep;
+    [inject] (default: {!inject} on [r]) receives every pending
+    injection.  Both are built once per run, not per event.  On
+    quiescence the trace ends with [Quiescent]. *)

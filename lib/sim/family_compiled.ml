@@ -2,42 +2,6 @@ module I = Spi.Ids
 module P = Variants.Presence
 open Crt
 
-(* ------------------------------------------------------------------ *)
-(* Compiled per-representative tables.                                 *)
-(*                                                                     *)
-(* A sub-family executes on its representative configuration's         *)
-(* flattened model, lowered to {!Compile}-style flat int tables (no     *)
-(* configuration dispatch: family runs reject degradation plans, so    *)
-(* modes never carry masks and firings never reconfigure).             *)
-(* ------------------------------------------------------------------ *)
-
-type fmode = {
-  fm_mid : I.Mode_id.t;
-  fm_latency : Interval.t;
-  fm_consumes : ccons array;  (* in {!Spi.Mode.consumptions} order *)
-  fm_produces : cprod array;  (* in {!Spi.Mode.productions} order *)
-  fm_inherit : bool;
-}
-
-type fproc = {
-  fp_pid : I.Process_id.t;
-  fp_source : bool;  (* no input channels: default firing budget 0 *)
-  fp_rules : crule array;
-  fp_modes : fmode array;
-}
-
-type centry = {
-  ce_model : Spi.Model.t;
-  ce_init : Spi.Semantics.state;
-  ce_procs : fproc array;  (* in model process order *)
-  ce_chan_ids : I.Channel_id.t array;
-  ce_chan_register : bool array;
-  ce_chan_cap : int array;  (* -1 = unbounded *)
-  ce_chan_initial : Spi.Token.t list array;
-  ce_chan_index : int I.Channel_id.Tbl.t;
-  ce_proc_tbl : int I.Process_id.Tbl.t;
-}
-
 type plan = {
   p_system : Variants.System.t;
   p_space : P.space;
@@ -49,7 +13,7 @@ type plan = {
          on first touch *)
   p_models : Spi.Model.t option array;
   p_inits : Spi.Semantics.state option array;
-  p_entries : centry option array;
+  p_tables : Crt.table option array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -96,7 +60,7 @@ let plan ?(linkage = []) system =
     p_lock = Mutex.create ();
     p_models = Array.make n None;
     p_inits = Array.make n None;
-    p_entries = Array.make n None;
+    p_tables = Array.make n None;
   }
 
 let key plan = plan.p_key
@@ -133,128 +97,21 @@ let init_of plan i =
   Mutex.unlock plan.p_lock;
   s
 
-let compile_entry model init =
-  let chan_decls = Array.of_list (Spi.Model.channels model) in
-  let nchan = Array.length chan_decls in
-  let chan_index = I.Channel_id.Tbl.create (max 16 nchan) in
-  Array.iteri
-    (fun i c -> I.Channel_id.Tbl.replace chan_index (Spi.Chan.id c) i)
-    chan_decls;
-  let ix_of cid =
-    match I.Channel_id.Tbl.find_opt chan_index cid with
-    | Some i -> i
-    | None -> -1
-  in
-  let compile_proc p =
-    let modes = Array.of_list (Spi.Process.modes p) in
-    let mode_index = I.Mode_id.Tbl.create (max 8 (Array.length modes)) in
-    Array.iteri
-      (fun i m -> I.Mode_id.Tbl.replace mode_index (Spi.Mode.id m) i)
-      modes;
-    {
-      fp_pid = Spi.Process.id p;
-      fp_source = I.Channel_id.Set.is_empty (Spi.Process.inputs p);
-      fp_rules =
-        Array.of_list
-          (List.map
-             (fun r ->
-               {
-                 guard = compile_pred ~ix_of (Spi.Activation.guard r);
-                 target =
-                   Option.value ~default:(-1)
-                     (I.Mode_id.Tbl.find_opt mode_index
-                        (Spi.Activation.target_mode r));
-               })
-             (Spi.Activation.rules (Spi.Process.activation p)));
-      fp_modes =
-        Array.map
-          (fun m ->
-            {
-              fm_mid = Spi.Mode.id m;
-              fm_latency = Spi.Mode.latency m;
-              fm_consumes =
-                Array.of_list
-                  (List.map
-                     (fun (cid, rate) ->
-                       { c_ix = ix_of cid; c_cid = cid; c_rate = rate })
-                     (Spi.Mode.consumptions m));
-              fm_produces =
-                Array.of_list
-                  (List.map
-                     (fun (cid, (prod : Spi.Mode.production)) ->
-                       {
-                         p_ix = ix_of cid;
-                         p_cid = cid;
-                         p_rate = prod.rate;
-                         p_tags = prod.tags;
-                       })
-                     (Spi.Mode.productions m));
-              fm_inherit =
-                (match Spi.Mode.payload_policy m with
-                | Spi.Mode.Inherit_first -> true
-                | Spi.Mode.Fresh -> false);
-            })
-          modes;
-    }
-  in
-  let procs =
-    Array.of_list (List.map compile_proc (Spi.Model.processes model))
-  in
-  let proc_tbl = I.Process_id.Tbl.create (max 16 (Array.length procs)) in
-  Array.iteri (fun i fp -> I.Process_id.Tbl.replace proc_tbl fp.fp_pid i) procs;
-  {
-    ce_model = model;
-    ce_init = init;
-    ce_procs = procs;
-    ce_chan_ids = Array.map Spi.Chan.id chan_decls;
-    ce_chan_register =
-      Array.map (fun c -> Spi.Chan.kind c = Spi.Chan.Register) chan_decls;
-    ce_chan_cap =
-      Array.map
-        (fun c -> Option.value ~default:(-1) (Spi.Chan.capacity c))
-        chan_decls;
-    ce_chan_initial = Array.map Spi.Chan.initial chan_decls;
-    ce_chan_index = chan_index;
-    ce_proc_tbl = proc_tbl;
-  }
-
-let entry_of plan i =
+let table_of plan i =
   let model = model_of plan i in
-  let init = init_of plan i in
   Mutex.lock plan.p_lock;
-  let e =
-    match plan.p_entries.(i) with
-    | Some e -> e
+  let t =
+    match plan.p_tables.(i) with
+    | Some t -> t
     | None ->
-      let e = compile_entry model init in
-      plan.p_entries.(i) <- Some e;
-      e
+      let t = Crt.lower model in
+      plan.p_tables.(i) <- Some t;
+      t
   in
   Mutex.unlock plan.p_lock;
-  e
+  t
 
 (* ------------------------------- run -------------------------------- *)
-
-type fpstate = {
-  mutable busy : bool;
-  mutable budget : int;  (* negative = unlimited *)
-  mutable recover_at : int;
-  (* pending-completion slot, exactly {!Compile}'s: [busy] serializes a
-     process's executions, so one slot per process suffices *)
-  mutable slot_mode : int;
-  mutable slot_started : int;
-  mutable slot_payload : int option;
-  mutable slot_consumed : (I.Channel_id.t * Spi.Token.t list) list;
-}
-
-(* Per-run, per-representative dispatch tables: the policy realizes
-   every interval once per (run, representative) instead of once per
-   firing. *)
-type dispatch = {
-  d_lat : int array array;
-  d_want : int array array array;
-  d_nprod : int array array array;
-}
 
 (* One compiled settle probe: a site process of some part's
    representative that could ever fire, with its activation guards
@@ -274,24 +131,17 @@ type hotspot = {
   hs_probes : probe array;
 }
 
+(* A sub-family: its members and still-cold sites around one run of the
+   shared loop on the first member's tables.  The run's [frozen] mask
+   skips the processes of still-cold sites, hoisted out of the sweep so
+   the hot loop never re-derives prefixes. *)
 type sub = {
   mutable members : P.t;
-  rep : int;
-  entry : centry;
-  dsp : dispatch;
+  run : Crt.run;
   mutable cold : I.Interface_id.t list;  (* site order *)
   mutable warm : I.Channel_id.Set.t;
-  mutable frozen : bool array;
-      (* per process index: owned by a still-cold site — hoisted out of
-         the sweep so the hot loop never re-derives prefixes *)
-  chans : cstate array;
-  pstates : fpstate array;
-  heap : Heap.Int_heap.t;
-  fstate : Fault.state option;
-  mutable trace : Trace.entry list;  (* reversed, shared across forks *)
-  mutable firings : int;
-  mutable now : int;
   mutable hotspots : hotspot list option;  (* None = needs rebuild *)
+  mutable counted : int;  (* firings already added to the stats *)
 }
 
 type pending = Sweep | Deliver of I.Channel_id.t * Spi.Token.t
@@ -318,138 +168,72 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
   | Some _ | None -> ());
   let space = plan.p_space in
   let n = plan.p_n in
-  let choose = Engine.pick policy in
+  (* per-representative dispatch, built on first use by any domain *)
   let dsp_lock = Mutex.create () in
   let dsps = Array.make n None in
   let dispatch_of i =
-    let e = entry_of plan i in
+    let t = table_of plan i in
     Mutex.lock dsp_lock;
     let d =
       match dsps.(i) with
       | Some d -> d
       | None ->
-        let d =
-          {
-            d_lat =
-              Array.map
-                (fun fp -> Array.map (fun m -> choose m.fm_latency) fp.fp_modes)
-                e.ce_procs;
-            d_want =
-              Array.map
-                (fun fp ->
-                  Array.map
-                    (fun m ->
-                      Array.map (fun cc -> choose cc.c_rate) m.fm_consumes)
-                    fp.fp_modes)
-                e.ce_procs;
-            d_nprod =
-              Array.map
-                (fun fp ->
-                  Array.map
-                    (fun m ->
-                      Array.map (fun pr -> choose pr.p_rate) m.fm_produces)
-                    fp.fp_modes)
-                e.ce_procs;
-          }
-        in
+        let d = Crt.dispatch policy t in
         dsps.(i) <- Some d;
         d
     in
     Mutex.unlock dsp_lock;
     d
   in
-  let budget_of_pid pid ~source =
-    match
-      List.find_opt (fun (q, _) -> I.Process_id.equal q pid) firing_budget
-    with
-    | Some (_, b) -> b
-    | None -> if source then 0 else -1
-  in
-  let fresh_pstate fp =
-    {
-      busy = false;
-      budget = budget_of_pid fp.fp_pid ~source:fp.fp_source;
-      recover_at = 0;
-      slot_mode = -1;
-      slot_started = 0;
-      slot_payload = None;
-      slot_consumed = [];
-    }
-  in
-  let frozen_of entry cold =
+  let frozen_of tbl cold =
     Array.map
-      (fun fp ->
+      (fun cp ->
         Option.is_some
-          (Family.cold_site_of cold (I.Process_id.to_string fp.fp_pid)))
-      entry.ce_procs
+          (Family.cold_site_of cold (I.Process_id.to_string cp.pr_pid)))
+      tbl.procs
   in
-  (* Injection and crash pools are shared by every sub-family and
-     immutable after setup: degradation (the one source of mid-run
-     injections in {!Compile}) is rejected above, so pending [ev_inject]
-     and [ev_crash] codes stay valid across forks without remapping. *)
-  let inj_pool =
-    Array.of_list
-      (List.map (fun (s : Engine.stimulus) -> (s.channel, s.token)) stimuli)
-  in
-  let fstate0 = Option.map Fault.start faults in
-  let crash_schedule =
-    match fstate0 with
-    | None -> [||]
-    | Some fs -> Array.of_list (Fault.crash_schedule fs)
-  in
-  let crash_pool = Array.map fst crash_schedule in
   let results = Array.make n None in
+  (* The root's injection and crash pools are shared by every fork:
+     degradation, the one source of new injections, is rejected above,
+     so pending [ev_inject] and [ev_crash] codes need no remapping. *)
   let root =
-    let entry = entry_of plan 0 in
-    let heap = Heap.Int_heap.create () in
-    List.iteri
-      (fun k (s : Engine.stimulus) ->
-        Heap.Int_heap.push ~time:s.at (ev_inject k) heap)
-      stimuli;
-    Array.iteri
-      (fun k (_, at) -> Heap.Int_heap.push ~time:at (ev_crash k) heap)
-      crash_schedule;
+    let tbl = table_of plan 0 in
+    let run =
+      Crt.start ~overflow ~stimuli ~firing_budget ?faults tbl (dispatch_of 0)
+    in
+    run.frozen <- frozen_of tbl plan.p_sites;
     {
       members = P.full space;
-      rep = 0;
-      entry;
-      dsp = dispatch_of 0;
+      run;
       cold = plan.p_sites;
       warm = I.Channel_id.Set.empty;
-      frozen = frozen_of entry plan.p_sites;
-      chans =
-        Array.init (Array.length entry.ce_chan_ids) (fun i ->
-            make_chan entry.ce_chan_initial.(i));
-      pstates = Array.map fresh_pstate entry.ce_procs;
-      heap;
-      fstate = fstate0;
-      trace = [];
-      firings = 0;
-      now = 0;
       hotspots = None;
+      counted = 0;
     }
   in
   (* ---------------- per-sub-family machinery ---------------- *)
-  let emit c e = c.trace <- e :: c.trace in
   let process_crashed c pid =
-    match c.fstate with Some fs -> Fault.crashed fs pid | None -> false
-  in
-  let cwrite c ix tok =
-    write ~register:c.entry.ce_chan_register ~cap:c.entry.ce_chan_cap
-      ~ids:c.entry.ce_chan_ids ~overflow c.chans ix tok
-  in
-  let chan_ix c cid =
-    match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
-    | Some ix -> ix
-    | None -> -1
+    match c.run.fstate with Some fs -> Fault.crashed fs pid | None -> false
   in
   let budget_of_proc p =
-    budget_of_pid (Spi.Process.id p)
+    Crt.budget ~firing_budget (Spi.Process.id p)
       ~source:(I.Channel_id.Set.is_empty (Spi.Process.inputs p))
   in
   let cold_owned c cid =
     (not (I.Channel_id.Set.mem cid c.warm))
     && Option.is_some (Family.cold_site_of c.cold (I.Channel_id.to_string cid))
+  in
+  (* The members' width changes only at a split, so firings are added to
+     the stats per stretch of constant width: at every split and leaf. *)
+  let account stats c =
+    let k = c.run.firings - c.counted in
+    if k > 0 then begin
+      let width = P.cardinal c.members in
+      stats.executed <- stats.executed + k;
+      if width > 1 then stats.shared <- stats.shared + k;
+      Obs.Metric.observe_n m_configs_per_firing width k;
+      c.counted <- c.run.firings
+    end
   in
   (* A guard compiled against [c]'s live rings, with atoms over
      cold-owned channels decided by [init] and constants folded away. *)
@@ -459,7 +243,8 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     | Pr.Atom (Pr.Num_at_least (cid, _) | Pr.First_has_tag (cid, _)) as p
       when cold_owned c cid ->
       if Pr.eval (Spi.Semantics.view init) p then G_true else G_false
-    | (Pr.True | Pr.False | Pr.Atom _) as p -> compile_pred ~ix_of:(chan_ix c) p
+    | (Pr.True | Pr.False | Pr.Atom _) as p ->
+      compile_pred ~ix_of:(chan_ix c.run.tbl) p
     | Pr.And (a, b) -> (
       match probe_guard c init a, probe_guard c init b with
       | G_false, _ | _, G_false -> G_false
@@ -517,7 +302,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     let probes = h.hs_probes in
     let rec from k =
       k < Array.length probes
-      && ((eval c.chans probes.(k).pb_guard
+      && ((eval c.run.chans probes.(k).pb_guard
           && not (process_crashed c probes.(k).pb_pid))
          || from (k + 1))
     in
@@ -528,6 +313,8 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
      fresh sub on its own representative's tables with the shared
      execution transplanted in. *)
   let split stats offer ~sibling_start c site =
+    account stats c;
+    let r = c.run in
     let old_cold = c.cold in
     let is_old_cold id = Option.is_some (Family.cold_site_of old_cold id) in
     let parts =
@@ -552,48 +339,37 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
           let rep_b =
             match P.first part with Some i -> i | None -> assert false
           in
-          let e_b = entry_of plan rep_b in
+          let t_b = table_of plan rep_b in
           (* Channels of resolved sites and the shared skeleton (plus
              warm channels) carry the shared history; channels cold
              until this split keep their initial tokens. *)
           let chans_b =
-            Array.init (Array.length e_b.ce_chan_ids) (fun i ->
-                let cid = e_b.ce_chan_ids.(i) in
-                if cold_owned c cid then make_chan e_b.ce_chan_initial.(i)
+            Array.init (Array.length t_b.chan_ids) (fun i ->
+                let cid = t_b.chan_ids.(i) in
+                if cold_owned c cid then make_chan t_b.chan_initial.(i)
                 else
-                  match
-                    I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid
-                  with
-                  | Some pix -> copy_chan c.chans.(pix)
+                  match I.Channel_id.Tbl.find_opt r.tbl.chan_index cid with
+                  | Some pix -> copy_chan r.chans.(pix)
                   | None ->
                     (* unreachable: non-cold channels are shared or
                        belong to resolved sites, identical across
                        members *)
-                    make_chan e_b.ce_chan_initial.(i))
+                    make_chan t_b.chan_initial.(i))
           in
+          (* mode indexes transfer: a process shared by (or resolved
+             for) both members has the same definition, hence the same
+             mode table *)
           let pstates_b =
             Array.map
-              (fun fp ->
-                if is_old_cold (I.Process_id.to_string fp.fp_pid) then
-                  fresh_pstate fp
+              (fun cp ->
+                if is_old_cold (I.Process_id.to_string cp.pr_pid) then
+                  fresh_pstate ~firing_budget cp
                 else
                   let ps =
-                    c.pstates.(I.Process_id.Tbl.find c.entry.ce_proc_tbl
-                                 fp.fp_pid)
+                    r.pstates.(I.Process_id.Tbl.find r.tbl.proc_index cp.pr_pid)
                   in
-                  (* mode indexes transfer: a process shared by (or
-                     resolved for) both members has the same definition,
-                     hence the same mode table *)
-                  {
-                    busy = ps.busy;
-                    budget = ps.budget;
-                    recover_at = ps.recover_at;
-                    slot_mode = ps.slot_mode;
-                    slot_started = ps.slot_started;
-                    slot_payload = ps.slot_payload;
-                    slot_consumed = ps.slot_consumed;
-                  })
-              e_b.ce_procs
+                  { ps with busy = ps.busy })
+              t_b.procs
           in
           (* Re-encode pending events for the sibling's process indexes,
              draining a copy of the heap in order so the relative order
@@ -603,7 +379,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
              fired, so every pending completion/recovery names a process
              both models share. *)
           let heap_b = Heap.Int_heap.create () in
-          let tmp = Heap.Int_heap.copy c.heap in
+          let tmp = Heap.Int_heap.copy r.heap in
           while not (Heap.Int_heap.is_empty tmp) do
             let t = Heap.Int_heap.min_time tmp in
             let v = Heap.Int_heap.min_value tmp in
@@ -611,37 +387,42 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
             let v' =
               match v land 3 with
               | 1 | 2 ->
-                let pid = c.entry.ce_procs.(v lsr 2).fp_pid in
-                let ix_b = I.Process_id.Tbl.find e_b.ce_proc_tbl pid in
+                let pid = r.tbl.procs.(v lsr 2).pr_pid in
+                let ix_b = I.Process_id.Tbl.find t_b.proc_index pid in
                 if v land 3 = 1 then ev_complete ix_b else ev_recover ix_b
               | _ -> v
             in
             Heap.Int_heap.push ~time:t v' heap_b
           done;
-          let sub_b =
+          let run_b =
             {
-              members = part;
-              rep = rep_b;
-              entry = e_b;
+              r with
+              tbl = t_b;
               dsp = dispatch_of rep_b;
-              cold = new_cold;
-              warm = c.warm;
-              frozen = frozen_of e_b new_cold;
               chans = chans_b;
               pstates = pstates_b;
               heap = heap_b;
-              fstate = Option.map Fault.copy c.fstate;
-              trace = c.trace;
-              firings = c.firings;
-              now = c.now;
-              hotspots = None;
+              fstate = Option.map Fault.copy r.fstate;
+              frozen = frozen_of t_b new_cold;
             }
           in
-          offer { sub = sub_b; start = sibling_start })
+          offer
+            {
+              sub =
+                {
+                  members = part;
+                  run = run_b;
+                  cold = new_cold;
+                  warm = c.warm;
+                  hotspots = None;
+                  counted = c.counted;
+                };
+              start = sibling_start;
+            })
         rest;
       c.members <- first_part;
       c.cold <- new_cold;
-      c.frozen <- frozen_of c.entry new_cold;
+      r.frozen <- frozen_of r.tbl new_cold;
       c.hotspots <- None
   in
   let rec settle stats offer c =
@@ -661,142 +442,6 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       | Some h ->
         split stats offer ~sibling_start:Sweep c h.hs_site;
         settle stats offer c)
-  in
-  let first_payload consumed =
-    let rec over_chans = function
-      | [] -> None
-      | (_, toks) :: rest -> (
-        match List.find_map Spi.Token.payload toks with
-        | Some _ as p -> p
-        | None -> over_chans rest)
-    in
-    over_chans consumed
-  in
-  let consume_mode c p_ix m_ix fm =
-    let wants = c.dsp.d_want.(p_ix).(m_ix) in
-    let ncons = Array.length fm.fm_consumes in
-    let rec go k =
-      if k = ncons then []
-      else begin
-        let cc = fm.fm_consumes.(k) in
-        let wanted = wants.(k) in
-        let toks =
-          if cc.c_ix < 0 || wanted <= 0 then []
-          else begin
-            let cs = c.chans.(cc.c_ix) in
-            let nn = if wanted < cs.count then wanted else cs.count in
-            if nn <= 0 then []
-            else if c.entry.ce_chan_register.(cc.c_ix) then
-              (* sampling read: the register keeps its token *)
-              [ cs.buf.(cs.head) ]
-            else begin
-              let rec take n acc =
-                if n = 0 then List.rev acc else take (n - 1) (ring_pop cs :: acc)
-              in
-              take nn []
-            end
-          end
-        in
-        (cc.c_cid, toks) :: go (k + 1)
-      end
-    in
-    go 0
-  in
-  (* One scheduling sweep — {!Compile}'s [try_start] minus configuration
-     dispatch, with cold-site processes skipped through the hoisted
-     [frozen] table instead of per-process prefix tests. *)
-  let try_start stats c now =
-    let e = c.entry in
-    let nprocs = Array.length e.ce_procs in
-    for ix = 0 to nprocs - 1 do
-      if not c.frozen.(ix) then begin
-        let fp = e.ce_procs.(ix) in
-        let ps = c.pstates.(ix) in
-        let may_fire =
-          (not ps.busy) && ps.budget <> 0
-          && not (process_crashed c fp.fp_pid)
-        in
-        if may_fire then begin
-          let nrules = Array.length fp.fp_rules in
-          let chosen = ref (-1) in
-          let r = ref 0 in
-          while !chosen < 0 && !r < nrules do
-            if eval c.chans fp.fp_rules.(!r).guard then chosen := !r;
-            incr r
-          done;
-          if !chosen >= 0 && fp.fp_rules.(!chosen).target >= 0 then begin
-            let m_ix = fp.fp_rules.(!chosen).target in
-            let fm = fp.fp_modes.(m_ix) in
-            let attempt =
-              match c.fstate with
-              | None -> Fault.Proceed { overrun = None }
-              | Some fs -> Fault.on_attempt fs ~time:now fp.fp_pid fm.fm_mid
-            in
-            match attempt with
-            | Fault.Retry { retry; backoff } ->
-              emit c
-                (Trace.Faulted
-                   {
-                     time = now;
-                     fault =
-                       Fault.Transient_failure
-                         { process = fp.fp_pid; mode = fm.fm_mid; retry; backoff };
-                   });
-              let until = now + max 1 backoff in
-              ps.busy <- true;
-              ps.recover_at <- until;
-              Heap.Int_heap.push ~time:until (ev_recover ix) c.heap
-            | Fault.Exhausted ->
-              emit c
-                (Trace.Faulted
-                   {
-                     time = now;
-                     fault =
-                       Fault.Retries_exhausted
-                         { process = fp.fp_pid; mode = fm.fm_mid };
-                   })
-            | Fault.Proceed { overrun } ->
-              let consumed = consume_mode c ix m_ix fm in
-              let payload =
-                if fm.fm_inherit then first_payload consumed else None
-              in
-              let extra = Option.value ~default:0 overrun in
-              let latency = c.dsp.d_lat.(ix).(m_ix) + extra in
-              ps.busy <- true;
-              if ps.budget > 0 then ps.budget <- ps.budget - 1;
-              c.firings <- c.firings + 1;
-              stats.executed <- stats.executed + 1;
-              let width = P.cardinal c.members in
-              if width > 1 then stats.shared <- stats.shared + 1;
-              Obs.Metric.observe m_configs_per_firing width;
-              emit c
-                (Trace.Started
-                   {
-                     time = now;
-                     process = fp.fp_pid;
-                     mode = fm.fm_mid;
-                     reconfiguration = None;
-                   });
-              (match overrun with
-              | Some extra ->
-                emit c
-                  (Trace.Faulted
-                     {
-                       time = now;
-                       fault =
-                         Fault.Latency_overrun
-                           { process = fp.fp_pid; mode = fm.fm_mid; extra };
-                     })
-              | None -> ());
-              ps.slot_mode <- m_ix;
-              ps.slot_started <- now;
-              ps.slot_payload <- payload;
-              ps.slot_consumed <- consumed;
-              Heap.Int_heap.push ~time:(now + latency) (ev_complete ix) c.heap
-          end
-        end
-      end
-    done
   in
   (* Narrowing test: every member must declare the target channel with
      identical kind, capacity and initial contents; checking one model
@@ -825,15 +470,8 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
             match decl_of part with Some ch -> same ch | None -> false)
           rest)
   in
-  let deliver_live c time cid tok =
-    (match I.Channel_id.Tbl.find_opt c.entry.ce_chan_index cid with
-    | Some ix -> cwrite c ix tok
-    | None ->
-      (* the interpreter's [Semantics.inject] raises [Not_found] on a
-         channel the model does not declare *)
-      ignore (Spi.Model.get_channel cid c.entry.ce_model));
-    emit c (Trace.Injected { time; channel = cid; token = tok })
-  in
+  (* Cold-site routing in front of {!Crt.inject}: a stimulus aimed inside
+     a still-cold site warms its channel or splits the site first. *)
   let rec handle_inject stats offer c time cid tok =
     let cold_target =
       if I.Channel_id.Set.mem cid c.warm then None
@@ -848,90 +486,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     | Some site ->
       split stats offer ~sibling_start:(Deliver (cid, tok)) c site;
       handle_inject stats offer c time cid tok
-    | None -> (
-      let outcome =
-        match c.fstate with
-        | None -> Fault.Deliver
-        | Some fs -> Fault.on_token fs ~time cid tok
-      in
-      match outcome with
-      | Fault.Deliver -> deliver_live c time cid tok
-      | Fault.Dropped ->
-        emit c
-          (Trace.Faulted
-             { time; fault = Fault.Token_dropped { channel = cid; token = tok } })
-      | Fault.Corrupted tok' ->
-        emit c
-          (Trace.Faulted
-             {
-               time;
-               fault = Fault.Token_corrupted { channel = cid; token = tok' };
-             });
-        deliver_live c time cid tok'
-      | Fault.Duplicated ->
-        emit c
-          (Trace.Faulted
-             {
-               time;
-               fault = Fault.Token_duplicated { channel = cid; token = tok };
-             });
-        deliver_live c time cid tok;
-        deliver_live c time cid tok)
-  in
-  let complete c time ix =
-    let fp = c.entry.ce_procs.(ix) in
-    let ps = c.pstates.(ix) in
-    let m_ix = ps.slot_mode in
-    let fm = fp.fp_modes.(m_ix) in
-    let ns = c.dsp.d_nprod.(ix).(m_ix) in
-    let nprods = Array.length fm.fm_produces in
-    let rec produce k =
-      if k = nprods then []
-      else begin
-        let pr = fm.fm_produces.(k) in
-        let nn = ns.(k) in
-        let tok = Spi.Token.make ~tags:pr.p_tags ?payload:ps.slot_payload () in
-        let toks = Spi.Token.replicate nn tok in
-        if nn > 0 then
-          if pr.p_ix < 0 then
-            ignore (Spi.Model.get_channel pr.p_cid c.entry.ce_model)
-          else List.iter (fun t -> cwrite c pr.p_ix t) toks;
-        (pr.p_cid, toks) :: produce (k + 1)
-      end
-    in
-    let produced = produce 0 in
-    if ps.recover_at = 0 then ps.busy <- false;
-    emit c
-      (Trace.Completed
-         {
-           time;
-           started_at = ps.slot_started;
-           process = fp.fp_pid;
-           firing =
-             {
-               Spi.Semantics.process = fp.fp_pid;
-               mode = fm.fm_mid;
-               consumed = ps.slot_consumed;
-               produced;
-             };
-         });
-    ps.slot_consumed <- []
-  in
-  let recover c time ix =
-    let ps = c.pstates.(ix) in
-    if ps.recover_at <= time then begin
-      ps.recover_at <- 0;
-      ps.busy <- false
-    end
-  in
-  let crash c time k =
-    let pid = crash_pool.(k) in
-    match c.fstate with
-    | Some fs when not (Fault.crashed fs pid) ->
-      Fault.mark_crashed fs pid;
-      Fault.note_failure fs pid;
-      emit c (Trace.Faulted { time; fault = Fault.Crashed { process = pid } })
-    | Some _ | None -> ()
+    | None -> Crt.inject c.run time cid tok
   in
   (* Leaf: every member gets the result its own per-configuration run
      would produce — shared trace, plus a final state set on the member's
@@ -940,15 +495,17 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
      hot.  Each channel's final contents are read once per leaf, and
      [set_contents] is linear in them. *)
   let finish stats c outcome =
+    account stats c;
     stats.subfamilies <- stats.subfamilies + 1;
-    let trace = List.rev c.trace in
+    let r = c.run in
+    let trace = List.rev r.trace in
     let makespan =
       List.fold_left
         (fun acc entry ->
           match entry with
           | Trace.Completed { time; _ } -> max acc time
           | _ -> acc)
-        0 c.trace
+        0 r.trace
     in
     stats.leaves <-
       { Family.leaf_members = P.indices c.members; leaf_makespan = makespan }
@@ -962,8 +519,8 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
         let f =
           if cold_owned c cid then None
           else
-            let ix = chan_ix c cid in
-            Some (if ix < 0 then [] else contents c.chans.(ix))
+            let ix = chan_ix r.tbl cid in
+            Some (if ix < 0 then [] else contents r.chans.(ix))
         in
         I.Channel_id.Tbl.add finals cid f;
         f
@@ -985,50 +542,22 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
             {
               Engine.trace;
               final_state;
-              end_time = c.now;
+              end_time = r.now;
               outcome;
-              firings = c.firings;
+              firings = r.firings;
               reconfiguration_time = 0;
             })
       c.members
   in
-  (* The event loop: {!Compile}'s closure-free dispatch with the
-     presence probe wedged in front of every sweep. *)
+  (* One task: the shared loop, with the presence probe as its [settle]
+     hook and cold-site routing as its [inject] hook. *)
   let exec stats offer { sub = c; start } =
+    let settle () = settle stats offer c in
+    let inject = handle_inject stats offer c in
     (match start with
     | Sweep -> ()
-    | Deliver (cid, tok) -> handle_inject stats offer c c.now cid tok);
-    settle stats offer c;
-    try_start stats c c.now;
-    let rec loop () =
-      if c.firings > limits.Engine.max_firings then
-        finish stats c Engine.Firing_limit_reached
-      else if Heap.Int_heap.is_empty c.heap then begin
-        emit c (Trace.Quiescent { time = c.now });
-        finish stats c Engine.Quiescent
-      end
-      else begin
-        let time = Heap.Int_heap.min_time c.heap in
-        if time > limits.Engine.max_time then
-          finish stats c Engine.Time_limit_reached
-        else begin
-          let v = Heap.Int_heap.min_value c.heap in
-          Heap.Int_heap.drop_min c.heap;
-          c.now <- time;
-          (match v land 3 with
-          | 0 ->
-            let cid, tok = inj_pool.(v lsr 2) in
-            handle_inject stats offer c time cid tok
-          | 1 -> complete c time (v lsr 2)
-          | 2 -> recover c time (v lsr 2)
-          | _ -> crash c time (v lsr 2));
-          settle stats offer c;
-          try_start stats c time;
-          loop ()
-        end
-      end
-    in
-    loop ()
+    | Deliver (cid, tok) -> inject c.run.now cid tok);
+    finish stats c (Crt.loop ~settle ~inject ~limits c.run)
   in
   (* ---------------- drive the sub-families ---------------- *)
   let totals =

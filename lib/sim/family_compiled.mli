@@ -12,11 +12,12 @@
     internals.  Configurations whose distinguishing clusters never
     activate under the scenario are never split apart.
 
-    Sub-families execute on {!Compile}-style flat tables (shared with
-    that engine through {!Crt}): dense channel indexes into ring
-    buffers, compiled guards, an int-coded {!Heap.Int_heap} event loop,
-    and the presence-condition bookkeeping (split detection, fork
-    transplants, narrowing) hoisted out of the hot path.
+    Every sub-family is one run of {!Crt.loop}, the event loop
+    {!Compile} runs, on its representative configuration's lowered
+    tables.  This module keeps only the presence bookkeeping — split
+    detection, fork transplants, narrowing, leaf results — and enters
+    the loop through its [settle] and [inject] hooks; processes of
+    still-cold sites are skipped through the run's [frozen] mask.
 
     The report is a {!Family.report}, and every configuration's result
     is byte-identical to what {!Engine.run} (the oracle) and

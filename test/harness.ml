@@ -177,9 +177,10 @@ let sim_stimuli ?(tokens = 3) model =
 (* The same generated workload family as [sim_model], but kept as a
    variant system: [Sim.Family_compiled.plan] takes the system itself,
    and the differential harness flattens it once per configuration for
-   the per-configuration reference runs. *)
-let family_system ~seed =
-  let sites = 1 + (seed mod 3) in
+   the per-configuration reference runs.  [sites] defaults to 1-3 by
+   seed; with 0 the space has one configuration. *)
+let family_system ?sites ~seed () =
+  let sites = Option.value sites ~default:(1 + (seed mod 3)) in
   let cluster_processes = 1 + (seed mod 2) in
   Variants.Generator.generate
     {

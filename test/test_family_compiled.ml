@@ -113,16 +113,20 @@ let run_family ?faults ~stimuli system =
 
 (* --------------------------- qcheck properties ----------------------- *)
 
+(* Zero-site systems are one-member families: the shared loop with no
+   presence bookkeeping at all. *)
 let prop_generated_workloads =
   QCheck.Test.make
     ~name:"three-way differential (generated systems, all policies)" ~count:20
     QCheck.(int_range 0 9999)
     (fun seed ->
-      let system = Harness.family_system ~seed in
-      let stimuli = Harness.family_stimuli system in
       List.for_all
-        (fun policy -> three_way ~policy ~stimuli system)
-        [ Sim.Engine.Best_case; Sim.Engine.Typical; Sim.Engine.Worst_case ])
+        (fun system ->
+          let stimuli = Harness.family_stimuli system in
+          List.for_all
+            (fun policy -> three_way ~policy ~stimuli system)
+            [ Sim.Engine.Best_case; Sim.Engine.Typical; Sim.Engine.Worst_case ])
+        [ Harness.family_system ~seed (); Harness.family_system ~sites:0 ~seed () ])
 
 let prop_nested_adversarial =
   QCheck.Test.make
@@ -184,7 +188,7 @@ let prop_flat_with_faults =
   QCheck.Test.make ~name:"family = per-config engine (fault plans)" ~count:25
     QCheck.(int_range 0 9999)
     (fun seed ->
-      let system = Harness.family_system ~seed in
+      let system = Harness.family_system ~seed () in
       let stimuli = Harness.family_stimuli ~tokens:5 system in
       let faults = Harness.family_fault_plan ~seed system in
       three_way ~stimuli ~faults system)
@@ -194,7 +198,7 @@ let prop_limits_and_budgets =
     ~count:20
     QCheck.(pair (int_range 0 999) (int_range 1 30))
     (fun (seed, max_firings) ->
-      let system = Harness.family_system ~seed in
+      let system = Harness.family_system ~seed () in
       let stimuli = Harness.family_stimuli ~tokens:4 system in
       let limits = { Sim.Engine.max_time = 200; max_firings } in
       let firing_budget =
@@ -212,7 +216,7 @@ let prop_flat_jobs_invariant =
   QCheck.Test.make ~name:"family run is job-count invariant" ~count:6
     QCheck.(int_range 0 999)
     (fun seed ->
-      let system = Harness.family_system ~seed:((seed * 3) + 2) in
+      let system = Harness.family_system ~seed:((seed * 3) + 2) () in
       let stimuli = Harness.family_stimuli ~tokens:4 system in
       let faults = Harness.family_fault_plan ~seed system in
       jobs_invariant ~faults ~stimuli system)
@@ -226,7 +230,7 @@ let test_200_workloads () =
   for seed = 0 to 199 do
     let system, stimuli =
       if seed mod 2 = 0 then
-        let s = Harness.family_system ~seed in
+        let s = Harness.family_system ~seed () in
         (s, Harness.family_stimuli s)
       else
         let s = Harness.nested_family_system ~seed in
@@ -254,7 +258,7 @@ let test_200_workloads () =
    the three engines under the default split heuristic. *)
 let test_200_flat_systems () =
   for seed = 0 to 199 do
-    let system = Harness.family_system ~seed in
+    let system = Harness.family_system ~seed () in
     let stimuli = Harness.family_stimuli system in
     let policy =
       match seed mod 3 with
@@ -380,7 +384,7 @@ let test_oversized_space () =
    per-configuration sweep it replaces, because the shared prefix ran
    once for every member. *)
 let test_sharing_pays () =
-  let system = Harness.family_system ~seed:2 (* 3 sites, 8 configurations *) in
+  let system = Harness.family_system ~seed:2 () (* 3 sites, 8 configurations *) in
   let report = run_family ~stimuli:(Harness.family_stimuli system) system in
   let per_config =
     Array.fold_left
@@ -394,8 +398,47 @@ let test_sharing_pays () =
   Alcotest.(check bool) "family executed fewer firings than N passes" true
     (report.Sim.Family.executed_firings < per_config)
 
+(* The firing counters answer to the oracle: the width histogram gets
+   one observation per executed firing, of the width of the sub-family
+   that executed it, so its sum is the total of the configurations' own
+   firing counts. *)
+let test_firing_counters () =
+  let h = Obs.Registry.histogram "sim.family.configs_per_firing" in
+  for seed = 0 to 19 do
+    List.iter
+      (fun (shape, system, stimuli) ->
+        let what = Format.sprintf "%s system %d" shape seed in
+        let c0 = Obs.Metric.count h and s0 = Obs.Metric.sum h in
+        let report =
+          Sim.Family_compiled.run ~stimuli ~jobs:(1 + (seed mod 2))
+            (Sim.Family_compiled.plan system)
+        in
+        let oracle =
+          List.fold_left
+            (fun acc a ->
+              let model =
+                Variants.Flatten.flatten system (Variants.Variant_space.to_choice a)
+              in
+              acc + (Sim.Engine.run ~stimuli model).Sim.Engine.firings)
+            0
+            (Variants.Variant_space.enumerate system)
+        in
+        Alcotest.(check int) (what ^ ": one observation per executed firing")
+          report.Sim.Family.executed_firings (Obs.Metric.count h - c0);
+        Alcotest.(check int) (what ^ ": widths sum to the oracle's firings")
+          oracle (Obs.Metric.sum h - s0);
+        Alcotest.(check bool) (what ^ ": shared <= executed") true
+          (report.Sim.Family.shared_firings <= report.Sim.Family.executed_firings))
+      (let flat = Harness.family_system ~seed () in
+       let nested = Harness.nested_family_system ~seed in
+       [
+         ("flat", flat, Harness.family_stimuli flat);
+         ("nested", nested, Harness.nested_family_stimuli nested);
+       ])
+  done
+
 let test_makespans () =
-  let system = Harness.family_system ~seed:5 in
+  let system = Harness.family_system ~seed:5 () in
   let report = run_family ~stimuli:(Harness.family_stimuli system) system in
   let spans = Sim.Family.makespans report in
   Alcotest.(check int) "one makespan per configuration"
@@ -554,7 +597,7 @@ let timeline_bytes emit =
    group [pid = i + 1], so one trace file holds every configuration's
    schedule side by side. *)
 let test_timeline_lanes () =
-  let system = Harness.family_system ~seed:4 in
+  let system = Harness.family_system ~seed:4 () in
   let report = run_family ~stimuli:(Harness.family_stimuli system) system in
   let t, _ =
     timeline_bytes (fun sink -> Sim.Family.emit_timeline sink system report)
@@ -598,7 +641,7 @@ let test_timeline_matches_oracle () =
       in
       Alcotest.(check string) "family timeline = per-config oracle timelines"
         oracle family)
-    (let flat = Harness.family_system ~seed:4 in
+    (let flat = Harness.family_system ~seed:4 () in
      let nested = Harness.nested_family_system ~seed:7 in
      [
        (flat, Harness.family_stimuli flat, None);
@@ -632,6 +675,8 @@ let suite =
         `Quick test_large_leftovers;
       Alcotest.test_case "warming a cold site's channel re-probes it" `Quick
         test_warm_invalidates_probes;
+      Alcotest.test_case "firing counters answer to the oracle" `Quick
+        test_firing_counters;
     ] )
 
 (* Family semantics and the Sim.Family report read-outs, on flat
@@ -647,7 +692,7 @@ let family_suite =
       Alcotest.test_case "200 seeded systems are byte-identical" `Slow
         test_200_flat_systems;
       Alcotest.test_case "degradation plans are rejected" `Quick
-        (degradation_rejected (Harness.family_system ~seed:1));
+        (degradation_rejected (Harness.family_system ~seed:1 ()));
       Alcotest.test_case "makespans follow the traces" `Quick test_makespans;
       Alcotest.test_case "timeline lanes per configuration" `Quick
         test_timeline_lanes;

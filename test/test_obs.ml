@@ -36,6 +36,27 @@ let test_histogram_concurrent =
       && Obs.Metric.h_min h = Some 1
       && Obs.Metric.h_max h = Some (domains * observations))
 
+let test_observe_n =
+  QCheck.Test.make ~count:200
+    ~name:"observe_n h v k = k calls of observe h v"
+    QCheck.(small_list (pair (int_range (-3) 5000) (int_range 0 40)))
+    (fun batches ->
+      let bulk = Obs.Metric.make_histogram "qcheck.bulk" in
+      let single = Obs.Metric.make_histogram "qcheck.single" in
+      List.iter
+        (fun (v, k) ->
+          Obs.Metric.observe_n bulk v k;
+          for _ = 1 to k do
+            Obs.Metric.observe single v
+          done)
+        batches;
+      let open Obs.Metric in
+      count bulk = count single
+      && sum bulk = sum single
+      && buckets bulk = buckets single
+      && h_min bulk = h_min single
+      && h_max bulk = h_max single)
+
 let test_histogram_quantiles () =
   let h = Obs.Metric.make_histogram "t.quantiles" in
   for v = 1 to 1000 do
@@ -70,7 +91,10 @@ let test_histogram_rejects () =
   let h = Obs.Metric.make_histogram "t.clamp" in
   Obs.Metric.observe h (-5);
   Alcotest.(check (option int)) "negative observation clamps to 0" (Some 0)
-    (Obs.Metric.h_min h)
+    (Obs.Metric.h_min h);
+  Alcotest.check_raises "negative observe_n count"
+    (Invalid_argument "Metric.observe_n: negative count") (fun () ->
+      Obs.Metric.observe_n h 1 (-1))
 
 let test_json_roundtrip () =
   let doc =
@@ -753,6 +777,7 @@ let suite =
     [
       QCheck_alcotest.to_alcotest test_counter_concurrent;
       QCheck_alcotest.to_alcotest test_histogram_concurrent;
+      QCheck_alcotest.to_alcotest test_observe_n;
       Alcotest.test_case "histogram quantile sanity" `Quick
         test_histogram_quantiles;
       Alcotest.test_case "negative inputs" `Quick test_histogram_rejects;

@@ -475,40 +475,45 @@ let test_handler_simulate_family () =
     (end_times flat) (end_times first)
 
 (* 8 sites x 3 variants = 6561 configurations, over the handler's cap:
-   the request gets a structured too_large error naming the limit, and
-   the handler keeps serving. *)
+   the request, family or flat, gets a structured too_large error naming
+   the limit before any plan is built, and the handler keeps serving. *)
 let test_family_request_capped () =
-  let t = Serve.Handler.create ~jobs:1 () in
   let model =
     Lang.Printer.to_string
       (V.Generator.generate
          { V.Generator.default with sites = 8; variants_per_site = 3 })
   in
   let misses = Obs.Registry.counter "serve.plan_cache_misses" in
-  let m0 = Obs.Metric.value misses in
-  let r =
-    handle ~handler:t
-      { (plain (P.Simulate { model; until = None; compiled = true; family = true }))
-        with P.id = Some "too-big" }
-  in
-  Alcotest.(check string) "error" "error" (P.status_of_response r);
-  Alcotest.(check (option string)) "too_large" (Some "too_large")
-    (Option.bind (J.member "error" r) J.to_string_opt);
-  Alcotest.(check (option int)) "names the limit"
-    (Some Serve.Handler.max_family_configurations)
-    (Option.bind (J.member "limit" r) J.to_int);
-  Alcotest.(check (option string)) "id echoed" (Some "too-big")
-    (Option.bind (J.member "id" r) J.to_string_opt);
-  Alcotest.(check int) "no plan was built" m0 (Obs.Metric.value misses);
-  let next =
-    handle ~handler:t
-      (plain
-         (P.Simulate
-            { model = family_model_source; until = Some 500; compiled = true;
-              family = true }))
-  in
-  Alcotest.(check string) "next request served" "ok"
-    (P.status_of_response next)
+  List.iter
+    (fun family ->
+      let t = Serve.Handler.create ~jobs:1 () in
+      let shape = if family then "family" else "flat" in
+      let m0 = Obs.Metric.value misses in
+      let r =
+        handle ~handler:t
+          { (plain (P.Simulate { model; until = None; compiled = true; family }))
+            with P.id = Some "too-big" }
+      in
+      Alcotest.(check string) (shape ^ ": error") "error" (P.status_of_response r);
+      Alcotest.(check (option string)) (shape ^ ": too_large") (Some "too_large")
+        (Option.bind (J.member "error" r) J.to_string_opt);
+      Alcotest.(check (option int)) (shape ^ ": names the limit")
+        (Some Serve.Handler.max_configurations)
+        (Option.bind (J.member "limit" r) J.to_int);
+      Alcotest.(check (option string)) (shape ^ ": id echoed") (Some "too-big")
+        (Option.bind (J.member "id" r) J.to_string_opt);
+      Alcotest.(check int) (shape ^ ": no plan was built") m0
+        (Obs.Metric.value misses);
+      let next =
+        handle ~handler:t
+          (plain
+             (P.Simulate
+                { model = family_model_source; until = Some 500; compiled = true;
+                  family }))
+      in
+      Alcotest.(check string) (shape ^ ": next request served") "ok"
+        (P.status_of_response next))
+    [ true; false ]
 
 (* --------------------------- line framing ------------------------- *)
 
@@ -741,6 +746,156 @@ let test_client_retry_logged () =
       | Some reason when reason <> "" -> ()
       | _ -> Alcotest.fail "no reason field")
 
+(* ------------------------ daemon connections ---------------------- *)
+
+(* One process feeding itself: every simulate runs to the firing limit. *)
+let spin_model =
+  {|system spin {
+  channel c queue initial 1
+  process p { mode m { latency 1 consume c 1 produce c 1 } }
+}
+|}
+
+let connect_retrying path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      go (tries - 1)
+  in
+  go 500
+
+let send_lines fd requests =
+  let text =
+    String.concat ""
+      (List.map
+         (fun r -> J.to_string ~minify:true (P.request_to_json r) ^ "\n")
+         requests)
+  in
+  let n = String.length text in
+  let rec go o = if o < n then go (o + Unix.write_substring fd text o (n - o)) in
+  go 0
+
+let read_response fd =
+  let buf = Buffer.create 256 in
+  let b = Bytes.create 1 in
+  let rec go () =
+    if Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n' then begin
+      Buffer.add_char buf (Bytes.get b 0);
+      go ()
+    end
+  in
+  go ();
+  match J.parse (Buffer.contents buf) with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "unparseable response: %s" e
+
+let rec wait_until what ?(tries = 30_000) cond =
+  if not (cond ()) then
+    if tries = 0 then Alcotest.failf "timed out waiting for %s" what
+    else begin
+      Unix.sleepf 0.001;
+      wait_until what ~tries:(tries - 1) cond
+    end
+
+(* A client that hangs up with requests still queued must not have them
+   executed, nor their answers written to whatever socket reuses its fd
+   number.  Client A queues two batches and a ping, then closes.  Once
+   the daemon has read A's EOF and taken the second batch off the queue,
+   client C connects — daemon and test share one fd table, so one end of
+   C's connection takes A's old fd number — and pings: C's first answer
+   must be its own.  A batch is calibrated to ~0.3 s, so C connects
+   while the second batch would still run. *)
+let test_closed_connection_skipped () =
+  let spin =
+    P.Simulate
+      { model = spin_model; until = Some 100_000; compiled = true; family = false }
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (handle (plain spin));
+  let one = Unix.gettimeofday () -. t0 in
+  let items = max 1 (min 50 (int_of_float (0.3 /. Float.max one 1e-3))) in
+  let batch id =
+    { (plain (P.Batch (List.init items (fun _ -> plain spin)))) with P.id = Some id }
+  in
+  let socket_path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "spi-serve-test-%d.sock" (Unix.getpid ()))
+  in
+  let config =
+    {
+      Serve.Daemon.socket_path;
+      store_path = None;
+      metrics_path = None;
+      trace_path = None;
+      log_path = None;
+      log_level = Obs.Log.Debug;
+      sample_interval_ms = 0;
+      series_windows = 4;
+      jobs = 1;
+      queue_limit = Serve.Daemon.default_queue_limit;
+      default_deadline_ms = None;
+      fsync = false;
+    }
+  in
+  let lines = ref [] in
+  Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
+  let admitted = Obs.Registry.counter "serve.admitted" in
+  let depth = Obs.Registry.gauge "serve.queue_depth" in
+  let runs = Obs.Registry.counter "sim.compiled_runs" in
+  let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
+  let first, ran =
+    Fun.protect
+      ~finally:(fun () ->
+        (try
+           let fd = connect_retrying socket_path in
+           send_lines fd [ plain P.Shutdown ];
+           ignore (read_response fd);
+           Unix.close fd
+         with Unix.Unix_error _ -> ());
+        Domain.join daemon;
+        Sys.set_signal Sys.sigint Sys.Signal_default;
+        Sys.set_signal Sys.sigterm Sys.Signal_default;
+        Obs.Log.set_level Obs.Log.Warn;
+        Obs.Log.set_sink (Some (Obs.Log.channel_sink stderr)))
+      (fun () ->
+        let a = connect_retrying socket_path in
+        let a0 = Obs.Metric.value admitted in
+        let r0 = Obs.Metric.value runs in
+        send_lines a
+          [ batch "A-1"; batch "A-2"; { (plain P.Ping) with P.id = Some "A-3" } ];
+        Unix.close a;
+        wait_until "A's requests admitted" (fun () ->
+            Obs.Metric.value admitted >= a0 + 3);
+        wait_until "A's second batch taken" (fun () ->
+            Obs.Metric.gauge_value depth <= 1);
+        let c = connect_retrying socket_path in
+        Unix.setsockopt_float c Unix.SO_RCVTIMEO 30.;
+        send_lines c [ { (plain P.Ping) with P.id = Some "C-1" } ];
+        let first = read_response c in
+        Unix.close c;
+        (first, Obs.Metric.value runs - r0))
+  in
+  Alcotest.(check (option string)) "C's first answer is its own" (Some "C-1")
+    (Option.bind (J.member "id" first) J.to_string_opt);
+  Alcotest.(check int) "only A's first batch ran" items ran;
+  let skipped =
+    List.filter_map
+      (fun line ->
+        match J.parse line with
+        | Ok doc
+          when Option.bind (J.member "event" doc) J.to_string_opt
+               = Some "serve.skipped_closed" ->
+          Option.bind (get_path doc [ "fields"; "rid" ]) J.to_string_opt
+        | Ok _ | Error _ -> None)
+      !lines
+  in
+  Alcotest.(check (list string)) "skips logged" [ "A-2"; "A-3" ]
+    (List.sort compare skipped)
+
 let suite =
   ( "serve",
     [
@@ -785,4 +940,6 @@ let suite =
         test_family_request_capped;
       Alcotest.test_case "request lines are capped" `Quick
         test_split_lines_cap;
+      Alcotest.test_case "a closed connection's queued requests are skipped"
+        `Quick test_closed_connection_skipped;
     ] )
