@@ -476,11 +476,9 @@ let compiled_flag =
     value & flag
     & info [ "compiled" ]
         ~doc:
-          "Simulate with the AOT-compiled engine (Sim.Compile): the model is \
-           specialized once into flat dispatch tables, then runs \
-           allocation-free.  Observationally identical to the interpreter. \
-           Ignored with $(b,--family), whose featured pass always runs \
-           compiled")
+          "Accepted and ignored: every run already uses the compiled engines \
+           (Sim.Compile for one model, Sim.Family_compiled with \
+           $(b,--family)).  Kept for compatibility; it will be removed")
 
 (* One handle regardless of export mode: [flush] after each run's emit
    (a no-op when buffered), [finish] once at the end. *)
@@ -674,7 +672,7 @@ let simulate_cmd =
         ~stimuli:(bundled.stimuli ()) ~jobs ~deadline ~show_trace ~trace_path
         ~trace_buffered ~metrics_path (sys ())
   in
-  let run bundled policy compiled family jobs deadline show_trace vcd_path
+  let run bundled policy _compiled family jobs deadline show_trace vcd_path
       trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family then
@@ -685,12 +683,8 @@ let simulate_cmd =
       let configurations = bundled.configurations () in
       let stimuli = bundled.stimuli () in
       let result =
-        if compiled then
-          Sim.Compile.run ~policy ~stimuli ~firing_budget:bundled.budgets
-            (Sim.Compile.compile ~configurations model)
-        else
-          Sim.Engine.run ~policy ~configurations ~stimuli
-            ~firing_budget:bundled.budgets model
+        Sim.Compile.run ~policy ~stimuli ~firing_budget:bundled.budgets
+          (Sim.Compile.compile ~configurations model)
       in
       Format.printf "%s@." bundled.description;
       Format.printf "%a@." Sim.Engine.pp_summary result;
@@ -900,7 +894,7 @@ let faultsim_cmd =
       (List.map snd reports)
   in
   let run model_name seeds no_faults family deadline drop transient trace_seed
-      jobs compiled trace_path trace_buffered span_capacity metrics_path =
+      jobs _compiled trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if seeds < 1 then begin
       Format.eprintf "faultsim: --seeds must be positive@.";
@@ -929,19 +923,13 @@ let faultsim_cmd =
         ~switches:[ (52, "fB"); (120, "fA") ]
         ()
     in
-    Format.printf "fault campaign: %s, %d seeds%s%s@." model_name seeds
-      (if no_faults then " (faults disabled)" else "")
-      (if compiled then " [compiled]" else "");
-    (* With --compiled the model is specialized once and every seed's
-       run reuses the plan; the plan is immutable, so the domain pool
-       shares it freely. *)
+    Format.printf "fault campaign: %s, %d seeds%s@." model_name seeds
+      (if no_faults then " (faults disabled)" else "");
+    (* The model is specialized once and every seed's run reuses the
+       plan; the plan is immutable, so the domain pool shares it freely. *)
     let plan =
-      if compiled then
-        Some
-          (Sim.Compile.compile
-             ~configurations:built.Video.System.configurations
-             built.Video.System.model)
-      else None
+      Sim.Compile.compile ~configurations:built.Video.System.configurations
+        built.Video.System.model
     in
     Format.printf "%4s  %-9s %7s %6s %5s %5s %4s %4s %4s %4s  %s@." "seed"
       "outcome" "firings" "faults" "degr" "clean" "held" "drop" "miss" "inv"
@@ -957,14 +945,7 @@ let faultsim_cmd =
             (Video.Scenario.fault_plan ~drop_probability:drop
                ~transient_probability:transient ~seed built)
       in
-      let result =
-        match plan with
-        | Some plan -> Sim.Compile.run ~stimuli ?faults plan
-        | None ->
-          Sim.Engine.run
-            ~configurations:built.Video.System.configurations
-            ~stimuli ?faults built.Video.System.model
-      in
+      let result = Sim.Compile.run ~stimuli ?faults plan in
       let report = Video.Checker.check result in
       let stats = Sim.Stats.of_result built.Video.System.model result in
       let misses =
@@ -1098,7 +1079,7 @@ let simulate_file_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Write the trace as CSV to $(docv)")
   in
-  let run path variants drive policy compiled family jobs deadline show_trace
+  let run path variants drive policy _compiled family jobs deadline show_trace
       vcd_path json_path csv_path trace_path trace_buffered span_capacity
       metrics_path =
     apply_span_capacity span_capacity;
@@ -1154,9 +1135,7 @@ let simulate_file_cmd =
             (Spi.Ids.Channel_id.Set.elements inputs)
         in
         let result =
-          if compiled then
-            Sim.Compile.run ~policy ~stimuli (Sim.Compile.compile model)
-          else Sim.Engine.run ~policy ~stimuli model
+          Sim.Compile.run ~policy ~stimuli (Sim.Compile.compile model)
         in
         Format.printf "%a@." Sim.Engine.pp_summary result;
         Format.printf "@.%a@." Sim.Stats.pp (Sim.Stats.of_result model result);
@@ -1258,7 +1237,7 @@ let dot_system_cmd =
     Term.(const run $ name_arg)
 
 let synthesize_cmd =
-  let run jobs compiled trace_path trace_buffered span_capacity metrics_path =
+  let run jobs _compiled trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if Option.is_some trace_path then Synth.Domain_trace.enable ();
     let jobs = resolve_jobs jobs in
@@ -1297,11 +1276,7 @@ let synthesize_cmd =
                 token = Spi.Token.make ~payload:(i + 1) ();
               })
         in
-        let result =
-          if compiled then
-            Sim.Compile.run ~stimuli (Sim.Compile.compile model)
-          else Sim.Engine.run ~stimuli model
-        in
+        let result = Sim.Compile.run ~stimuli (Sim.Compile.compile model) in
         Format.printf "sim check %-6s %a@." cluster Sim.Engine.pp_summary
           result;
         match out with

@@ -17,21 +17,17 @@ let cache_limit = 1024
 
 (* Compiled plans are closures over the model, so unlike Bound_store
    they cannot persist in the journal; the cache warms in-memory across
-   requests instead.  Per-configuration and family plans share one
-   bounded FIFO, keyed by the Canonical digests a persistent store would
-   use (Sim.Compile.plan_key, Sim.Family_compiled.plan_key) — the two
-   digests carry different tags, so their keys never collide.  Bounded:
-   a daemon serving many distinct models must not grow without limit. *)
+   requests instead.  It holds family plans only — both simulate shapes
+   run one featured pass — keyed by the Canonical digest a persistent
+   store would use (Sim.Family_compiled.plan_key).  Bounded: a daemon
+   serving many distinct models must not grow without limit. *)
 let plan_cache_limit = 64
 
 (* A family plan holds one presence bit and one lazily compiled table
-   set per configuration, and a flat request flattens and compiles every
-   configuration, so a simulate request of either shape is refused
-   before any plan is built once its variant space exceeds this many
-   configurations. *)
+   set per configuration, so a simulate request of either shape is
+   refused before any plan is built once its variant space exceeds this
+   many configurations. *)
 let max_configurations = 4096
-
-type plan = Flat of Sim.Compile.plan | Family of Sim.Family_compiled.plan
 
 type t = {
   store : Store.Keyed.t option;
@@ -39,7 +35,7 @@ type t = {
   jobs : int;
   cache : (string, J.t) Hashtbl.t;
   cache_order : string Queue.t;
-  plans : (string, plan) Hashtbl.t;
+  plans : (string, Sim.Family_compiled.plan) Hashtbl.t;
   plan_order : string Queue.t;
   plan_lock : Mutex.t;
   series : Obs.Series.t option;
@@ -78,7 +74,8 @@ let cache_put t id response =
 (* Batch items run on pool domains, so the plan cache is mutex-guarded;
    compilation happens outside the lock (two racing misses both compile
    — plans are immutable and equal, so last-put-wins is harmless). *)
-let cached_plan t ~key ~compile =
+let family_plan_for t system =
+  let key = Sim.Family_compiled.plan_key system in
   let cached =
     Mutex.lock t.plan_lock;
     Fun.protect
@@ -93,7 +90,7 @@ let cached_plan t ~key ~compile =
     Obs.Metric.incr m_plan_misses;
     Obs.Log.emit ~level:Obs.Log.Debug "serve.plan_compile"
       [ ("key", J.String key) ];
-    let plan = compile () in
+    let plan = Sim.Family_compiled.plan system in
     Mutex.lock t.plan_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.plan_lock)
@@ -105,24 +102,6 @@ let cached_plan t ~key ~compile =
           Hashtbl.add t.plans key plan
         end);
     plan
-
-(* The [assert false] arms are unreachable: a key's tag fixes the kind
-   of plan stored under it. *)
-let plan_for t model =
-  match
-    cached_plan t ~key:(Sim.Compile.plan_key model) ~compile:(fun () ->
-        Flat (Sim.Compile.compile model))
-  with
-  | Flat plan -> plan
-  | Family _ -> assert false
-
-let family_plan_for t system =
-  match
-    cached_plan t ~key:(Sim.Family_compiled.plan_key system) ~compile:(fun () ->
-        Family (Sim.Family_compiled.plan system))
-  with
-  | Family plan -> plan
-  | Flat _ -> assert false
 
 (* -- model/tech loading ------------------------------------------------ *)
 
@@ -236,47 +215,66 @@ let pareto ~jobs ~id ~model ~tech ~capacity =
           ],
         [] ))
 
-let outcome_json (r : Sim.Engine.result) =
-  J.String (Format.asprintf "%a" Sim.Engine.pp_outcome r.Sim.Engine.outcome)
+let run_json head (r : Sim.Engine.result) =
+  J.Obj
+    (head
+    @ [
+        ("end_time", J.Int r.Sim.Engine.end_time);
+        ("firings", J.Int r.Sim.Engine.firings);
+        ( "outcome",
+          J.String
+            (Format.asprintf "%a" Sim.Engine.pp_outcome r.Sim.Engine.outcome) );
+      ])
 
-(* One featured pass over the whole variant space.  The response keeps
-   the per-configuration shape of the flat path (one entry per run) and
-   adds the sharing summary.  The pass always runs compiled, whatever
-   the request's [compiled] says. *)
-let simulate_family t ~id ~jobs ~limits system =
-  match Sim.Family_compiled.run ~limits ~jobs (family_plan_for t system) with
-  | exception Invalid_argument m -> (P.error ?id m, [])
-  | report ->
-    let runs =
-      Array.to_list report.Sim.Family.runs
-      |> List.map (fun (cr : Sim.Family.config_run) ->
-             J.Obj
-               [
-                 ("configuration", J.Int cr.Sim.Family.index);
-                 ( "assignment",
-                   J.String
-                     (Format.asprintf "%a" V.Variant_space.pp_assignment
-                        cr.Sim.Family.assignment) );
-                 ("end_time", J.Int cr.Sim.Family.result.Sim.Engine.end_time);
-                 ("firings", J.Int cr.Sim.Family.result.Sim.Engine.firings);
-                 ("outcome", outcome_json cr.Sim.Family.result);
-               ])
+(* The flat shape: one run per application, named by its cluster ids. *)
+let flat_response ?id runs =
+  let run (clusters, r) =
+    let name =
+      String.concat "+" (List.map Spi.Ids.Cluster_id.to_string clusters)
     in
-    ( P.ok ?id
-        [
-          ("op", J.String "simulate");
-          ("compiled", J.Bool true);
-          ("family", J.Bool true);
-          ("configurations", J.Int (Array.length report.Sim.Family.runs));
-          ("splits", J.Int report.Sim.Family.splits);
-          ("subfamilies", J.Int report.Sim.Family.subfamilies);
-          ("executed_firings", J.Int report.Sim.Family.executed_firings);
-          ("shared_firings", J.Int report.Sim.Family.shared_firings);
-          ("runs", J.List runs);
-        ],
-      [] )
+    run_json [ ("application", J.String name) ] r
+  in
+  P.ok ?id
+    [
+      ("op", J.String "simulate");
+      ("compiled", J.Bool true);
+      ("runs", J.List (List.map run runs));
+    ]
 
-let simulate t ~id ~jobs ~model ~until ~compiled ~family =
+let family_response ?id (report : Sim.Family.report) =
+  let run (cr : Sim.Family.config_run) =
+    run_json
+      [
+        ("configuration", J.Int cr.index);
+        ( "assignment",
+          J.String
+            (Format.asprintf "%a" V.Variant_space.pp_assignment cr.assignment)
+        );
+      ]
+      cr.result
+  in
+  P.ok ?id
+    [
+      ("op", J.String "simulate");
+      ("compiled", J.Bool true);
+      ("family", J.Bool true);
+      ("configurations", J.Int (Array.length report.runs));
+      ("splits", J.Int report.splits);
+      ("subfamilies", J.Int report.subfamilies);
+      ("executed_firings", J.Int report.executed_firings);
+      ("shared_firings", J.Int report.shared_firings);
+      ("runs", J.List (List.map run (Array.to_list report.runs)));
+    ]
+
+(* Both shapes run one featured pass on the cached family plan: a
+   featured run restricted to one configuration is that configuration's
+   run, and [Variant_space.enumerate] order is [Flatten.applications]
+   order, so the flat shape reads its runs off the report.  A system
+   whose shared ids collide with a site prefix has no family plan: a
+   family request gets that error, and a flat request is answered by one
+   uncached [Sim.Compile] run per application.  The request's
+   [compiled] is ignored. *)
+let simulate t ~id ~jobs ~model ~until ~family =
   let limits =
     match until with
     | None -> Sim.Engine.default_limits
@@ -287,46 +285,37 @@ let simulate t ~id ~jobs ~model ~until ~compiled ~family =
     | n -> n > max_configurations
     | exception Invalid_argument _ -> true (* the count overflows *)
   in
-  match load_system model with
-  | Error e -> (P.error ?id e, [])
-  | Ok system when too_large system ->
-    ( P.too_large ?id ~limit:max_configurations
+  let response =
+    match load_system model with
+    | Error e -> P.error ?id e
+    | Ok system when too_large system ->
+      P.too_large ?id ~limit:max_configurations
         (Printf.sprintf
            "simulate: the variant space has more than %d configurations"
-           max_configurations),
-      [] )
-  | Ok system when family -> simulate_family t ~id ~jobs ~limits system
-  | Ok system -> (
-    match V.Flatten.applications system with
-    | exception Invalid_argument m -> (P.error ?id m, [])
-    | models ->
-      let runs =
-        List.map
-          (fun (clusters, model) ->
-            let name =
-              String.concat "+"
-                (List.map Spi.Ids.Cluster_id.to_string clusters)
-            in
-            let r =
-              if compiled then Sim.Compile.run ~limits (plan_for t model)
-              else Sim.Engine.run ~limits model
-            in
-            J.Obj
-              [
-                ("application", J.String name);
-                ("end_time", J.Int r.Sim.Engine.end_time);
-                ("firings", J.Int r.Sim.Engine.firings);
-                ("outcome", outcome_json r);
-              ])
-          models
-      in
-      ( P.ok ?id
-          [
-            ("op", J.String "simulate");
-            ("compiled", J.Bool compiled);
-            ("runs", J.List runs);
-          ],
-        [] ))
+           max_configurations)
+    | Ok system -> (
+      match family_plan_for t system with
+      | exception Invalid_argument m when family -> P.error ?id m
+      | exception Invalid_argument _ -> (
+        match V.Flatten.applications system with
+        | exception Invalid_argument m -> P.error ?id m
+        | models ->
+          flat_response ?id
+            (List.map
+               (fun (clusters, m) ->
+                 (clusters, Sim.Compile.run ~limits (Sim.Compile.compile m)))
+               models))
+      | plan -> (
+        match Sim.Family_compiled.run ~limits ~jobs plan with
+        | exception Invalid_argument m -> P.error ?id m
+        | report when family -> family_response ?id report
+        | report ->
+          flat_response ?id
+            (Array.to_list report.runs
+            |> List.map (fun (cr : Sim.Family.config_run) ->
+                   (List.map snd cr.assignment, cr.result)))))
+  in
+  (response, [])
 
 (* -- dispatch ---------------------------------------------------------- *)
 
@@ -340,7 +329,10 @@ let deadline_of t ~admitted_ns (r : P.request) =
 let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
   let id = r.P.id in
   let deadline_ns = deadline_of t ~admitted_ns r in
-  let jobs = match r.P.jobs with Some j when j > 0 -> j | Some _ | None -> jobs in
+  (* a request may lower the domain count it runs on, never raise it *)
+  let jobs =
+    match r.P.jobs with Some j when j > 0 -> min j jobs | Some _ | None -> jobs
+  in
   match r.P.op with
   | P.Ping -> (P.ok ?id [ ("op", J.String "ping") ], [])
   | P.Metrics ->
@@ -376,8 +368,8 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
     synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity
   | P.Pareto { model; tech; capacity } ->
     pareto ~jobs ~id ~model ~tech ~capacity
-  | P.Simulate { model; until; compiled; family } ->
-    simulate t ~id ~jobs ~model ~until ~compiled ~family
+  | P.Simulate { model; until; compiled = _; family } ->
+    simulate t ~id ~jobs ~model ~until ~family
   | P.Batch items ->
     (* fan the items out on the pool, one domain each; the store stays
        read-only until the joined commits run below *)

@@ -22,14 +22,14 @@ type op =
       compiled : bool;
       family : bool;
     }
-      (** [compiled] (default [false] on the wire) simulates with
-          {!Sim.Compile} plans cached daemon-side by
-          {!Sim.Compile.plan_key} — identical results, amortized
-          specialization across requests for the same model.  [family]
-          (default [false]) covers the whole variant space in one
-          featured pass on {!Sim.Family_compiled} plans cached by
-          {!Sim.Family_compiled.plan_key}; [compiled] is ignored then
-          and the response reports [compiled = true] *)
+      (** Both shapes run one featured pass on the system's
+          {!Sim.Family_compiled} plan, cached daemon-side by
+          {!Sim.Family_compiled.plan_key}.  [family] (default [false])
+          answers one run per configuration plus the sharing summary;
+          without it the answer is one run per application, as
+          {!Variants.Flatten.applications} orders them.  [compiled]
+          (default [false] on the wire) is accepted and ignored: every
+          response reports [compiled = true] *)
   | Batch of request list
       (** sub-requests run on the work-stealing pool; nesting depth 1 *)
 
@@ -39,7 +39,9 @@ and request = {
           instead of recomputing *)
   deadline_ms : int option;
       (** budget from {e admission}, queue wait included *)
-  jobs : int option;  (** overrides the daemon's domain count *)
+  jobs : int option;
+      (** lowers the daemon's domain count for this request; capped at
+          the count the request would otherwise run on *)
   trace : bool;
       (** when true (default [false] on the wire), the response carries
           a ["trace"] field: the request's [rtrace/v1] span tree *)

@@ -53,8 +53,7 @@ val run :
 val key : plan -> string
 (** Structural fingerprint of the model {e and} its configuration sets
     ({!Variants.Canonical} digest): two plans with equal keys simulate
-    identically.  The serve daemon's in-memory plan cache is keyed by
-    this. *)
+    identically, so a plan cache can be keyed by it. *)
 
 val plan_key :
   ?configurations:Variants.Configuration.t list -> Spi.Model.t -> string

@@ -67,49 +67,40 @@ let key plan = plan.p_key
 let system plan = plan.p_system
 let configurations plan = plan.p_n
 
+(* The caches fill under [p_lock]; [Mutex.protect] releases it when the
+   builder raises (a configuration that fails to flatten), so a cached
+   plan stays usable after a failed run. *)
 let model_of plan i =
-  Mutex.lock plan.p_lock;
-  let m =
-    match plan.p_models.(i) with
-    | Some m -> m
-    | None ->
-      let m =
-        Variants.Flatten.flatten plan.p_system
-          (Variants.Variant_space.to_choice (P.assignment plan.p_space i))
-      in
-      plan.p_models.(i) <- Some m;
-      m
-  in
-  Mutex.unlock plan.p_lock;
-  m
+  Mutex.protect plan.p_lock (fun () ->
+      match plan.p_models.(i) with
+      | Some m -> m
+      | None ->
+        let m =
+          Variants.Flatten.flatten plan.p_system
+            (Variants.Variant_space.to_choice (P.assignment plan.p_space i))
+        in
+        plan.p_models.(i) <- Some m;
+        m)
 
 let init_of plan i =
   let m = model_of plan i in
-  Mutex.lock plan.p_lock;
-  let s =
-    match plan.p_inits.(i) with
-    | Some s -> s
-    | None ->
-      let s = Spi.Semantics.initial m in
-      plan.p_inits.(i) <- Some s;
-      s
-  in
-  Mutex.unlock plan.p_lock;
-  s
+  Mutex.protect plan.p_lock (fun () ->
+      match plan.p_inits.(i) with
+      | Some s -> s
+      | None ->
+        let s = Spi.Semantics.initial m in
+        plan.p_inits.(i) <- Some s;
+        s)
 
 let table_of plan i =
   let model = model_of plan i in
-  Mutex.lock plan.p_lock;
-  let t =
-    match plan.p_tables.(i) with
-    | Some t -> t
-    | None ->
-      let t = Crt.lower model in
-      plan.p_tables.(i) <- Some t;
-      t
-  in
-  Mutex.unlock plan.p_lock;
-  t
+  Mutex.protect plan.p_lock (fun () ->
+      match plan.p_tables.(i) with
+      | Some t -> t
+      | None ->
+        let t = Crt.lower model in
+        plan.p_tables.(i) <- Some t;
+        t)
 
 (* ------------------------------- run -------------------------------- *)
 

@@ -6,9 +6,10 @@ let suggest ?(margin = 0) ?policy ?configurations ~stimuli model =
   if margin < 0 then invalid_arg "Sizing.suggest: negative margin";
   (* keyed by channel ids directly — no per-lookup string conversion *)
   let high = ref I.Channel_id.Map.empty in
+  let plan = Compile.compile ?configurations model in
   List.iter
     (fun stims ->
-      let result = Engine.run ?policy ?configurations ~stimuli:stims model in
+      let result = Compile.run ?policy ~stimuli:stims plan in
       let stats = Stats.of_result model result in
       List.iter
         (fun (c : Stats.channel_stats) ->
@@ -52,12 +53,13 @@ let apply suggestions model =
   Spi.Model.build_exn ~processes:(Spi.Model.processes model) ~channels
 
 let verify ?policy ?configurations ~stimuli model =
+  let plan = Compile.compile ?configurations model in
   try
     List.iter
       (fun stims ->
         ignore
-          (Engine.run ?policy ?configurations ~overflow:Spi.Semantics.Reject
-             ~stimuli:stims model))
+          (Compile.run ?policy ~overflow:Spi.Semantics.Reject ~stimuli:stims
+             plan))
       stimuli;
     Ok ()
   with Spi.Semantics.Channel_overflow cid -> Error cid

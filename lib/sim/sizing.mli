@@ -21,9 +21,13 @@ val suggest :
   stimuli:Engine.stimulus list list ->
   Spi.Model.t ->
   suggestion list
-(** One simulation per stimulus list (different workloads); the
-    suggestion takes the maximum high-water over all runs.  [margin]
-    defaults to 0.  Registers are skipped (their capacity is fixed). *)
+(** One simulation per stimulus list (different workloads), all on one
+    {!Compile} plan of the model; the suggestion takes the maximum
+    high-water over all runs.  [margin] defaults to 0.  Registers are
+    skipped (their capacity is fixed).
+
+    @raise Invalid_argument on a bad configuration set
+    ({!Compile.compile}). *)
 
 val apply : suggestion list -> Spi.Model.t -> Spi.Model.t
 (** The same model with every suggested queue bounded to its suggested
@@ -35,7 +39,11 @@ val verify :
   stimuli:Engine.stimulus list list ->
   Spi.Model.t ->
   (unit, Spi.Ids.Channel_id.t) result
-(** Runs every stimulus list against the model with [Reject] overflow;
-    [Error c] names the first overflowing channel. *)
+(** Runs every stimulus list against one {!Compile} plan of the model
+    with [Reject] overflow; [Error c] names the first overflowing
+    channel.
+
+    @raise Invalid_argument on a bad configuration set
+    ({!Compile.compile}). *)
 
 val pp_suggestion : Format.formatter -> suggestion -> unit

@@ -312,6 +312,47 @@ let test_key_stability () =
   Alcotest.(check bool) "distinct models get distinct keys" true
     (key () <> other)
 
+(* The CLI's default fault campaign (faultsim: video with valves, 40
+   frames, period 5, switches at 52 and 120, drop 0.02, transient 0.05,
+   seeds 1-3), rendered to one buffered timeline per engine with a pid
+   per seed: the interpreter's and the compiled timeline are the same
+   bytes. *)
+let test_campaign_timelines () =
+  let built =
+    Video.System.build { Video.System.default_params with with_valves = true }
+  in
+  let model = built.Video.System.model
+  and configurations = built.Video.System.configurations in
+  let stimuli =
+    Video.Scenario.switching_demo ~frames:40 ~period:5
+      ~switches:[ (52, "fB"); (120, "fA") ]
+      ()
+  in
+  let plan = Sim.Compile.compile ~configurations model in
+  let timeline run =
+    let builder = Obs.Trace_event.create () in
+    List.iter
+      (fun seed ->
+        let faults =
+          Video.Scenario.fault_plan ~drop_probability:0.02
+            ~transient_probability:0.05 ~seed built
+        in
+        Sim.Timeline.emit ~pid:seed
+          ~name:(Printf.sprintf "seed %d" seed)
+          (Obs.Trace_event.buffer_sink builder)
+          model (run faults))
+      [ 1; 2; 3 ];
+    Obs.Json.to_string (Obs.Trace_event.to_json builder)
+  in
+  let interpreted =
+    timeline (fun faults ->
+        Sim.Engine.run ~configurations ~stimuli ~faults model)
+  in
+  let compiled = timeline (fun faults -> Sim.Compile.run ~stimuli ~faults plan) in
+  Alcotest.(check bool) "the campaign fires" true (String.length compiled > 10_000);
+  Alcotest.(check string) "compiled timeline = interpreted timeline" interpreted
+    compiled
+
 let suite =
   ( "compile",
     [
@@ -328,4 +369,6 @@ let suite =
         test_overflow_drop_newest;
       Alcotest.test_case "compiled plans are reusable" `Quick test_plan_reuse;
       Alcotest.test_case "plan keys are stable" `Quick test_key_stability;
+      Alcotest.test_case "fault campaign timelines are byte-identical" `Quick
+        test_campaign_timelines;
     ] )

@@ -148,6 +148,11 @@ let handle ?handler request =
 let plain op =
   { P.id = None; deadline_ms = None; jobs = None; trace = false; op }
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_handler_ping () =
   let r = handle (plain P.Ping) in
   Alcotest.(check string) "ok" "ok" (P.status_of_response r)
@@ -347,6 +352,33 @@ let run_fields response =
   | Some runs -> runs
   | None -> Alcotest.fail "response has no runs"
 
+(* What a flat simulate must answer: [Sim.Engine.run] (the oracle) on
+   every [Flatten.applications] model of the request's text, in order. *)
+let oracle_runs ?until source =
+  let limits =
+    match until with
+    | None -> Sim.Engine.default_limits
+    | Some max_time -> { Sim.Engine.default_limits with max_time }
+  in
+  V.Flatten.applications (Lang.Parser.system_of_string source)
+  |> List.map (fun (clusters, model) ->
+         let r = Sim.Engine.run ~limits model in
+         J.Obj
+           [
+             ( "application",
+               J.String
+                 (String.concat "+"
+                    (List.map Spi.Ids.Cluster_id.to_string clusters)) );
+             ("end_time", J.Int r.Sim.Engine.end_time);
+             ("firings", J.Int r.Sim.Engine.firings);
+             ( "outcome",
+               J.String
+                 (Format.asprintf "%a" Sim.Engine.pp_outcome
+                    r.Sim.Engine.outcome) );
+           ])
+
+(* [compiled] is a no-op: both settings answer with the same bytes,
+   [compiled: true] included, and the runs are the oracle's. *)
 let test_handler_simulate_compiled () =
   let t = Serve.Handler.create ~jobs:1 () in
   let simulate compiled =
@@ -355,25 +387,25 @@ let test_handler_simulate_compiled () =
          (P.Simulate
             { model = model_source; until = Some 50; compiled; family = false }))
   in
-  let interpreted = simulate false in
   let hits = Obs.Registry.counter "serve.plan_cache_hits" in
   let misses = Obs.Registry.counter "serve.plan_cache_misses" in
   let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
+  let uncompiled = simulate false in
   let compiled1 = simulate true in
   let compiled2 = simulate true in
   Alcotest.(check string) "ok" "ok" (P.status_of_response compiled1);
-  Alcotest.(check (option bool)) "compiled tagged" (Some true)
-    (Option.bind (J.member "compiled" compiled1) J.to_bool);
-  Alcotest.(check (option bool)) "interpreted tagged" (Some false)
-    (Option.bind (J.member "compiled" interpreted) J.to_bool);
-  (* identical runs: the differential guarantee surfaces on the wire *)
-  Alcotest.(check bool) "compiled runs = interpreted runs" true
-    (run_fields compiled1 = run_fields interpreted);
+  Alcotest.(check (option bool)) "compiled:false answers compiled" (Some true)
+    (Option.bind (J.member "compiled" uncompiled) J.to_bool);
+  Alcotest.(check string) "compiled:false = compiled:true"
+    (J.to_string ~minify:true uncompiled)
+    (J.to_string ~minify:true compiled1);
+  Alcotest.(check bool) "runs = oracle" true
+    (run_fields compiled1 = oracle_runs ~until:50 model_source);
   Alcotest.(check bool) "repeat request is stable" true
     (run_fields compiled1 = run_fields compiled2);
-  (* first compiled request misses the plan cache, the second hits *)
+  (* the first request misses the plan cache, the next two hit *)
   Alcotest.(check int) "one miss" (m0 + 1) (Obs.Metric.value misses);
-  Alcotest.(check int) "one hit" (h0 + 1) (Obs.Metric.value hits)
+  Alcotest.(check int) "two hits" (h0 + 2) (Obs.Metric.value hits)
 
 (* ------------------------- family simulate ------------------------ *)
 
@@ -515,6 +547,215 @@ let test_family_request_capped () =
         (P.status_of_response next))
     [ true; false ]
 
+(* A request's [jobs] may lower the handler's domain count, never raise
+   it: on a one-domain handler neither a request nor a batch item asking
+   for 64 domains spawns a pool. *)
+let test_request_jobs_capped () =
+  let t = Serve.Handler.create ~jobs:1 () in
+  let pools = Obs.Registry.counter "par.pools" in
+  let sim =
+    {
+      (plain
+         (P.Simulate
+            { model = family_model_source; until = Some 500; compiled = true;
+              family = true }))
+      with
+      P.jobs = Some 64;
+    }
+  in
+  let p0 = Obs.Metric.value pools in
+  let r = handle ~handler:t sim in
+  Alcotest.(check string) "request ok" "ok" (P.status_of_response r);
+  Alcotest.(check int) "no pool for the request" p0 (Obs.Metric.value pools);
+  let b = handle ~handler:t (plain (P.Batch [ sim ])) in
+  (match Option.bind (J.member "results" b) J.to_list with
+  | Some [ item ] ->
+    Alcotest.(check string) "item ok" "ok" (P.status_of_response item)
+  | _ -> Alcotest.fail "batch has no single result");
+  Alcotest.(check int) "no pool for the batch item" p0 (Obs.Metric.value pools)
+
+(* ------------------- flat answers from the family plan ------------ *)
+
+let message r =
+  Option.value ~default:"" (Option.bind (J.member "message" r) J.to_string_opt)
+
+(* Every queue the first configuration leaves unwritten starts with
+   [n] tokens, so the daemon's stimulus-free runs fire. *)
+let with_inputs n system =
+  let inputs =
+    Spi.Model.unwritten_channels (snd (List.hd (V.Flatten.applications system)))
+  in
+  let channels =
+    List.map
+      (fun c ->
+        let cid = Spi.Chan.id c in
+        if Spi.Ids.Channel_id.Set.mem cid inputs && Spi.Chan.kind c = Spi.Chan.Queue
+        then Spi.Chan.queue ~initial:(Spi.Token.replicate n Spi.Token.plain) cid
+        else c)
+      (V.System.channels system)
+  in
+  V.System.make ~processes:(V.System.processes system) ~channels
+    ~sites:(V.System.sites system) ~constraints:(V.System.constraints system)
+    (V.System.name system)
+
+(* Valid, but the shared process [iface1.PA] sits inside site
+   [iface1]'s prefix, so the system has no family plan. *)
+let colliding_model_source =
+  {|system clash {
+  channel CX queue initial 3
+  channel CA queue
+  channel CB queue
+  process iface1.PA {
+    mode PA.default { latency 3 consume CX 1 produce CA 1 }
+    rule PA.auto0 when num CX >= 1 -> PA.default
+    }
+  interface iface1 {
+    port in i = CA
+    port out o = CB
+    cluster g1 {
+      process x1 {
+        mode x1.default { latency 4 consume i 1 produce o 1 }
+        rule x1.auto0 when num i >= 1 -> x1.default
+        }
+      }
+    cluster g2 {
+      process y1 {
+        mode y1.default { latency 2 consume i 1 produce o 1 }
+        rule y1.auto0 when num i >= 1 -> y1.default
+        }
+      }
+    }
+  }
+|}
+
+(* For generated flat, nested and zero-site systems, with and without a
+   horizon, a flat request's runs are the oracle's — names, order,
+   end times, firings and outcomes — and a repeated request is served
+   from the cached family plan.  A prefix-colliding system keeps its
+   flat answer, its family request gets the collision error, and the
+   handler keeps serving. *)
+let test_flat_from_family_plan () =
+  let t = Serve.Handler.create ~jobs:2 () in
+  let hits = Obs.Registry.counter "serve.plan_cache_hits" in
+  let misses = Obs.Registry.counter "serve.plan_cache_misses" in
+  let simulate ?until ~family source =
+    handle ~handler:t
+      (plain (P.Simulate { model = source; until; compiled = true; family }))
+  in
+  let check_oracle what ?until source =
+    let r = simulate ?until ~family:false source in
+    Alcotest.(check string) (what ^ ": ok") "ok" (P.status_of_response r);
+    Alcotest.(check bool) (what ^ ": runs = oracle") true
+      (run_fields r = oracle_runs ?until source);
+    run_fields r
+  in
+  (* the comparison is not vacuous: the runs fire, and the horizon cuts
+     some of them short *)
+  let fired = ref 0 and cut = ref 0 in
+  let tally runs =
+    List.iter
+      (fun run ->
+        let get k = Option.bind (J.member k run) in
+        fired := !fired + Option.value ~default:0 (get "firings" J.to_int);
+        if get "outcome" J.to_string_opt <> Some "quiescent" then incr cut)
+      runs
+  in
+  let generated seed =
+    [
+      (Printf.sprintf "flat seed %d" seed, Harness.family_system ~seed ());
+      (Printf.sprintf "nested seed %d" seed, Harness.nested_family_system ~seed);
+      ( Printf.sprintf "zero-site seed %d" seed,
+        Harness.family_system ~sites:0 ~seed () );
+    ]
+  in
+  List.iter
+    (fun (what, system) ->
+      let source = Lang.Printer.to_string (with_inputs 3 system) in
+      let h0 = Obs.Metric.value hits and m0 = Obs.Metric.value misses in
+      tally (check_oracle what source);
+      tally (check_oracle (what ^ ", until 7") ~until:7 source);
+      ignore (check_oracle (what ^ ", repeated") source);
+      Alcotest.(check int) (what ^ ": one plan built") (m0 + 1)
+        (Obs.Metric.value misses);
+      Alcotest.(check int) (what ^ ": then served from the cache") (h0 + 2)
+        (Obs.Metric.value hits))
+    (List.concat_map generated [ 1; 2; 3; 4 ]);
+  Alcotest.(check bool) "the runs fire" true (!fired > 0);
+  Alcotest.(check bool) "the horizon cuts runs" true (!cut > 0);
+  ignore (check_oracle "colliding" colliding_model_source);
+  ignore (check_oracle "colliding, until 7" ~until:7 colliding_model_source);
+  let r = simulate ~family:true colliding_model_source in
+  Alcotest.(check string) "colliding family: error" "error"
+    (P.status_of_response r);
+  Alcotest.(check bool) "colliding family: names the collision" true
+    (contains ~sub:"collides with a site prefix" (message r));
+  ignore (check_oracle "next request served" family_model_source)
+
+(* Valid, but configuration g2 does not flatten: its [y1] and the
+   shared [PZ] both write CB. *)
+let unflattenable_model_source =
+  {|system twowriters {
+  channel CX queue initial 2
+  channel CZ queue
+  channel CA queue
+  channel CB queue
+  process PA {
+    mode PA.default { latency 3 consume CX 1 produce CA 1 }
+    rule PA.auto0 when num CX >= 1 -> PA.default
+    }
+  process PZ {
+    mode PZ.default { latency 1 consume CZ 1 produce CB 1 }
+    rule PZ.auto0 when num CZ >= 1 -> PZ.default
+    }
+  interface iface1 {
+    port in i = CA
+    port out o = CB
+    cluster g1 {
+      process x1 {
+        mode x1.default { latency 4 consume i 1 }
+        rule x1.auto0 when num i >= 1 -> x1.default
+        }
+      }
+    cluster g2 {
+      process y1 {
+        mode y1.default { latency 2 consume i 1 produce o 1 }
+        rule y1.auto0 when num i >= 1 -> y1.default
+        }
+      }
+    }
+  }
+|}
+
+(* A configuration that fails to flatten mid-run is an error in both
+   shapes, every time: the cached plan stays usable after the failed
+   run (its lock is released), also when the failure happens on a pool
+   domain. *)
+let test_unflattenable_configuration () =
+  let t = Serve.Handler.create ~jobs:2 () in
+  let simulate family =
+    handle ~handler:t
+      (plain
+         (P.Simulate
+            { model = unflattenable_model_source; until = None; compiled = true;
+              family }))
+  in
+  List.iter
+    (fun family ->
+      let r = simulate family in
+      Alcotest.(check string) "error" "error" (P.status_of_response r);
+      Alcotest.(check bool) "names the two writers" true
+        (contains ~sub:"multiple writers" (message r)))
+    [ false; false; true; true; false ];
+  let next =
+    handle ~handler:t
+      (plain
+         (P.Simulate
+            { model = family_model_source; until = None; compiled = true;
+              family = false }))
+  in
+  Alcotest.(check string) "next request served" "ok"
+    (P.status_of_response next)
+
 (* --------------------------- line framing ------------------------- *)
 
 (* Lines of cap-1, cap and cap+1 bytes, each fed in uneven chunks with
@@ -583,13 +824,8 @@ let test_handler_metrics_verb () =
   | _ -> Alcotest.fail "snapshot misses the request counter");
   (match Option.bind (get_path r [ "exposition" ]) J.to_string_opt with
   | Some text ->
-    let has needle =
-      let nl = String.length needle and tl = String.length text in
-      let rec at i = i + nl <= tl && (String.sub text i nl = needle || at (i + 1)) in
-      at 0
-    in
     Alcotest.(check bool) "exposition has TYPE headers" true
-      (has "# TYPE serve_requests counter")
+      (contains ~sub:"# TYPE serve_requests counter" text)
   | None -> Alcotest.fail "no exposition");
   Alcotest.(check (option string)) "series is series/v1" (Some "series/v1")
     (Option.bind (get_path r [ "series"; "schema" ]) J.to_string_opt);
@@ -845,7 +1081,7 @@ let test_closed_connection_skipped () =
   Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
   let admitted = Obs.Registry.counter "serve.admitted" in
   let depth = Obs.Registry.gauge "serve.queue_depth" in
-  let runs = Obs.Registry.counter "sim.compiled_runs" in
+  let runs = Obs.Registry.counter "sim.family.runs" in
   let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
   let first, ran =
     Fun.protect
@@ -938,6 +1174,12 @@ let suite =
         test_client_retry_logged;
       Alcotest.test_case "over-cap family request is refused" `Quick
         test_family_request_capped;
+      Alcotest.test_case "a request's jobs cannot exceed the handler's" `Quick
+        test_request_jobs_capped;
+      Alcotest.test_case "flat answers from the family plan equal the oracle"
+        `Quick test_flat_from_family_plan;
+      Alcotest.test_case "an unflattenable configuration leaves the plan usable"
+        `Quick test_unflattenable_configuration;
       Alcotest.test_case "request lines are capped" `Quick
         test_split_lines_cap;
       Alcotest.test_case "a closed connection's queued requests are skipped"
