@@ -38,9 +38,29 @@ let trace_ring_limit = 128
    a client that never sends a newline can make the daemon hold. *)
 let max_line_bytes = 1 lsl 20
 
+(* Most response bytes a connection may leave unread.  Answers the
+   socket cannot take yet wait in the daemon, so a client that stops
+   reading would otherwise pin them without bound.  A 100-item
+   family-simulate batch answers about 0.4 MB, so 16 MiB is far more
+   than a reader that is merely slow falls behind by; past it the
+   connection is dropped. *)
+let max_backlog_bytes = 16 * max_line_bytes
+
+(* Longest a shutdown waits for backlogged answers to reach clients
+   that are still reading. *)
+let shutdown_flush_s = 2.0
+
 (* One connected client: the unterminated tail of its input (lines can
-   arrive split across reads or several per read) and its fd. *)
-type conn = { fd : Unix.file_descr; pending : Buffer.t }
+   arrive split across reads or several per read), the answers its
+   socket has not taken yet, and its fd. *)
+type conn = {
+  fd : Unix.file_descr;
+  pending : Buffer.t;
+  unsent : string Queue.t;  (* response lines, oldest first *)
+  mutable sent : int;  (* bytes of the oldest unsent line already written *)
+  mutable backlog : int;  (* unsent bytes over all lines *)
+  mutable closed : bool;
+}
 
 type pending = {
   p_conn : conn;
@@ -60,19 +80,48 @@ type state = {
   mutable draining : bool;
 }
 
-let write_line conn json =
-  let line = J.to_string ~minify:true json ^ "\n" in
-  let b = Bytes.unsafe_of_string line in
-  let n = Bytes.length b in
-  let rec go o =
-    if o < n then go (o + Unix.write conn.fd b o (n - o))
-  in
-  (* a client that vanished mid-response is its problem, not ours *)
-  try go 0 with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ()
-
 let drop_conn st conn =
+  conn.closed <- true;
   st.conns <- List.filter (fun c -> c.fd != conn.fd) st.conns;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+
+(* Writes as much of [conn]'s backlog as its socket takes without
+   blocking; false when the client is gone. *)
+let rec flush conn =
+  match Queue.peek_opt conn.unsent with
+  | None -> true
+  | Some line -> (
+    let n = String.length line - conn.sent in
+    match Unix.write_substring conn.fd line conn.sent n with
+    | k ->
+      conn.backlog <- conn.backlog - k;
+      if k = n then begin
+        ignore (Queue.pop conn.unsent);
+        conn.sent <- 0
+      end
+      else conn.sent <- conn.sent + k;
+      flush conn
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> false)
+
+let flush_or_drop st conn = if not (flush conn) then drop_conn st conn
+
+(* Queues one response line behind the connection's backlog and writes
+   what the socket takes now; the rest goes out as [select] reports the
+   fd writable.  A client that vanished mid-response is its problem,
+   not ours, and one that lets [max_backlog_bytes] pile up is cut off. *)
+let write_line st conn json =
+  if not conn.closed then begin
+    let line = J.to_string ~minify:true json ^ "\n" in
+    Queue.push line conn.unsent;
+    conn.backlog <- conn.backlog + String.length line;
+    flush_or_drop st conn;
+    if (not conn.closed) && conn.backlog > max_backlog_bytes then begin
+      Obs.Log.emit ~level:Obs.Log.Warn "serve.slow_reader"
+        [ ("backlog", J.Int conn.backlog); ("limit", J.Int max_backlog_bytes) ];
+      drop_conn st conn
+    end
+  end
 
 let rid_fields (request : P.request) =
   match request.P.id with Some i -> [ ("rid", J.String i) ] | None -> []
@@ -86,7 +135,7 @@ let admit st conn line =
     match P.parse_request line with
     | Error e ->
       Obs.Metric.incr m_bad_lines;
-      write_line conn (P.error e)
+      write_line st conn (P.error e)
     | Ok request ->
       let depth = Queue.length st.queue in
       let rid_fields = rid_fields request in
@@ -98,7 +147,7 @@ let admit st conn line =
               ("queue_depth", J.Int depth);
               ("queue_limit", J.Int st.config.queue_limit);
             ]);
-        write_line conn
+        write_line st conn
           (P.overloaded ?id:request.P.id ~queue_depth:depth
              ~queue_limit:st.config.queue_limit
              ~retry_after_ms:(50 * (1 + depth))
@@ -146,7 +195,7 @@ let handle_readable st conn =
       Obs.Metric.incr m_long_lines;
       Obs.Log.emit ~level:Obs.Log.Warn "serve.line_too_large"
         [ ("limit", J.Int limit) ];
-      write_line conn
+      write_line st conn
         (P.too_large ~limit
            (Printf.sprintf "request line exceeds %d bytes" limit));
       drop_conn st conn)
@@ -158,13 +207,16 @@ let accept_conn st =
   | fd, _ ->
     Unix.set_nonblock fd;
     Obs.Metric.incr m_connections;
-    st.conns <- { fd; pending = Buffer.create 256 } :: st.conns
+    st.conns <-
+      { fd; pending = Buffer.create 256; unsent = Queue.create (); sent = 0;
+        backlog = 0; closed = false }
+      :: st.conns
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
 
 let process_one st =
   match Queue.take_opt st.queue with
   | None -> ()
-  | Some { p_conn; p_request; _ } when not (List.memq p_conn st.conns) ->
+  | Some { p_conn; p_request; _ } when p_conn.closed ->
     (* the client hung up and its fd is closed — possibly already reused
        by a newer client, who must not get this answer *)
     Obs.Metric.set m_queue_depth (Queue.length st.queue);
@@ -180,7 +232,7 @@ let process_one st =
           Handler.handle st.handler ~admitted_ns:p_admitted_ns
             ~queue_depth:(Queue.length st.queue) p_request)
     in
-    write_line p_conn response
+    write_line st p_conn response
 
 (* Periodic registry sampling for the rolling series — runs between
    requests on the event loop, so a disabled ticker ([0]) means the
@@ -207,11 +259,27 @@ let write_traces st path =
     st.traces;
   Obs.Trace_event.to_file path collection
 
+(* Waits until every backlog has drained or [until] (a
+   [Unix.gettimeofday] time) has passed. *)
+let rec drain_backlogs st ~until =
+  let waiting = List.filter (fun c -> c.backlog > 0) st.conns in
+  let left = until -. Unix.gettimeofday () in
+  if waiting <> [] && left > 0. then begin
+    (match Unix.select [] (List.map (fun c -> c.fd) waiting) [] left with
+    | _, writable, _ ->
+      List.iter
+        (fun c -> if List.memq c.fd writable then flush_or_drop st c)
+        waiting
+    | exception Unix.Unix_error (EINTR, _, _) -> ());
+    drain_backlogs st ~until
+  end
+
 let shutdown_state st =
   (* answer everything already admitted, then flush and leave *)
   while not (Queue.is_empty st.queue) do
     process_one st
   done;
+  drain_backlogs st ~until:(Unix.gettimeofday () +. shutdown_flush_s);
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) st.conns;
   (try Unix.close st.listener with Unix.Unix_error _ -> ());
   (try Sys.remove st.config.socket_path with Sys_error _ -> ());
@@ -303,15 +371,19 @@ let run config =
          poll again — reads interleave between requests, not inside *)
       let timeout = if Queue.is_empty st.queue then 0.2 else 0.0 in
       let fds = st.listener :: List.map (fun c -> c.fd) st.conns in
-      (match Unix.select fds [] [] timeout with
-      | readable, _, _ ->
+      let backlogged =
+        List.filter_map (fun c -> if c.backlog > 0 then Some c.fd else None) st.conns
+      in
+      (match Unix.select fds backlogged [] timeout with
+      | readable, writable, _ ->
+        let conn_of fd = List.find_opt (fun c -> c.fd == fd) st.conns in
+        List.iter
+          (fun fd -> Option.iter (flush_or_drop st) (conn_of fd))
+          writable;
         List.iter
           (fun fd ->
             if fd == st.listener then accept_conn st
-            else
-              match List.find_opt (fun c -> c.fd == fd) st.conns with
-              | Some conn -> handle_readable st conn
-              | None -> ())
+            else Option.iter (handle_readable st) (conn_of fd))
           readable
       | exception Unix.Unix_error (EINTR, _, _) -> ());
       maybe_sample st;

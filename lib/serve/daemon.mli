@@ -11,11 +11,15 @@
     answered with a {!Protocol.too_large} error and its connection is
     dropped.  Requests still queued for a connection that has closed
     are skipped, not executed: their fd may already belong to a newer
-    client.
+    client.  Writes never block: the part of an answer the client's
+    socket cannot take yet waits in the connection's backlog and goes
+    out as the socket drains, while other clients are served; a
+    connection whose backlog passes 16 MiB is dropped.
 
     Shutdown is graceful on SIGTERM, SIGINT, or a [shutdown] request:
     the listener closes (new connections are refused by the kernel),
-    queued requests drain and get their responses, the store and the
+    queued requests drain and get their responses (backlogs get a
+    bounded grace to reach clients still reading), the store and the
     optional metrics snapshot are flushed, and the loop returns.  A
     [kill -9] is the crash the store's journal is designed for: at most
     the record being written is lost, and the next start replays the

@@ -215,24 +215,22 @@ let pareto ~jobs ~id ~model ~tech ~capacity =
           ],
         [] ))
 
-let run_json head (r : Sim.Engine.result) =
+let run_json head ~end_time ~firings ~outcome =
   J.Obj
     (head
     @ [
-        ("end_time", J.Int r.Sim.Engine.end_time);
-        ("firings", J.Int r.Sim.Engine.firings);
-        ( "outcome",
-          J.String
-            (Format.asprintf "%a" Sim.Engine.pp_outcome r.Sim.Engine.outcome) );
+        ("end_time", J.Int end_time);
+        ("firings", J.Int firings);
+        ("outcome", J.String (Format.asprintf "%a" Sim.Engine.pp_outcome outcome));
       ])
 
 (* The flat shape: one run per application, named by its cluster ids. *)
 let flat_response ?id runs =
-  let run (clusters, r) =
+  let run (clusters, end_time, firings, outcome) =
     let name =
       String.concat "+" (List.map Spi.Ids.Cluster_id.to_string clusters)
     in
-    run_json [ ("application", J.String name) ] r
+    run_json [ ("application", J.String name) ] ~end_time ~firings ~outcome
   in
   P.ok ?id
     [
@@ -241,40 +239,41 @@ let flat_response ?id runs =
       ("runs", J.List (List.map run runs));
     ]
 
-let family_response ?id (report : Sim.Family.report) =
-  let run (cr : Sim.Family.config_run) =
+let family_response ?id (s : Sim.Family_compiled.summary) =
+  let run (c : Sim.Family_compiled.config_summary) =
     run_json
       [
-        ("configuration", J.Int cr.index);
+        ("configuration", J.Int c.index);
         ( "assignment",
           J.String
-            (Format.asprintf "%a" V.Variant_space.pp_assignment cr.assignment)
+            (Format.asprintf "%a" V.Variant_space.pp_assignment c.assignment)
         );
       ]
-      cr.result
+      ~end_time:c.end_time ~firings:c.firings ~outcome:c.outcome
   in
   P.ok ?id
     [
       ("op", J.String "simulate");
       ("compiled", J.Bool true);
       ("family", J.Bool true);
-      ("configurations", J.Int (Array.length report.runs));
-      ("splits", J.Int report.splits);
-      ("subfamilies", J.Int report.subfamilies);
-      ("executed_firings", J.Int report.executed_firings);
-      ("shared_firings", J.Int report.shared_firings);
-      ("runs", J.List (List.map run (Array.to_list report.runs)));
+      ("configurations", J.Int (Array.length s.configs));
+      ("splits", J.Int s.splits);
+      ("subfamilies", J.Int s.subfamilies);
+      ("executed_firings", J.Int s.executed_firings);
+      ("shared_firings", J.Int s.shared_firings);
+      ("runs", J.List (List.map run (Array.to_list s.configs)));
     ]
 
-(* Both shapes run one featured pass on the cached family plan: a
-   featured run restricted to one configuration is that configuration's
-   run, and [Variant_space.enumerate] order is [Flatten.applications]
-   order, so the flat shape reads its runs off the report.  A system
-   whose shared ids collide with a site prefix has no family plan: a
-   family request gets that error, and a flat request is answered by one
-   uncached [Sim.Compile] run per application.  The request's
-   [compiled] is ignored. *)
-let simulate t ~id ~jobs ~model ~until ~family =
+(* Both shapes run one featured summary pass on the cached family plan:
+   a featured run restricted to one configuration is that
+   configuration's run, and [Variant_space.enumerate] order is
+   [Flatten.applications] order, so the flat shape reads its runs off
+   the summary.  A system whose shared ids collide with a site prefix
+   has no family plan: a family request gets that error, and a flat
+   request is answered by one uncached [Sim.Compile] run per
+   application.  Either way the request's deadline bounds the runs.
+   The request's [compiled] is ignored. *)
+let simulate t ~deadline_ns ~id ~jobs ~model ~until ~family =
   let limits =
     match until with
     | None -> Sim.Engine.default_limits
@@ -284,6 +283,9 @@ let simulate t ~id ~jobs ~model ~until ~family =
     match V.Variant_space.count system with
     | n -> n > max_configurations
     | exception Invalid_argument _ -> true (* the count overflows *)
+  in
+  let expired () =
+    P.deadline_exceeded ?id "simulate: the deadline passed before the runs finished"
   in
   let response =
     match load_system model with
@@ -299,21 +301,29 @@ let simulate t ~id ~jobs ~model ~until ~family =
       | exception Invalid_argument _ -> (
         match V.Flatten.applications system with
         | exception Invalid_argument m -> P.error ?id m
-        | models ->
-          flat_response ?id
-            (List.map
-               (fun (clusters, m) ->
-                 (clusters, Sim.Compile.run ~limits (Sim.Compile.compile m)))
-               models))
+        | models -> (
+          match
+            List.map
+              (fun (clusters, m) ->
+                let r =
+                  Sim.Compile.run ~limits ?deadline_ns (Sim.Compile.compile m)
+                in
+                (clusters, r.Sim.Engine.end_time, r.firings, r.outcome))
+              models
+          with
+          | exception Sim.Crt.Deadline_exceeded -> expired ()
+          | runs -> flat_response ?id runs))
       | plan -> (
-        match Sim.Family_compiled.run ~limits ~jobs plan with
+        match Sim.Family_compiled.summarize ~limits ~jobs ?deadline_ns plan with
         | exception Invalid_argument m -> P.error ?id m
-        | report when family -> family_response ?id report
-        | report ->
+        | exception Sim.Crt.Deadline_exceeded -> expired ()
+        | s when family -> family_response ?id s
+        | s ->
           flat_response ?id
-            (Array.to_list report.runs
-            |> List.map (fun (cr : Sim.Family.config_run) ->
-                   (List.map snd cr.assignment, cr.result)))))
+            (Array.to_list s.configs
+            |> List.map (fun (c : Sim.Family_compiled.config_summary) ->
+                   (List.map snd c.assignment, c.end_time, c.firings, c.outcome)))
+        ))
   in
   (response, [])
 
@@ -369,7 +379,7 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
   | P.Pareto { model; tech; capacity } ->
     pareto ~jobs ~id ~model ~tech ~capacity
   | P.Simulate { model; until; compiled = _; family } ->
-    simulate t ~id ~jobs ~model ~until ~family
+    simulate t ~deadline_ns ~id ~jobs ~model ~until ~family
   | P.Batch items ->
     (* fan the items out on the pool, one domain each; the store stays
        read-only until the joined commits run below *)

@@ -30,8 +30,10 @@ val create :
 val handle : t -> admitted_ns:int -> queue_depth:int -> Protocol.request ->
   Obs.Json.t
 (** Executes the request; deadlines are absolute from [admitted_ns], so
-    time spent queued counts against the budget.  Never raises: every
-    failure becomes a [status = "error"] response.
+    time spent queued counts against the budget.  A synthesize past its
+    deadline answers a degraded incumbent; a simulate past its deadline
+    answers {!Protocol.deadline_exceeded}.  Never raises: every failure
+    becomes a [status = "error"] response.
 
     Each non-replayed request runs under a fresh {!Obs.Rtrace} whose rid
     is the request id (or a generated [req-N]); when the request carries

@@ -166,6 +166,13 @@ let too_large ?id ~limit message =
            ("message", J.String message);
          ])
 
+let deadline_exceeded ?id message =
+  J.Obj
+    (("schema", J.String schema)
+    :: ("status", J.String "error")
+    :: with_id ?id
+         [ ("error", J.String "deadline_exceeded"); ("message", J.String message) ])
+
 let overloaded ?id ~queue_depth ~queue_limit ~retry_after_ms () =
   J.Obj
     (("schema", J.String schema)

@@ -22,7 +22,8 @@ type op =
       compiled : bool;
       family : bool;
     }
-      (** Both shapes run one featured pass on the system's
+      (** Both shapes run one featured summary pass
+          ({!Sim.Family_compiled.summarize}) on the system's
           {!Sim.Family_compiled} plan, cached daemon-side by
           {!Sim.Family_compiled.plan_key}.  [family] (default [false])
           answers one run per configuration plus the sharing summary;
@@ -70,6 +71,13 @@ val too_large : ?id:string -> limit:int -> string -> Obs.Json.t
 (** [status = "error"] with [error = "too_large"], the [limit] that was
     exceeded and a ["message"]: the structured rejection of a request
     line or variant space over a fixed size cap. *)
+
+val deadline_exceeded : ?id:string -> string -> Obs.Json.t
+(** [status = "error"] with [error = "deadline_exceeded"] and a
+    ["message"]: the structured answer to a request whose deadline
+    ([deadline_ms] or the daemon's default) passed before its work
+    finished, for operations with no partial answer to give
+    (simulate; synthesize answers a degraded incumbent instead). *)
 
 val overloaded :
   ?id:string -> queue_depth:int -> queue_limit:int -> retry_after_ms:int ->

@@ -80,13 +80,13 @@ let compile ?(configurations = []) model =
 
 let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
     ?(overflow = Spi.Semantics.Reject) ?(stimuli = []) ?(firing_budget = [])
-    ?faults plan =
+    ?faults ?deadline_ns plan =
   let start_ns = Obs.Clock.now_ns () in
   let r =
-    Crt.start ~overflow ~stimuli ~firing_budget ?faults plan.table
+    Crt.start ~record:true ~overflow ~stimuli ~firing_budget ?faults plan.table
       (Crt.dispatch policy plan.table)
   in
-  let outcome = Crt.loop ~limits r in
+  let outcome = Crt.loop ?deadline_ns ~limits r in
   let trace = List.rev r.trace in
   (* The final channel contents, set in bulk on the plan's initial state
      (ring contents always fit their channel). *)

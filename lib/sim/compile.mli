@@ -43,12 +43,16 @@ val run :
   ?stimuli:Engine.stimulus list ->
   ?firing_budget:(Spi.Ids.Process_id.t * int) list ->
   ?faults:Fault.plan ->
+  ?deadline_ns:int ->
   plan ->
   Engine.result
 (** Runs the compiled plan.  Accepts exactly the run-time parameters of
     {!Engine.run} (the compile-time parameters — model and
     configurations — are baked into the plan) and returns the same
-    {!Engine.result}, so stats, exporters and checkers work unchanged. *)
+    {!Engine.result}, so stats, exporters and checkers work unchanged.
+
+    [deadline_ns] bounds the run's wall-clock time as in {!Crt.loop}.
+    @raise Crt.Deadline_exceeded once it has passed. *)
 
 val key : plan -> string
 (** Structural fingerprint of the model {e and} its configuration sets

@@ -355,11 +355,13 @@ type run = {
   overflow : Spi.Semantics.overflow;
   pool : pool;
   crashes : I.Process_id.t array;
+  record : bool;
   mutable frozen : bool array;
   mutable trace : Trace.entry list;
   mutable firings : int;
   mutable now : int;
   mutable reconf_time : int;
+  mutable makespan : int;
 }
 
 let add_inject pool item =
@@ -372,7 +374,7 @@ let add_inject pool item =
   pool.len <- pool.len + 1;
   pool.len - 1
 
-let start ~overflow ~stimuli ~firing_budget ?faults tbl dsp =
+let start ~record ~overflow ~stimuli ~firing_budget ?faults tbl dsp =
   let heap = Heap.Int_heap.create () in
   let pool = { items = [||]; len = 0 } in
   List.iter
@@ -400,16 +402,21 @@ let start ~overflow ~stimuli ~firing_budget ?faults tbl dsp =
     overflow;
     pool;
     crashes;
+    record;
     frozen = Array.make (Array.length tbl.procs) false;
     trace = [];
     firings = 0;
     now = 0;
     reconf_time = 0;
+    makespan = 0;
   }
 
 (* ---------------------------- step functions -------------------------- *)
 
-let emit r e = r.trace <- e :: r.trace
+(* Hot-path entries (starts, completions, injections) are built only
+   under [if r.record]; rare fault entries go through the same test
+   here. *)
+let emit r e = if r.record then r.trace <- e :: r.trace
 
 (* One channel write with the reference semantics: destructive on
    registers; a full bounded queue raises under [Reject] and discards
@@ -490,45 +497,33 @@ let degrade r now pid =
         | Some _ -> ())
     end
 
-let first_payload consumed =
-  let rec over_chans = function
-    | [] -> None
-    | (_, toks) :: rest -> (
-      match List.find_map Spi.Token.payload toks with
-      | Some _ as p -> p
-      | None -> over_chans rest)
-  in
-  over_chans consumed
-
-let consume r p_ix m_ix cm =
+(* Takes a starting firing's tokens off its input rings, in consumption
+   order, into [ps]'s slot: the payload an inheriting mode passes on
+   (the first among the tokens) and, when recording, the tokens per
+   channel for the [Completed] entry. *)
+let consume r ps p_ix m_ix cm =
   let wants = r.dsp.want.(p_ix).(m_ix) in
-  let ncons = Array.length cm.cm_consumes in
-  let rec go k =
-    if k = ncons then []
-    else begin
-      let c = cm.cm_consumes.(k) in
-      let wanted = wants.(k) in
-      let toks =
-        if c.c_ix < 0 || wanted <= 0 then []
-        else begin
-          let cs = r.chans.(c.c_ix) in
-          let n = if wanted < cs.count then wanted else cs.count in
-          if n <= 0 then []
-          else if r.tbl.chan_register.(c.c_ix) then
-            (* sampling read: the register keeps its token *)
-            [ cs.buf.(cs.head) ]
-          else begin
-            let rec take n acc =
-              if n = 0 then List.rev acc else take (n - 1) (ring_pop cs :: acc)
-            in
-            take n []
-          end
-        end
-      in
-      (c.c_cid, toks) :: go (k + 1)
-    end
-  in
-  go 0
+  let payload = ref None in
+  let consumed = ref [] in
+  for k = 0 to Array.length cm.cm_consumes - 1 do
+    let c = cm.cm_consumes.(k) in
+    let wanted = wants.(k) in
+    let toks = ref [] in
+    if c.c_ix >= 0 && wanted > 0 then begin
+      let cs = r.chans.(c.c_ix) in
+      let n = if wanted < cs.count then wanted else cs.count in
+      (* a register is a sampling read: it keeps its one token *)
+      let register = r.tbl.chan_register.(c.c_ix) in
+      for _ = 1 to (if register then min n 1 else n) do
+        let tok = if register then cs.buf.(cs.head) else ring_pop cs in
+        if Option.is_none !payload then payload := Spi.Token.payload tok;
+        if r.record then toks := tok :: !toks
+      done
+    end;
+    if r.record then consumed := (c.c_cid, List.rev !toks) :: !consumed
+  done;
+  ps.slot_payload <- (if cm.cm_inherit then !payload else None);
+  ps.slot_consumed <- List.rev !consumed
 
 (* One scheduling sweep over the processes not [frozen]. *)
 let sweep r now =
@@ -637,8 +632,7 @@ let sweep r now =
                 Some (target, r_latency)
               end
             in
-            let consumed = consume r ix m_ix cm in
-            let payload = if cm.cm_inherit then first_payload consumed else None in
+            consume r ps ix m_ix cm;
             let reconf_latency =
               match reconfiguration with None -> 0 | Some (_, l) -> l
             in
@@ -648,9 +642,10 @@ let sweep r now =
             ps.busy <- true;
             if ps.budget > 0 then ps.budget <- ps.budget - 1;
             r.firings <- r.firings + 1;
-            emit r
-              (Trace.Started
-                 { time = now; process = cp.pr_pid; mode = cm.cm_mid; reconfiguration });
+            if r.record then
+              emit r
+                (Trace.Started
+                   { time = now; process = cp.pr_pid; mode = cm.cm_mid; reconfiguration });
             (match overrun with
             | Some extra ->
               emit r
@@ -663,8 +658,6 @@ let sweep r now =
             | None -> ());
             ps.slot_mode <- m_ix;
             ps.slot_started <- now;
-            ps.slot_payload <- payload;
-            ps.slot_consumed <- consumed;
             Heap.Int_heap.push ~time:(now + latency) (ev_complete ix) r.heap
         end
       end
@@ -678,7 +671,7 @@ let deliver r time cid tok =
     (* the interpreter's [Semantics.inject] raises [Not_found] on a
        channel the model does not declare *)
     ignore (Spi.Model.get_channel cid r.tbl.model));
-  emit r (Trace.Injected { time; channel = cid; token = tok })
+  if r.record then emit r (Trace.Injected { time; channel = cid; token = tok })
 
 let inject r time cid tok =
   let outcome =
@@ -707,27 +700,31 @@ let complete r time ix =
   let m_ix = ps.slot_mode in
   let cm = cp.pr_modes.(m_ix) in
   let ns = r.dsp.nprod.(ix).(m_ix) in
-  let nprods = Array.length cm.cm_produces in
-  let rec produce k =
-    if k = nprods then []
-    else begin
-      let pr = cm.cm_produces.(k) in
-      let n = ns.(k) in
-      let tok = Spi.Token.make ~tags:pr.p_tags ?payload:ps.slot_payload () in
-      let toks = Spi.Token.replicate n tok in
-      if n > 0 then
-        if pr.p_ix < 0 then ignore (Spi.Model.get_channel pr.p_cid r.tbl.model)
-        else List.iter (fun t -> write r pr.p_ix t) toks;
-      (pr.p_cid, toks) :: produce (k + 1)
-    end
-  in
-  let produced = produce 0 in
+  let produced = ref [] in
+  for k = 0 to Array.length cm.cm_produces - 1 do
+    let pr = cm.cm_produces.(k) in
+    let n = ns.(k) in
+    let tok = Spi.Token.make ~tags:pr.p_tags ?payload:ps.slot_payload () in
+    if n > 0 then
+      if pr.p_ix < 0 then ignore (Spi.Model.get_channel pr.p_cid r.tbl.model)
+      else for _ = 1 to n do write r pr.p_ix tok done;
+    if r.record then produced := (pr.p_cid, Spi.Token.replicate n tok) :: !produced
+  done;
   if ps.recover_at = 0 then ps.busy <- false;
-  let firing =
-    { Spi.Semantics.process = cp.pr_pid; mode = cm.cm_mid; consumed = ps.slot_consumed; produced }
-  in
-  emit r (Trace.Completed { time; started_at = ps.slot_started; process = cp.pr_pid; firing });
-  ps.slot_consumed <- []
+  (* event times never decrease, so the latest completion is this one *)
+  r.makespan <- time;
+  if r.record then begin
+    let firing =
+      {
+        Spi.Semantics.process = cp.pr_pid;
+        mode = cm.cm_mid;
+        consumed = ps.slot_consumed;
+        produced = List.rev !produced;
+      }
+    in
+    emit r (Trace.Completed { time; started_at = ps.slot_started; process = cp.pr_pid; firing });
+    ps.slot_consumed <- []
+  end
 
 let recover r time ix =
   let ps = r.pstates.(ix) in
@@ -748,11 +745,19 @@ let crash r time k =
 
 (* ------------------------------ the loop ------------------------------ *)
 
-let loop ?(settle = ignore) ?inject:route ~limits r =
+exception Deadline_exceeded
+
+(* The wall clock is read on entry and then once every 1024 events, a
+   [land] per event in between; without a deadline it is never read. *)
+let loop ?(settle = ignore) ?inject:route ?deadline_ns ~limits r =
   let route = match route with Some f -> f | None -> inject r in
+  let expired () =
+    match deadline_ns with Some dl -> Obs.Clock.now_ns () >= dl | None -> false
+  in
+  if expired () then raise Deadline_exceeded;
   settle ();
   sweep r r.now;
-  let rec go () =
+  let rec go events =
     if r.firings > limits.Engine.max_firings then Engine.Firing_limit_reached
     else if Heap.Int_heap.is_empty r.heap then begin
       emit r (Trace.Quiescent { time = r.now });
@@ -762,6 +767,7 @@ let loop ?(settle = ignore) ?inject:route ~limits r =
       let time = Heap.Int_heap.min_time r.heap in
       if time > limits.Engine.max_time then Engine.Time_limit_reached
       else begin
+        if events land 1023 = 0 && expired () then raise Deadline_exceeded;
         let v = Heap.Int_heap.min_value r.heap in
         Heap.Int_heap.drop_min r.heap;
         r.now <- time;
@@ -774,8 +780,8 @@ let loop ?(settle = ignore) ?inject:route ~limits r =
         | _ -> crash r time (v lsr 2));
         settle ();
         sweep r time;
-        go ()
+        go (events + 1)
       end
     end
   in
-  go ()
+  go 1

@@ -125,6 +125,7 @@ type pstate = {
   mutable slot_started : int;
   mutable slot_payload : int option;
   mutable slot_consumed : (Spi.Ids.Channel_id.t * Spi.Token.t list) list;
+      (** empty unless the run records *)
 }
 
 val budget :
@@ -153,15 +154,20 @@ type run = {
   overflow : Spi.Semantics.overflow;
   pool : pool;
   crashes : Spi.Ids.Process_id.t array;  (** scripted crash #k's process *)
+  record : bool;  (** keep the trace (see {!start}) *)
   mutable frozen : bool array;  (** per process: skipped by the sweep *)
-  mutable trace : Trace.entry list;  (** reversed *)
+  mutable trace : Trace.entry list;  (** reversed; empty unless [record] *)
   mutable firings : int;
   mutable now : int;
   mutable reconf_time : int;
+  mutable makespan : int;
+      (** time of the latest completion, 0 before the first: the last
+          [Completed] entry's time when recording *)
 }
 (** One run of a table: {!Engine.run}'s state, int-coded. *)
 
 val start :
+  record:bool ->
   overflow:Spi.Semantics.overflow ->
   stimuli:Engine.stimulus list ->
   firing_budget:(Spi.Ids.Process_id.t * int) list ->
@@ -171,7 +177,13 @@ val start :
   run
 (** Fresh run state at time 0: initial channel contents, fresh process
     states, nothing frozen, the stimuli and the fault plan's scripted
-    crashes scheduled (in that order). *)
+    crashes scheduled (in that order).
+
+    With [record = false] the run keeps no trace: the loop emits no
+    {!Trace.entry}, keeps no consumed tokens in [slot_consumed] and
+    builds no completed-firing record.  Channels, heap, process and
+    fault state, [firings], [now], [reconf_time] and [makespan] step
+    exactly as when recording. *)
 
 (** {1 Stepping} *)
 
@@ -180,9 +192,13 @@ val inject : run -> int -> Spi.Ids.Channel_id.t -> Spi.Token.t -> unit
     fault plan's channel filter (drop, corrupt, duplicate).
     @raise Not_found when the model does not declare [cid]. *)
 
+exception Deadline_exceeded
+(** The wall-clock deadline given to {!loop} passed. *)
+
 val loop :
   ?settle:(unit -> unit) ->
   ?inject:(int -> Spi.Ids.Channel_id.t -> Spi.Token.t -> unit) ->
+  ?deadline_ns:int ->
   limits:Engine.limits ->
   run ->
   Engine.outcome
@@ -191,4 +207,10 @@ val loop :
     by a sweep.  [settle] (default: nothing) runs before every sweep;
     [inject] (default: {!inject} on [r]) receives every pending
     injection.  Both are built once per run, not per event.  On
-    quiescence the trace ends with [Quiescent]. *)
+    quiescence the trace ends with [Quiescent].
+
+    [deadline_ns] is an absolute {!Obs.Clock.now_ns} time.  The clock
+    is read on entry and then once every 1024 events, {!Synth.Explore}'s
+    poll cadence; a run without a deadline never reads it.
+    @raise Deadline_exceeded once the deadline has passed: on entry,
+    before anything runs, when it already has. *)

@@ -16,6 +16,24 @@ type plan = {
   p_tables : Crt.table option array;
 }
 
+type config_summary = {
+  index : int;
+  assignment : Variants.Variant_space.assignment;
+  end_time : int;
+  firings : int;
+  outcome : Engine.outcome;
+  reconfiguration_time : int;
+}
+
+type summary = {
+  configs : config_summary array;
+  splits : int;
+  subfamilies : int;
+  executed_firings : int;
+  shared_firings : int;
+  leaves : Family.leaf array;
+}
+
 (* ------------------------------------------------------------------ *)
 (* Observability.                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -146,9 +164,16 @@ type stats = {
   mutable leaves : Family.leaf list;
 }
 
-let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
-    ?(overflow = Spi.Semantics.Reject) ?(stimuli = []) ?(firing_budget = [])
-    ?faults ?(jobs = 1) ?(split = `Narrow) plan =
+(* The featured pass behind [run] and [summarize]: drives every
+   sub-family to its leaf, where [leaf members r cold_owned outcome]
+   reads the members' results off the leaf's run [r] ([cold_owned cid]:
+   [cid] belongs to a site that never went hot, so every member keeps
+   its own initial tokens there).  Returns the family counters and the
+   leaves in member order. *)
+let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
+    ?(limits = Engine.default_limits) ?(overflow = Spi.Semantics.Reject)
+    ?(stimuli = []) ?(firing_budget = []) ?faults ?(jobs = 1)
+    ?(split = `Narrow) plan =
   let start_ns = Obs.Clock.now_ns () in
   let narrow = split = `Narrow in
   (match faults with
@@ -183,14 +208,14 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
           (Family.cold_site_of cold (I.Process_id.to_string cp.pr_pid)))
       tbl.procs
   in
-  let results = Array.make n None in
   (* The root's injection and crash pools are shared by every fork:
      degradation, the one source of new injections, is rejected above,
      so pending [ev_inject] and [ev_crash] codes need no remapping. *)
   let root =
     let tbl = table_of plan 0 in
     let run =
-      Crt.start ~overflow ~stimuli ~firing_budget ?faults tbl (dispatch_of 0)
+      Crt.start ~record ~overflow ~stimuli ~firing_budget ?faults tbl
+        (dispatch_of 0)
     in
     run.frozen <- frozen_of tbl plan.p_sites;
     {
@@ -479,28 +504,86 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       handle_inject stats offer c time cid tok
     | None -> Crt.inject c.run time cid tok
   in
-  (* Leaf: every member gets the result its own per-configuration run
-     would produce — shared trace, plus a final state set on the member's
-     initial state: live ring contents on shared/resolved/warm channels,
-     the member's own initial tokens on channels of sites that never went
-     hot.  Each channel's final contents are read once per leaf, and
-     [set_contents] is linear in them. *)
   let finish stats c outcome =
     account stats c;
     stats.subfamilies <- stats.subfamilies + 1;
-    let r = c.run in
-    let trace = List.rev r.trace in
-    let makespan =
-      List.fold_left
-        (fun acc entry ->
-          match entry with
-          | Trace.Completed { time; _ } -> max acc time
-          | _ -> acc)
-        0 r.trace
-    in
     stats.leaves <-
-      { Family.leaf_members = P.indices c.members; leaf_makespan = makespan }
+      { Family.leaf_members = P.indices c.members; leaf_makespan = c.run.makespan }
       :: stats.leaves;
+    leaf c.members c.run (cold_owned c) outcome
+  in
+  (* One task: the shared loop, with the presence probe as its [settle]
+     hook and cold-site routing as its [inject] hook. *)
+  let exec stats offer { sub = c; start } =
+    let settle () = settle stats offer c in
+    let inject = handle_inject stats offer c in
+    (match start with
+    | Sweep -> ()
+    | Deliver (cid, tok) -> inject c.run.now cid tok);
+    finish stats c (Crt.loop ~settle ~inject ?deadline_ns ~limits c.run)
+  in
+  (* ---------------- drive the sub-families ---------------- *)
+  let totals =
+    Synth.Par.fold ~jobs
+      ~init:(fun () ->
+        { splits = 0; subfamilies = 0; executed = 0; shared = 0; leaves = [] })
+      ~merge:(fun a b ->
+        {
+          splits = a.splits + b.splits;
+          subfamilies = a.subfamilies + b.subfamilies;
+          executed = a.executed + b.executed;
+          shared = a.shared + b.shared;
+          leaves = a.leaves @ b.leaves;
+        })
+      ~f:(fun pool stats task ->
+        let local = Stack.create () in
+        let offer t = if not (Synth.Par.push pool t) then Stack.push t local in
+        exec stats offer task;
+        while not (Stack.is_empty local) do
+          exec stats offer (Stack.pop local)
+        done;
+        stats)
+      [| { sub = root; start = Sweep } |]
+  in
+  Obs.Metric.incr m_runs;
+  Obs.Metric.add m_configs n;
+  Obs.Metric.add m_splits totals.splits;
+  Obs.Metric.add m_subfamilies totals.subfamilies;
+  Obs.Metric.add m_shared_firings totals.shared;
+  Obs.Registry.record_span ~name:"sim.family.run_ns" ~start_ns
+    ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
+  let leaves =
+    Array.of_list
+      (List.sort
+         (fun a b ->
+           compare
+             (List.hd a.Family.leaf_members)
+             (List.hd b.Family.leaf_members))
+         totals.leaves)
+  in
+  (totals, leaves)
+
+(* Every configuration gets a result from its leaf; the leaves
+   partition the full space. *)
+let per_config plan cells f =
+  Array.init plan.p_n (fun i ->
+      match cells.(i) with
+      | Some cell -> f i (P.assignment plan.p_space i) cell
+      | None ->
+        (* unreachable: the leaves partition the full space *)
+        invalid_arg "Family_compiled.run: configuration left unfinished")
+
+let run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults ?jobs ?split
+    plan =
+  let results = Array.make plan.p_n None in
+  (* Every member gets the result its own per-configuration run would
+     produce — shared trace, plus a final state set on the member's
+     initial state: live ring contents on shared/resolved/warm channels,
+     the member's own initial tokens on channels of sites that never
+     went hot.  Each channel's final contents are read once per leaf,
+     and [set_contents] is linear in them. *)
+  let leaf members r cold_owned outcome =
+    let trace = List.rev r.trace in
     (* [None]: cold-owned, the member keeps its initial tokens *)
     let finals = I.Channel_id.Tbl.create 64 in
     let final_contents cid =
@@ -508,7 +591,7 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
       | Some f -> f
       | None ->
         let f =
-          if cold_owned c cid then None
+          if cold_owned cid then None
           else
             let ix = chan_ix r.tbl cid in
             Some (if ix < 0 then [] else contents r.chans.(ix))
@@ -538,71 +621,47 @@ let run ?(policy = Engine.Typical) ?(limits = Engine.default_limits)
               firings = r.firings;
               reconfiguration_time = 0;
             })
-      c.members
+      members
   in
-  (* One task: the shared loop, with the presence probe as its [settle]
-     hook and cold-site routing as its [inject] hook. *)
-  let exec stats offer { sub = c; start } =
-    let settle () = settle stats offer c in
-    let inject = handle_inject stats offer c in
-    (match start with
-    | Sweep -> ()
-    | Deliver (cid, tok) -> inject c.run.now cid tok);
-    finish stats c (Crt.loop ~settle ~inject ~limits c.run)
-  in
-  (* ---------------- drive the sub-families ---------------- *)
-  let totals =
-    Synth.Par.fold ~jobs
-      ~init:(fun () ->
-        { splits = 0; subfamilies = 0; executed = 0; shared = 0; leaves = [] })
-      ~merge:(fun a b ->
-        {
-          splits = a.splits + b.splits;
-          subfamilies = a.subfamilies + b.subfamilies;
-          executed = a.executed + b.executed;
-          shared = a.shared + b.shared;
-          leaves = a.leaves @ b.leaves;
-        })
-      ~f:(fun pool stats task ->
-        let local = Stack.create () in
-        let offer t = if not (Synth.Par.push pool t) then Stack.push t local in
-        exec stats offer task;
-        while not (Stack.is_empty local) do
-          exec stats offer (Stack.pop local)
-        done;
-        stats)
-      [| { sub = root; start = Sweep } |]
-  in
-  let runs =
-    Array.init n (fun i ->
-        match results.(i) with
-        | Some result ->
-          { Family.index = i; assignment = P.assignment space i; result }
-        | None ->
-          (* unreachable: the leaves partition the full space *)
-          invalid_arg "Family_compiled.run: configuration left unfinished")
-  in
-  Obs.Metric.incr m_runs;
-  Obs.Metric.add m_configs n;
-  Obs.Metric.add m_splits totals.splits;
-  Obs.Metric.add m_subfamilies totals.subfamilies;
-  Obs.Metric.add m_shared_firings totals.shared;
-  Obs.Registry.record_span ~name:"sim.family.run_ns" ~start_ns
-    ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
-  let leaves =
-    Array.of_list
-      (List.sort
-         (fun a b ->
-           compare
-             (List.hd a.Family.leaf_members)
-             (List.hd b.Family.leaf_members))
-         totals.leaves)
+  let totals, leaves =
+    featured ~record:true ~leaf ?policy ?limits ?overflow ?stimuli
+      ?firing_budget ?faults ?jobs ?split plan
   in
   {
-    Family.runs;
+    Family.runs =
+      per_config plan results (fun index assignment result ->
+          { Family.index; assignment; result });
     splits = totals.splits;
     subfamilies = totals.subfamilies;
     executed_firings = totals.executed;
     shared_firings = totals.shared;
     leaves;
   }
+
+let summarize ?deadline_ns ?policy ?limits ?overflow ?stimuli ?firing_budget
+    ?faults ?jobs ?split plan =
+  let cells = Array.make plan.p_n None in
+  let leaf members r _ outcome =
+    P.iter
+      (fun i ->
+        (* a member that does not flatten fails here, as it does in
+           [run]'s final state *)
+        ignore (model_of plan i);
+        cells.(i) <- Some (r.now, r.firings, outcome))
+      members
+  in
+  let totals, leaves =
+    featured ~record:false ~leaf ?deadline_ns ?policy ?limits ?overflow
+      ?stimuli ?firing_budget ?faults ?jobs ?split plan
+  in
+  ({
+     configs =
+       per_config plan cells (fun index assignment (end_time, firings, outcome) ->
+           { index; assignment; end_time; firings; outcome; reconfiguration_time = 0 });
+     splits = totals.splits;
+     subfamilies = totals.subfamilies;
+     executed_firings = totals.executed;
+     shared_firings = totals.shared;
+     leaves;
+   }
+    : summary)

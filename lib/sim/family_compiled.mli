@@ -96,7 +96,61 @@ val run :
     [subfamilies], [shared_firings], [compiles] (plans built), the
     [configs_per_firing] histogram and the [sim.family.run_ns] span.
 
+    Each leaf's makespan is its run's {!Crt.run} [makespan], the time of
+    the last completion in the shared trace.
+
     @raise Invalid_argument on degradation plans; exceptions a
     per-configuration run would raise ({!Spi.Semantics.Channel_overflow},
     [Not_found] on stimuli naming channels absent from a member's model)
     propagate unchanged. *)
+
+(** {1 Summary pass} *)
+
+type config_summary = {
+  index : int;
+  assignment : Variants.Variant_space.assignment;
+  end_time : int;
+  firings : int;
+  outcome : Engine.outcome;
+  reconfiguration_time : int;
+}
+(** One configuration's scalar results: the {!Engine.result} fields
+    {!run} reports for it, without trace or final state. *)
+
+type summary = {
+  configs : config_summary array;  (** in enumeration order *)
+  splits : int;
+  subfamilies : int;
+  executed_firings : int;
+  shared_firings : int;
+  leaves : Family.leaf array;
+}
+(** {!Family.report} minus traces and final states. *)
+
+val summarize :
+  ?deadline_ns:int ->
+  ?policy:Engine.policy ->
+  ?limits:Engine.limits ->
+  ?overflow:Spi.Semantics.overflow ->
+  ?stimuli:Engine.stimulus list ->
+  ?firing_budget:(Spi.Ids.Process_id.t * int) list ->
+  ?faults:Fault.plan ->
+  ?jobs:int ->
+  ?split:[ `Narrow | `Full ] ->
+  plan ->
+  summary
+(** {!run}'s featured pass with recording off ({!Crt.start}'s
+    [record = false]): no trace entry, no consumed-token record and no
+    per-member final state is built.  Every field equals the
+    corresponding one of {!run}'s report under the same arguments —
+    per configuration [end_time], [firings], [outcome] and
+    [reconfiguration_time], and the four counters and the leaves —
+    and the same [sim.family.*] metrics are registered.  This is what
+    a caller that needs no trace should run: the daemon answers both
+    simulate shapes from it.
+
+    [deadline_ns] bounds the pass's wall-clock time as in {!Crt.loop};
+    every sub-family's loop polls it.
+
+    @raise Crt.Deadline_exceeded once the deadline has passed, and
+    whatever {!run} raises under the same arguments. *)

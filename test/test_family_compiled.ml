@@ -7,10 +7,12 @@
    trace/stats bytes (Test_compile.result_eq).  The family-level
    statistics answer to the oracle as well: the leaves partition the
    configurations, and every member's leaf makespan is the last
-   completion of its reference trace.  Exercised across generated flat
-   and nested systems, split-adversarial stimulus schedules, policies,
-   fault plans, limits and firing budgets, split heuristics and job
-   counts. *)
+   completion of its reference trace.  A fourth arm, the summary pass
+   (Sim.Family_compiled.summarize), must report every scalar field,
+   counter and leaf of the recording pass.  Exercised across generated
+   flat and nested systems, split-adversarial stimulus schedules,
+   policies, fault plans, limits and firing budgets, split heuristics
+   and job counts. *)
 
 module I = Spi.Ids
 
@@ -46,14 +48,54 @@ let leaves_agree (report : Sim.Family.report)
            leaf.Sim.Family.leaf_members)
        report.Sim.Family.leaves
 
+(* The summary pass against the recording pass under the same scenario:
+   every configuration's index, assignment, end time, firings, outcome
+   and reconfiguration time, the four counters, and the leaves, whose
+   makespans (read off the runs' [makespan], not the traces) must be
+   [Family.makespans] of the recorded traces. *)
+let summary_agrees (report : Sim.Family.report)
+    (s : Sim.Family_compiled.summary) =
+  let spans = Sim.Family.makespans report in
+  let leaf_spans_agree leaves =
+    Array.for_all
+      (fun leaf ->
+        List.for_all
+          (fun i -> snd spans.(i) = leaf.Sim.Family.leaf_makespan)
+          leaf.Sim.Family.leaf_members)
+      leaves
+  in
+  Array.length s.configs = Array.length report.Sim.Family.runs
+  && Array.for_all2
+       (fun (c : Sim.Family_compiled.config_summary) (cr : Sim.Family.config_run) ->
+         let r = cr.Sim.Family.result in
+         c.index = cr.Sim.Family.index
+         && render_assignment c.assignment
+            = render_assignment cr.Sim.Family.assignment
+         && c.end_time = r.Sim.Engine.end_time
+         && c.firings = r.Sim.Engine.firings
+         && c.outcome = r.Sim.Engine.outcome
+         && c.reconfiguration_time = r.Sim.Engine.reconfiguration_time)
+       s.configs report.Sim.Family.runs
+  && s.splits = report.Sim.Family.splits
+  && s.subfamilies = report.Sim.Family.subfamilies
+  && s.executed_firings = report.Sim.Family.executed_firings
+  && s.shared_firings = report.Sim.Family.shared_firings
+  && s.leaves = report.Sim.Family.leaves
+  && leaf_spans_agree report.Sim.Family.leaves
+
 (* The tentpole check: the featured pass and per-configuration compiled
-   runs vs the per-configuration interpreter, under one scenario. *)
+   runs vs the per-configuration interpreter, under one scenario, and
+   the summary pass vs the featured pass. *)
 let three_way ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
     ?(jobs = 1) ?split system =
+  let plan = Sim.Family_compiled.plan system in
   let report =
     Sim.Family_compiled.run ?policy ?limits ?overflow ?stimuli ?firing_budget
-      ?faults ~jobs ?split
-      (Sim.Family_compiled.plan system)
+      ?faults ~jobs ?split plan
+  in
+  let summary =
+    Sim.Family_compiled.summarize ?policy ?limits ?overflow ?stimuli
+      ?firing_budget ?faults ~jobs ?split plan
   in
   let assignments = Array.of_list (Variants.Variant_space.enumerate system) in
   let models =
@@ -69,6 +111,7 @@ let three_way ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
   in
   Array.length report.Sim.Family.runs = Array.length assignments
   && leaves_agree report references
+  && summary_agrees report summary
   && Array.for_all Fun.id
        (Array.mapi
           (fun i model ->
@@ -124,7 +167,7 @@ let prop_generated_workloads =
         (fun system ->
           let stimuli = Harness.family_stimuli system in
           List.for_all
-            (fun policy -> three_way ~policy ~stimuli system)
+            (fun policy -> three_way ~policy ~stimuli ~jobs:(1 + (seed mod 2)) system)
             [ Sim.Engine.Best_case; Sim.Engine.Typical; Sim.Engine.Worst_case ])
         [ Harness.family_system ~seed (); Harness.family_system ~sites:0 ~seed () ])
 
@@ -136,7 +179,8 @@ let prop_nested_adversarial =
     (fun seed ->
       let system = Harness.nested_family_system ~seed in
       let stimuli = Harness.nested_family_stimuli system in
-      three_way ~stimuli system && three_way ~stimuli ~split:`Full system)
+      let jobs = 1 + (seed mod 2) in
+      three_way ~stimuli ~jobs system && three_way ~stimuli ~jobs ~split:`Full system)
 
 let prop_nested_with_faults =
   QCheck.Test.make ~name:"three-way differential (nested sites, fault plans)"
@@ -588,6 +632,76 @@ let test_warm_invalidates_probes () =
   Alcotest.(check int) "X split every Y sub-family" 4
     narrow.Sim.Family.subfamilies
 
+(* Limits the runs hit, a firing limit and a horizon: the four arms
+   stop at the same event, with every job count, and every
+   configuration reports the limit. *)
+let test_limits_hit () =
+  let system = Harness.family_system ~seed:2 () in
+  let stimuli = Harness.family_stimuli system in
+  List.iter
+    (fun (what, limits, outcome) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Format.sprintf "%s: four arms agree, jobs %d" what jobs)
+            true
+            (three_way ~limits ~stimuli ~jobs system))
+        [ 1; 2 ];
+      let s =
+        Sim.Family_compiled.summarize ~limits ~stimuli
+          (Sim.Family_compiled.plan system)
+      in
+      Alcotest.(check bool) (what ^ ": every run hits it") true
+        (Array.for_all
+           (fun (c : Sim.Family_compiled.config_summary) -> c.outcome = outcome)
+           s.configs))
+    [
+      ( "firing limit",
+        { Sim.Engine.max_time = 10_000; max_firings = 4 },
+        Sim.Engine.Firing_limit_reached );
+      ( "horizon",
+        { Sim.Engine.default_limits with max_time = 3 },
+        Sim.Engine.Time_limit_reached );
+    ]
+
+(* [c] feeds itself through [p]: without a limit the run never ends. *)
+let spin_system () =
+  system "spin"
+    ~channels:[ Spi.Chan.queue ~initial:[ Spi.Token.plain ] (chan "c") ]
+    ~processes:[ proc "p" ~from_:(chan "c") ~to_:[ chan "c" ] ]
+    []
+
+(* Deadlines: an expired one fails before the run starts, one that
+   passes mid-run stops it at the next clock poll, and a far one
+   changes nothing. *)
+let test_deadlines () =
+  let system = spin_system () in
+  let plan = Sim.Family_compiled.plan system in
+  let model =
+    Sim.Compile.compile
+      (Variants.Flatten.flatten system (Variants.Flatten.first_cluster system))
+  in
+  let endless = { Sim.Engine.max_time = max_int; max_firings = 50_000_000 } in
+  let stopped what f =
+    Alcotest.(check bool) what true
+      (match f () with () -> false | exception Sim.Crt.Deadline_exceeded -> true)
+  in
+  let now = Obs.Clock.now_ns in
+  stopped "summarize, expired" (fun () ->
+      ignore (Sim.Family_compiled.summarize ~deadline_ns:(now ()) plan));
+  stopped "Compile.run, expired" (fun () ->
+      ignore (Sim.Compile.run ~deadline_ns:(now ()) model));
+  stopped "summarize, mid-run" (fun () ->
+      ignore
+        (Sim.Family_compiled.summarize ~limits:endless
+           ~deadline_ns:(now () + 5_000_000) plan));
+  stopped "Compile.run, mid-run" (fun () ->
+      ignore
+        (Sim.Compile.run ~limits:endless ~deadline_ns:(now () + 5_000_000) model));
+  let far = Sim.Family_compiled.summarize ~deadline_ns:max_int plan in
+  Alcotest.(check bool) "a far deadline changes nothing" true
+    (far = Sim.Family_compiled.summarize plan)
+
 let timeline_bytes emit =
   let t = Obs.Trace_event.create () in
   emit (Obs.Trace_event.buffer_sink t);
@@ -677,6 +791,10 @@ let suite =
         test_warm_invalidates_probes;
       Alcotest.test_case "firing counters answer to the oracle" `Quick
         test_firing_counters;
+      Alcotest.test_case "limits stop all four arms alike" `Quick
+        test_limits_hit;
+      Alcotest.test_case "deadlines stop the summary pass and compiled runs"
+        `Quick test_deadlines;
     ] )
 
 (* Family semantics and the Sim.Family report read-outs, on flat

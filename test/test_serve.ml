@@ -756,6 +756,45 @@ let test_unflattenable_configuration () =
   Alcotest.(check string) "next request served" "ok"
     (P.status_of_response next)
 
+(* [deadline_ms: 0] has passed before any run starts: the request,
+   family or flat, gets a structured deadline_exceeded error, and the
+   plan it cached serves the next request.  The uncached flat fallback
+   of a prefix-colliding system honours the deadline as well. *)
+let test_simulate_deadline () =
+  let t = Serve.Handler.create ~jobs:1 () in
+  let hits = Obs.Registry.counter "serve.plan_cache_hits" in
+  let simulate ?id ?deadline_ms ~family model =
+    handle ~handler:t
+      {
+        (plain (P.Simulate { model; until = Some 500; compiled = true; family }))
+        with
+        P.id;
+        deadline_ms;
+      }
+  in
+  let expired what r =
+    Alcotest.(check string) (what ^ ": error") "error" (P.status_of_response r);
+    Alcotest.(check (option string)) (what ^ ": deadline_exceeded")
+      (Some "deadline_exceeded")
+      (Option.bind (J.member "error" r) J.to_string_opt)
+  in
+  List.iter
+    (fun family ->
+      let shape = if family then "family" else "flat" in
+      let r = simulate ~id:shape ~deadline_ms:0 ~family family_model_source in
+      expired shape r;
+      Alcotest.(check (option string)) (shape ^ ": id echoed") (Some shape)
+        (Option.bind (J.member "id" r) J.to_string_opt);
+      let h0 = Obs.Metric.value hits in
+      let next = simulate ~family family_model_source in
+      Alcotest.(check string) (shape ^ ": next request served") "ok"
+        (P.status_of_response next);
+      Alcotest.(check int) (shape ^ ": from the cached plan") (h0 + 1)
+        (Obs.Metric.value hits))
+    [ true; false ];
+  expired "colliding flat"
+    (simulate ~deadline_ms:0 ~family:false colliding_model_source)
+
 (* --------------------------- line framing ------------------------- *)
 
 (* Lines of cap-1, cap and cap+1 bytes, each fed in uneven chunks with
@@ -1037,26 +1076,11 @@ let rec wait_until what ?(tries = 30_000) cond =
       wait_until what ~tries:(tries - 1) cond
     end
 
-(* A client that hangs up with requests still queued must not have them
-   executed, nor their answers written to whatever socket reuses its fd
-   number.  Client A queues two batches and a ping, then closes.  Once
-   the daemon has read A's EOF and taken the second batch off the queue,
-   client C connects — daemon and test share one fd table, so one end of
-   C's connection takes A's old fd number — and pings: C's first answer
-   must be its own.  A batch is calibrated to ~0.3 s, so C connects
-   while the second batch would still run. *)
-let test_closed_connection_skipped () =
-  let spin =
-    P.Simulate
-      { model = spin_model; until = Some 100_000; compiled = true; family = false }
-  in
-  let t0 = Unix.gettimeofday () in
-  ignore (handle (plain spin));
-  let one = Unix.gettimeofday () -. t0 in
-  let items = max 1 (min 50 (int_of_float (0.3 /. Float.max one 1e-3))) in
-  let batch id =
-    { (plain (P.Batch (List.init items (fun _ -> plain spin)))) with P.id = Some id }
-  in
+(* Runs [f socket_path] against a daemon on a fresh socket in a domain
+   of this process, its log lines going to [on_log], then shuts it down
+   unless [f] did (the daemon removes its socket on the way out) and
+   restores the log settings. *)
+let with_daemon ?(on_log = ignore) f =
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "spi-serve-test-%d.sock" (Unix.getpid ()))
@@ -1077,27 +1101,61 @@ let test_closed_connection_skipped () =
       fsync = false;
     }
   in
+  Obs.Log.set_sink (Some on_log);
+  let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         if not (Sys.file_exists socket_path) then raise Exit;
+         let fd = connect_retrying socket_path in
+         (* a daemon that died must fail the test, not hang it *)
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+         send_lines fd [ plain P.Shutdown ];
+         ignore (read_response fd);
+         Unix.close fd
+       with Unix.Unix_error _ | Exit -> ());
+      Domain.join daemon;
+      Sys.set_signal Sys.sigint Sys.Signal_default;
+      Sys.set_signal Sys.sigterm Sys.Signal_default;
+      Obs.Log.set_level Obs.Log.Warn;
+      Obs.Log.set_sink (Some (Obs.Log.channel_sink stderr)))
+    (fun () -> f socket_path)
+
+let log_events lines event =
+  List.filter_map
+    (fun line ->
+      match J.parse line with
+      | Ok doc when Option.bind (J.member "event" doc) J.to_string_opt = Some event ->
+        Some doc
+      | Ok _ | Error _ -> None)
+    lines
+
+(* A client that hangs up with requests still queued must not have them
+   executed, nor their answers written to whatever socket reuses its fd
+   number.  Client A queues two batches and a ping, then closes.  Once
+   the daemon has read A's EOF and taken the second batch off the queue,
+   client C connects — daemon and test share one fd table, so one end of
+   C's connection takes A's old fd number — and pings: C's first answer
+   must be its own.  A batch is calibrated to ~0.3 s, so C connects
+   while the second batch would still run. *)
+let test_closed_connection_skipped () =
+  let spin =
+    P.Simulate
+      { model = spin_model; until = Some 100_000; compiled = true; family = false }
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (handle (plain spin));
+  let one = Unix.gettimeofday () -. t0 in
+  let items = max 1 (min 50 (int_of_float (0.3 /. Float.max one 1e-3))) in
+  let batch id =
+    { (plain (P.Batch (List.init items (fun _ -> plain spin)))) with P.id = Some id }
+  in
   let lines = ref [] in
-  Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
   let admitted = Obs.Registry.counter "serve.admitted" in
   let depth = Obs.Registry.gauge "serve.queue_depth" in
   let runs = Obs.Registry.counter "sim.family.runs" in
-  let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
   let first, ran =
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           let fd = connect_retrying socket_path in
-           send_lines fd [ plain P.Shutdown ];
-           ignore (read_response fd);
-           Unix.close fd
-         with Unix.Unix_error _ -> ());
-        Domain.join daemon;
-        Sys.set_signal Sys.sigint Sys.Signal_default;
-        Sys.set_signal Sys.sigterm Sys.Signal_default;
-        Obs.Log.set_level Obs.Log.Warn;
-        Obs.Log.set_sink (Some (Obs.Log.channel_sink stderr)))
-      (fun () ->
+    with_daemon ~on_log:(fun l -> lines := l :: !lines) (fun socket_path ->
         let a = connect_retrying socket_path in
         let a0 = Obs.Metric.value admitted in
         let r0 = Obs.Metric.value runs in
@@ -1120,17 +1178,100 @@ let test_closed_connection_skipped () =
   Alcotest.(check int) "only A's first batch ran" items ran;
   let skipped =
     List.filter_map
-      (fun line ->
-        match J.parse line with
-        | Ok doc
-          when Option.bind (J.member "event" doc) J.to_string_opt
-               = Some "serve.skipped_closed" ->
-          Option.bind (get_path doc [ "fields"; "rid" ]) J.to_string_opt
-        | Ok _ | Error _ -> None)
-      !lines
+      (fun doc -> Option.bind (get_path doc [ "fields"; "rid" ]) J.to_string_opt)
+      (log_events !lines "serve.skipped_closed")
   in
   Alcotest.(check (list string)) "skips logged" [ "A-2"; "A-3" ]
     (List.sort compare skipped)
+
+(* The next [n] response lines of [fd], read in socket-sized chunks. *)
+let read_lines fd n =
+  let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go seen =
+    if seen < n then begin
+      let k = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if k = 0 then Alcotest.failf "connection closed after %d of %d lines" seen n;
+      Buffer.add_subbytes buf chunk 0 k;
+      go (seen + List.length (String.split_on_char '\n' (Bytes.sub_string chunk 0 k)) - 1)
+    end
+  in
+  go 0;
+  List.filteri (fun i _ -> i < n) (String.split_on_char '\n' (Buffer.contents buf))
+
+(* A batch of family simulates whose one-line answer is several socket
+   buffers long (243 configurations per item). *)
+let big_batch id =
+  let model =
+    Lang.Printer.to_string
+      (with_inputs 2
+         (V.Generator.generate
+            { V.Generator.default with sites = 5; variants_per_site = 3 }))
+  in
+  let sim = plain (P.Simulate { model; until = None; compiled = true; family = true }) in
+  { (plain (P.Batch (List.init 48 (fun _ -> sim)))) with P.id = Some id }
+
+let check_big_answer what line =
+  Alcotest.(check bool) (what ^ " outgrows a socket buffer") true
+    (String.length line > 1 lsl 20);
+  match J.parse line with
+  | Error e -> Alcotest.failf "%s does not parse: %s" what e
+  | Ok r ->
+    let results = Option.value ~default:[] (Option.bind (J.member "results" r) J.to_list) in
+    Alcotest.(check int) (what ^ ": every item answered") 48 (List.length results);
+    Alcotest.(check bool) (what ^ ": every item ok") true
+      (List.for_all (fun item -> P.status_of_response item = "ok") results)
+
+(* A client that stops reading must neither kill nor stall the daemon.
+   Client A sends one batch whose answer is several socket buffers long
+   and reads nothing.  Once the daemon has answered it, client B pings
+   and is answered while A's answer still waits; then A reads all of
+   it. *)
+let test_slow_reader () =
+  let lines = ref [] in
+  let pong, answer =
+    with_daemon ~on_log:(fun l -> lines := l :: !lines) (fun socket_path ->
+        let a = connect_retrying socket_path in
+        send_lines a [ big_batch "A" ];
+        wait_until "A's batch answered" (fun () ->
+            List.exists
+              (fun doc -> get_path doc [ "fields"; "rid" ] = Some (J.String "A"))
+              (log_events !lines "serve.request"));
+        let b = connect_retrying socket_path in
+        Unix.setsockopt_float b Unix.SO_RCVTIMEO 30.;
+        send_lines b [ { (plain P.Ping) with P.id = Some "B" } ];
+        let pong = read_response b in
+        Unix.close b;
+        Unix.setsockopt_float a Unix.SO_RCVTIMEO 30.;
+        let answer = List.hd (read_lines a 1) in
+        Unix.close a;
+        (pong, answer))
+  in
+  Alcotest.(check (option string)) "B is answered while A waits" (Some "B")
+    (Option.bind (J.member "id" pong) J.to_string_opt);
+  check_big_answer "A's answer" answer
+
+(* A graceful shutdown still delivers backlogged answers to a client
+   that reads them: A pipelines a large batch and a shutdown, and by
+   the time the daemon starts shutting down most of the batch's answer
+   and the shutdown's are still in A's backlog.  A gets both, whole. *)
+let test_shutdown_drains_backlog () =
+  let answers =
+    with_daemon (fun socket_path ->
+        let a = connect_retrying socket_path in
+        send_lines a [ big_batch "A"; { (plain P.Shutdown) with P.id = Some "S" } ];
+        Unix.setsockopt_float a Unix.SO_RCVTIMEO 30.;
+        let answers = read_lines a 2 in
+        Unix.close a;
+        wait_until "the daemon removes its socket" (fun () ->
+            not (Sys.file_exists socket_path));
+        answers)
+  in
+  match answers with
+  | [ batch; shutdown ] ->
+    check_big_answer "the batch's answer" batch;
+    Alcotest.(check string) "the shutdown's answer" "ok"
+      (match J.parse shutdown with Ok r -> P.status_of_response r | Error e -> e)
+  | _ -> Alcotest.failf "expected two answers, got %d lines" (List.length answers)
 
 let suite =
   ( "serve",
@@ -1180,8 +1321,14 @@ let suite =
         `Quick test_flat_from_family_plan;
       Alcotest.test_case "an unflattenable configuration leaves the plan usable"
         `Quick test_unflattenable_configuration;
+      Alcotest.test_case "an expired deadline stops a simulate" `Quick
+        test_simulate_deadline;
       Alcotest.test_case "request lines are capped" `Quick
         test_split_lines_cap;
       Alcotest.test_case "a closed connection's queued requests are skipped"
         `Quick test_closed_connection_skipped;
+      Alcotest.test_case "a client that stops reading stalls nobody" `Quick
+        test_slow_reader;
+      Alcotest.test_case "a shutdown drains backlogged answers" `Quick
+        test_shutdown_drains_backlog;
     ] )
