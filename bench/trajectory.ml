@@ -106,6 +106,33 @@ let divergence_failures r =
                      w.runs))))
     r.workloads
 
+(* Optimal costs are facts about the workloads, not about the explorer:
+   a workload both records carry by name must report the same cost,
+   whatever else changed between them, a re-baseline included. *)
+let cost_change_failures ~baseline ~fresh =
+  let cost w = match w.runs with r :: _ -> Some r.cost | [] -> None in
+  let show = function Some c -> string_of_int c | None -> "infeasible" in
+  List.filter_map
+    (fun w ->
+      match
+        Option.bind
+          (List.find_opt (fun b -> b.w_name = w.w_name) baseline.workloads)
+          cost
+      with
+      | Some before -> (
+        match cost w with
+        | Some now when now <> before ->
+          Some
+            (Format.sprintf
+               "workload %s: optimal cost changed from %s to %s against the \
+                baseline"
+               w.w_name (show before) (show now))
+        | Some _ | None -> None)
+      | None -> None)
+    fresh.workloads
+
+let is_rebaseline r = String.starts_with ~prefix:"rebaseline-" r.label
+
 let same_workload_set a b =
   let names r = List.sort compare (List.map (fun w -> w.w_name) r.workloads) in
   names a = names b
@@ -149,7 +176,14 @@ let field_gate ~tolerance ~field ~get ~baseline ~fresh failures =
       Format.sprintf "%s not gated (field absent in a record)" field)
 
 let check ?(tolerance = 0.3) ~baseline ~fresh () =
-  let failures = ref (divergence_failures fresh) in
+  let failures =
+    ref
+      (divergence_failures fresh
+      @
+      match baseline with
+      | Some base -> cost_change_failures ~baseline:base ~fresh
+      | None -> [])
+  in
   let summary =
     match baseline with
     | None ->
@@ -165,6 +199,12 @@ let check ?(tolerance = 0.3) ~baseline ~fresh () =
         "fresh record %s vs baseline %s: costs identical across job counts; \
          workload sets differ, speedup not gated"
         (describe fresh) (describe base)
+    | Some base when is_rebaseline fresh ->
+      Format.sprintf
+        "fresh record %s vs baseline %s: costs identical across job counts \
+         and against the baseline; re-baseline, aggregate speedup %.3fx not \
+         gated"
+        (describe fresh) (describe base) fresh.aggregate_speedup
     | Some base ->
       let floor = (1. -. tolerance) *. base.aggregate_speedup in
       if fresh.aggregate_speedup < floor then

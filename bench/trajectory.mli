@@ -43,9 +43,14 @@ val check :
 
     - a workload's optimal cost differs across job counts (parallel
       exploration must be a pure speedup, never a different answer), or
+    - a workload both records carry by name reports a different optimal
+      cost in each (applied to every comparison), or
     - the fresh aggregate max-jobs speedup has regressed below
       [(1 - tolerance)] of the baseline's ([tolerance] defaults to
-      [0.3], i.e. a 30% regression budget for machine noise), or
+      [0.3], i.e. a 30% regression budget for machine noise).  A fresh
+      record whose label starts with [rebaseline-] skips this arm only:
+      it marks a change in what the jobs=1 baseline measures, and the
+      record after it is gated against it, or
     - a per-field speedup (["sim"], ["family_compiled"]) regressed past
       the same budget — compared only when both records carry the field
       over the same workload set, so mixed-version trajectories (records

@@ -24,10 +24,21 @@ let cache_limit = 1024
 let plan_cache_limit = 64
 
 (* A family plan holds one presence bit and one lazily compiled table
-   set per configuration, so a simulate request of either shape is
-   refused before any plan is built once its variant space exceeds this
-   many configurations. *)
+   set per configuration, and synthesis flattens one model per
+   configuration ([Synth.App.of_system]).  So simulate, synthesize and
+   pareto requests are refused before any of that once the variant
+   space exceeds this many configurations. *)
 let max_configurations = 4096
+
+let too_large system =
+  match V.Variant_space.count system with
+  | n -> n > max_configurations
+  | exception Invalid_argument _ -> true (* the count overflows *)
+
+let refuse_too_large ?id op =
+  P.too_large ?id ~limit:max_configurations
+    (Printf.sprintf "%s: the variant space has more than %d configurations" op
+       max_configurations)
 
 type t = {
   store : Store.Keyed.t option;
@@ -150,6 +161,8 @@ let cost_json (c : Synth.Cost.breakdown) =
 let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
   match (load_system model, load_tech tech) with
   | Error e, _ | _, Error e -> (P.error ?id e, [])
+  | Ok system, Ok _ when too_large system ->
+    (refuse_too_large ?id "synthesize", [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
     let warm =
@@ -192,6 +205,7 @@ let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
 let pareto ~jobs ~id ~model ~tech ~capacity =
   match (load_system model, load_tech tech) with
   | Error e, _ | _, Error e -> (P.error ?id e, [])
+  | Ok system, Ok _ when too_large system -> (refuse_too_large ?id "pareto", [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
     match Synth.Pareto.frontier ~jobs ?capacity tech apps with
@@ -279,22 +293,13 @@ let simulate t ~deadline_ns ~id ~jobs ~model ~until ~family =
     | None -> Sim.Engine.default_limits
     | Some max_time -> { Sim.Engine.default_limits with max_time }
   in
-  let too_large system =
-    match V.Variant_space.count system with
-    | n -> n > max_configurations
-    | exception Invalid_argument _ -> true (* the count overflows *)
-  in
   let expired () =
     P.deadline_exceeded ?id "simulate: the deadline passed before the runs finished"
   in
   let response =
     match load_system model with
     | Error e -> P.error ?id e
-    | Ok system when too_large system ->
-      P.too_large ?id ~limit:max_configurations
-        (Printf.sprintf
-           "simulate: the variant space has more than %d configurations"
-           max_configurations)
+    | Ok system when too_large system -> refuse_too_large ?id "simulate"
     | Ok system -> (
       match family_plan_for t system with
       | exception Invalid_argument m when family -> P.error ?id m

@@ -10,10 +10,10 @@
 type t
 
 val max_configurations : int
-(** Simulate requests, family or flat, whose variant space has more
-    configurations than this are answered with a
+(** Simulate (family or flat), synthesize and pareto requests whose
+    variant space has more configurations than this are answered with a
     {!Protocol.too_large} error before any model is flattened or plan
-    built. *)
+    built.  An overflowing count is refused the same way. *)
 
 val create :
   ?store:Store.Keyed.t ->

@@ -103,9 +103,16 @@ let write_all fd s =
   in
   go 0
 
-let append w json =
-  write_all w.fd (frame (Obs.Json.to_string ~minify:true json));
-  if w.fsync then Unix.fsync w.fd;
-  Obs.Metric.incr m_appends
+let append w = function
+  | [] -> ()
+  | jsons ->
+    let buf = Buffer.create 1024 in
+    List.iter
+      (fun json ->
+        Buffer.add_string buf (frame (Obs.Json.to_string ~minify:true json)))
+      jsons;
+    write_all w.fd (Buffer.contents buf);
+    if w.fsync then Unix.fsync w.fd;
+    Obs.Metric.add m_appends (List.length jsons)
 
 let close w = Unix.close w.fd

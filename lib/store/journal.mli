@@ -42,8 +42,13 @@ val open_writer : ?fsync:bool -> string -> writer
     and bulk rebuilds only.
     @raise Unix.Unix_error as [open]/[ftruncate] do. *)
 
-val append : writer -> Obs.Json.t -> unit
-(** Serializes, frames, writes, and (by default) fsyncs one record.
+val append : writer -> Obs.Json.t list -> unit
+(** Serializes and frames each record, writes the frames with one
+    [write] and (by default) fsyncs once.  A record's frame does not
+    depend on the records written with it, and a crash mid-write leaves
+    a prefix of the records plus at most one torn record, which
+    {!replay} drops as usual.  [store.journal_appends] counts records;
+    an empty list writes nothing.
     @raise Unix.Unix_error when the write fails; the journal is no
     worse than before the call (a partial write is next startup's torn
     tail). *)

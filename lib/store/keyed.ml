@@ -41,11 +41,22 @@ let find t key =
 
 let mem t key = Hashtbl.mem t.index key
 
-let put t ~key value =
-  Journal.append t.writer (record ~key value);
-  Hashtbl.replace t.index key value;
-  Obs.Metric.incr m_puts;
-  Obs.Metric.set m_records (Hashtbl.length t.index)
+let put t pairs =
+  let changed =
+    List.filter
+      (fun (key, value) ->
+        match Hashtbl.find_opt t.index key with
+        | Some stored -> stored <> value
+        | None -> true)
+      pairs
+  in
+  if changed <> [] then begin
+    Journal.append t.writer
+      (List.map (fun (key, value) -> record ~key value) changed);
+    List.iter (fun (key, value) -> Hashtbl.replace t.index key value) changed;
+    Obs.Metric.add m_puts (List.length changed);
+    Obs.Metric.set m_records (Hashtbl.length t.index)
+  end
 
 let size t = Hashtbl.length t.index
 let path t = Journal.path t.writer

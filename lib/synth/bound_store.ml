@@ -93,14 +93,11 @@ let solution_record restrict (s : Explore.solution) : Obs.Json.t =
 
 let remember ?capacity store tech apps (s : Explore.solution) =
   Store.Keyed.put store
-    ~key:(problem_key ?capacity tech apps)
-    (solution_record None s);
-  List.iter
-    (fun (a : App.t) ->
-      Store.Keyed.put store
-        ~key:(app_key ?capacity tech a)
-        (solution_record (Some a.App.procs) s))
-    apps
+    ((problem_key ?capacity tech apps, solution_record None s)
+    :: List.map
+         (fun (a : App.t) ->
+           (app_key ?capacity tech a, solution_record (Some a.App.procs) s))
+         apps)
 
 let stored_binding store key =
   match Store.Keyed.find store key with

@@ -28,7 +28,9 @@ val remember :
   ?capacity:int -> Store.Keyed.t -> Tech.t -> App.t list ->
   Explore.solution -> unit
 (** Journals the solution under the problem key and under every
-    application key (each app's record restricted to its processes). *)
+    application key (each app's record restricted to its processes), as
+    one {!Store.Keyed.put}: one write and one fsync, and no record
+    for a key that already holds the same value. *)
 
 val warm_binding :
   ?capacity:int -> Store.Keyed.t -> Tech.t -> App.t list -> Binding.t option

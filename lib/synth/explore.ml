@@ -101,14 +101,325 @@ let compile ~fixed tech apps procs =
       { pid; sw; hw; members = member_indices pid })
     procs
 
+(* Variant-aware lower bound, one row per depth [i]: nodes [0, i) are
+   decided, [i, n) are open.  Applications whose open software-capable
+   process sets are identical form a group.  A completion keeps every
+   application within capacity, so each group's most loaded member must
+   move at least [loads + sw_load - capacity] of load to hardware, out
+   of [movable]; past [movable] the subtree is infeasible, and otherwise
+   the move costs at least the fractional-knapsack area of the group's
+   [items].  Groups whose movable processes are pairwise disjoint pay
+   for disjoint processes, so a packing's terms add up: applications
+   that pick different variants of a site move load from disjoint
+   cluster processes.
+
+   Rows are built backward from depth [n], where every application has
+   the empty set: the groups of row [i] split those of row [i + 1] by
+   membership of node [i], and a group node [i] does not touch keeps
+   its record. *)
+type group = {
+  sw_load : int;  (** open software-capable load of every member *)
+  movable : int;  (** the part of [sw_load] that could move to hardware *)
+  items : int array;
+      (** nodes of the [movable] load with a positive load, ascending
+          area/load: the fractional-knapsack order *)
+}
+
+type row = {
+  hw_only_area : int;  (** area of the open hardware-only nodes *)
+  sw_forced : bool;  (** some open node is software-only *)
+  group_of : int array;  (** application index -> group index *)
+  groups : group array;
+  max_sw_load : int;  (** the largest [sw_load] of [groups] *)
+  packings : int array array;
+      (** sets of at least two groups with pairwise disjoint [items] *)
+}
+
+type bound = {
+  rows : row array;  (** indexed by depth, [0 .. n] *)
+  item_load : int array;  (** per node: software load, 0 when none *)
+  item_area : int array;  (** per node: hardware area, 0 when none *)
+  max_groups : int;
+}
+
+(* Packings per row: greedy packings, each from the first group no
+   earlier packing covers, at most [max_packings] of them.  The cap
+   keeps a row at O(applications) packing entries and its build at
+   O(max_packings x applications x processes). *)
+let max_packings = 32
+
+(* Exact comparison of [a1 / l1] and [a2 / l2] for positive loads,
+   without the overflow of cross-multiplying: compare the quotients,
+   then the remainders' ratios inverted (Euclid's recursion). *)
+let rec compare_ratio a1 l1 a2 l2 =
+  let q1 = a1 / l1 and q2 = a2 / l2 in
+  if q1 <> q2 then Int.compare q1 q2
+  else
+    let r1 = a1 - (q1 * l1) and r2 = a2 - (q2 * l2) in
+    match (r1, r2) with
+    | 0, 0 -> 0
+    | 0, _ -> -1
+    | _, 0 -> 1
+    | _ -> compare_ratio l2 r2 l1 r1
+
+(* [ceil (area * need / load)] for [0 < need <= load].  With
+   [area = q * load + r] it is [q * need + ceil (r * need / load)]; the
+   second term is dropped (a weaker, still valid bound) when [r * need]
+   could overflow. *)
+let pro_rata ~area ~load ~need =
+  let q = area / load and r = area mod load in
+  (q * need) + if load <= 1 lsl 30 then ((r * need) + load - 1) / load else 0
+
+(* [mark.(j) = !stamp] flags node [j] as taken by the packing being
+   built; a fresh stamp per packing clears every flag at once.  Each
+   packing holds its first pick, which no earlier packing covers, so no
+   two packings are equal. *)
+let packings ~spend ~mark ~stamp groups =
+  let k = Array.length groups in
+  spend k;
+  let covered = Array.make k false in
+  let found = ref [] and attempts = ref 0 in
+  for first = 0 to k - 1 do
+    if !attempts < max_packings && (not covered.(first))
+       && groups.(first).items <> [||]
+    then begin
+      incr attempts;
+      incr stamp;
+      spend k;
+      let picked = ref [] in
+      let take g =
+        let items = groups.(g).items in
+        spend (Array.length items);
+        for x = 0 to Array.length items - 1 do
+          mark.(items.(x)) <- !stamp
+        done;
+        covered.(g) <- true;
+        picked := g :: !picked
+      in
+      let free g =
+        let items = groups.(g).items in
+        let x = ref 0 in
+        while !x < Array.length items && mark.(items.(!x)) <> !stamp do
+          incr x
+        done;
+        spend (!x + 1);
+        !x = Array.length items
+      in
+      take first;
+      for g = 0 to k - 1 do
+        if g <> first && groups.(g).items <> [||] && free g then take g
+      done;
+      if List.compare_length_with !picked 1 > 0 then begin
+        spend (List.length !picked);
+        found := Array.of_list !picked :: !found
+      end
+    end
+  done;
+  Array.of_list (List.rev !found)
+
+(* The build charges one unit per word it writes (group indices, group
+   records, item arrays, packings) or reads (the grouping and packing
+   scans).  Past [max_table_words] units [build_bound] raises
+   [Over_budget] and [solve] searches with the plain bound alone, so a
+   table costs at most 16 MB, and an abandoned build up to ~30 ms on a
+   2-vCPU host.  The item arrays dominate: a group that node [i]
+   extends copies its items, so open processes shared by many groups
+   cost processes^2 x groups words.  600 shared processes ahead of 6
+   binary sites (64 applications) would copy ~11.5M words, 3000 ~288M,
+   and a single site of 3500 one-process variants holds 3500 x 3500
+   group indices.  A figure2-gen-large-class problem (35 processes,
+   27 applications) needs ~60k units. *)
+let max_table_words = 1 lsl 21
+
+exception Over_budget
+
+let build_bound ~capacity ~nodes ~n_apps =
+  let budget = ref max_table_words in
+  let spend words =
+    budget := !budget - words;
+    if !budget < 0 then raise_notrace Over_budget
+  in
+  let n = Array.length nodes in
+  let item_load = Array.map (fun nd -> Option.value nd.sw ~default:0) nodes in
+  let item_area = Array.map (fun nd -> Option.value nd.hw ~default:0) nodes in
+  (* one exact sort of the possible items; groups then keep theirs in
+     ascending [rank] by insertion *)
+  let rank = Array.make n 0 in
+  let order =
+    List.filter
+      (fun j -> item_load.(j) > 0 && Option.is_some nodes.(j).hw)
+      (List.init n Fun.id)
+    |> List.stable_sort (fun j1 j2 ->
+           compare_ratio item_area.(j1) item_load.(j1) item_area.(j2)
+             item_load.(j2))
+  in
+  List.iteri (fun r j -> rank.(j) <- r) order;
+  let insert items j =
+    let m = Array.length items in
+    spend (m + 1);
+    let k = ref 0 in
+    while !k < m && rank.(items.(!k)) < rank.(j) do
+      incr k
+    done;
+    Array.init (m + 1) (fun x ->
+        if x < !k then items.(x) else if x = !k then j else items.(x - 1))
+  in
+  let last =
+    {
+      hw_only_area = 0;
+      sw_forced = false;
+      group_of = Array.make n_apps 0;
+      groups = [| { sw_load = 0; movable = 0; items = [||] } |];
+      max_sw_load = 0;
+      packings = [||];
+    }
+  in
+  let rows = Array.make (n + 1) last in
+  (* when every application's whole software-capable load fits, no
+     group ever needs to move load and rows keep the one empty group *)
+  let roomy =
+    let total = Array.make n_apps 0 in
+    Array.iter
+      (fun nd ->
+        let load = Option.value nd.sw ~default:0 in
+        Array.iter (fun a -> total.(a) <- total.(a) + load) nd.members)
+      nodes;
+    Array.for_all (fun t -> t <= capacity) total
+  in
+  let member = Array.make n_apps false in
+  let mark = Array.make n 0 and stamp = ref 0 in
+  for i = n - 1 downto 0 do
+    let next = rows.(i + 1) and nd = nodes.(i) in
+    rows.(i) <-
+      (match nd.sw with
+      | None -> { next with hw_only_area = next.hw_only_area + item_area.(i) }
+      | Some _ when roomy ->
+        { next with sw_forced = next.sw_forced || Option.is_none nd.hw }
+      | Some load ->
+        let has_hw = Option.is_some nd.hw in
+        let extend g =
+          spend 4;
+          {
+            sw_load = g.sw_load + load;
+            movable = (g.movable + if has_hw then load else 0);
+            items = (if has_hw && load > 0 then insert g.items i else g.items);
+          }
+        in
+        spend (n_apps + (2 * Array.length next.groups));
+        Array.iter (fun a -> member.(a) <- true) nd.members;
+        let key a = (2 * next.group_of.(a)) + Bool.to_int member.(a) in
+        let remap = Array.make (2 * Array.length next.groups) (-1) in
+        let groups = ref [] and count = ref 0 in
+        for a = 0 to n_apps - 1 do
+          if remap.(key a) < 0 then begin
+            remap.(key a) <- !count;
+            incr count;
+            let parent = next.groups.(next.group_of.(a)) in
+            groups := (if member.(a) then extend parent else parent) :: !groups
+          end
+        done;
+        (* groups are numbered by first member, so when node [i] splits
+           none of them the numbering is the next row's *)
+        let group_of =
+          if !count = Array.length next.groups then next.group_of
+          else begin
+            spend n_apps;
+            Array.init n_apps (fun a -> remap.(key a))
+          end
+        in
+        Array.iter (fun a -> member.(a) <- false) nd.members;
+        let groups = Array.of_list (List.rev !groups) in
+        spend (Array.length groups);
+        {
+          hw_only_area = next.hw_only_area;
+          sw_forced = next.sw_forced || not has_hw;
+          group_of;
+          groups;
+          max_sw_load =
+            Array.fold_left (fun m g -> max m g.sw_load) 0 groups;
+          packings = packings ~spend ~mark ~stamp groups;
+        })
+  done;
+  let max_groups =
+    Array.fold_left (fun m r -> max m (Array.length r.groups)) 0 rows
+  in
+  { rows; item_load; item_area; max_groups }
+
+(* The variant-aware cut of one search call, for nodes that survive
+   the plain check: [true] when the table's bound at depth [i] reaches
+   [incumbent] or no completion fits.  [worst] is the highest load in
+   [loads]; when it leaves room for every group's open load no group
+   needs to move anything, and the per-application scan is skipped.
+   [terms] is the call's per-group scratch, so tasks on several domains
+   share [bound] read-only. *)
+let variant_cut ~capacity ~processor_cost ~loads bound =
+  let n_apps = Array.length loads in
+  let terms = Array.make bound.max_groups 0 in
+  let item_load = bound.item_load and item_area = bound.item_area in
+  (* fractional knapsack: the cheapest area that moves [need] load *)
+  let rec cover items k need acc =
+    let j = items.(k) in
+    let load = item_load.(j) in
+    if load >= need then acc + pro_rata ~area:item_area.(j) ~load ~need
+    else cover items (k + 1) (need - load) (acc + item_area.(j))
+  in
+  (* [true] when one group, or one packing, uses up [slack]; stops as
+     soon as one does.  A group whose need exceeds its movable load has
+     no completion. *)
+  let groups_cut row slack =
+    let groups = row.groups and group_of = row.group_of in
+    let k = Array.length groups in
+    Array.fill terms 0 k 0;
+    for a = 0 to n_apps - 1 do
+      let g = group_of.(a) in
+      if loads.(a) > terms.(g) then terms.(g) <- loads.(a)
+    done;
+    let cut = ref false and g = ref 0 in
+    while (not !cut) && !g < k do
+      let grp = groups.(!g) in
+      let need = terms.(!g) + grp.sw_load - capacity in
+      let term =
+        if need <= 0 then 0
+        else if need > grp.movable then slack
+        else cover grp.items 0 need 0
+      in
+      terms.(!g) <- term;
+      cut := term >= slack;
+      incr g
+    done;
+    let packings = row.packings in
+    let p = ref 0 in
+    while (not !cut) && !p < Array.length packings do
+      let pk = packings.(!p) in
+      let sum = ref 0 in
+      for q = 0 to Array.length pk - 1 do
+        sum := !sum + terms.(pk.(q))
+      done;
+      cut := !sum >= slack;
+      incr p
+    done;
+    !cut
+  in
+  fun i area any_sw worst incumbent ->
+    let row = bound.rows.(i) in
+    let base =
+      area + row.hw_only_area
+      + if any_sw || row.sw_forced then processor_cost else 0
+    in
+    base >= incumbent
+    || (worst + row.max_sw_load > capacity && groups_cut row (incumbent - base))
+
 (* The branch-and-bound core, shared by the sequential and the parallel
    path.  Search state: index into [nodes], the binding prefix,
    accumulated ASIC area, whether any process went to software (the
-   processor cost trigger), and the per-application software loads in
-   [loads].  Lower bound of a partial assignment: area so far +
-   processor cost if any software so far — every completion only adds
-   cost.  A partial assignment dies as soon as one application's load
-   exceeds capacity (software loads only grow).
+   processor cost trigger), the per-application software loads in
+   [loads] and the highest of them ([worst]).  Two lower bounds of a
+   partial assignment: the plain one, area so far + processor cost if
+   any software so far (every completion only adds cost), and at nodes
+   that survive it the variant-aware [bound] table's.  A partial
+   assignment dies as soon as one application's load exceeds capacity
+   (software loads only grow), or as soon as the table shows no
+   completion fits.
 
    Child order: the sequential reference visits the hardware child
    first (the historical order of the seed implementation).  The
@@ -118,8 +429,8 @@ let compile ~fixed tech apps procs =
    bound-sorted task schedule establish a tight incumbent early.
 
    Counter semantics: [explored] counts decision nodes expanded — nodes
-   that survive the bound check and branch on a process.  [pruned]
-   counts subtrees cut, whether by the incumbent bound or by a capacity
+   that survive both bound checks and branch on a process.  [pruned]
+   counts subtrees cut, whether by either bound or by a capacity
    overload; complete leaves count as neither.  Hardware and software
    children are treated identically, so the totals are comparable
    across search orders and domain counts. *)
@@ -166,33 +477,34 @@ let materialize ~nodes ~n choices =
    is just not proved optimal). *)
 let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
     ?(should_stop = fun () -> false) ?(stopped = ref false) ~sw_first
-    ~capacity ~processor_cost ~accept ~nodes ~n ~loads ~choices ~counters
-    ~current_bound ~improve start area0 any_sw0 =
+    ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads ~choices
+    ~counters ~current_bound ~improve start area0 any_sw0 =
   (* hoisted so the recursive closures are allocated once per call, not
      once per node *)
-  let rec add_loads members m load k ok =
-    if k = m then ok
+  let rec add_loads members m load k worst =
+    if k = m then worst
     else begin
       let ai = members.(k) in
       let v = loads.(ai) + load in
       loads.(ai) <- v;
-      add_loads members m load (k + 1) (ok && v <= capacity)
+      add_loads members m load (k + 1) (if v > worst then v else worst)
     end
   in
-  let rec go i area any_sw =
+  let cut =
+    match bound with
+    | Some bound -> variant_cut ~capacity ~processor_cost ~loads bound
+    | None -> fun _ _ _ _ _ -> false
+  in
+  let rec go i area any_sw worst =
     let lower = area + if any_sw then processor_cost else 0 in
+    let incumbent = current_bound () in
     if !stopped then ()
-    else if lower >= current_bound () then
+    else if lower >= incumbent then counters.pruned <- counters.pruned + 1
+    else if i < n && cut i area any_sw worst incumbent then
       counters.pruned <- counters.pruned + 1
     else if i = n then begin
       let binding = materialize ~nodes ~n choices in
-      if accept binding then begin
-        let worst = ref 0 in
-        for a = 0 to Array.length loads - 1 do
-          if loads.(a) > !worst then worst := loads.(a)
-        done;
-        improve lower binding !worst
-      end
+      if accept binding then improve lower binding worst
     end
     else begin
       counters.explored <- counters.explored + 1;
@@ -207,31 +519,32 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
         then
           (* hardware sibling shipped to the pool — best-first child
              continues in place *)
-          sw_child i area any_sw
+          sw_child i area worst
         else begin
-          sw_child i area any_sw;
-          hw_child i area any_sw
+          sw_child i area worst;
+          hw_child i area any_sw worst
         end
       end
       else begin
-        hw_child i area any_sw;
-        sw_child i area any_sw
+        hw_child i area any_sw worst;
+        sw_child i area worst
       end
     end
-  and hw_child i area any_sw =
+  and hw_child i area any_sw worst =
     match nodes.(i).hw with
     | Some a ->
       choices.(i) <- choice_hw;
-      go (i + 1) (area + a) any_sw
+      go (i + 1) (area + a) any_sw worst
     | None -> ()
-  and sw_child i area _any_sw =
+  and sw_child i area worst =
     match nodes.(i).sw with
     | Some load ->
       let members = nodes.(i).members in
       let m = Array.length members in
-      if add_loads members m load 0 true then begin
+      let worst = add_loads members m load 0 worst in
+      if worst <= capacity then begin
         choices.(i) <- choice_sw;
-        go (i + 1) area true
+        go (i + 1) area true worst
       end
       else counters.pruned <- counters.pruned + 1;
       for k = 0 to m - 1 do
@@ -239,10 +552,10 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
       done
     | None -> ()
   in
-  go start area0 any_sw0
+  go start area0 any_sw0 (Array.fold_left max 0 loads)
 
 let solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
-    ~nodes ~n_apps =
+    ~nodes ~bound ~n_apps =
   let n = Array.length nodes in
   let loads = Array.make n_apps 0 in
   let choices = Array.make n 0 in
@@ -271,7 +584,7 @@ let solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
     | Some dl -> fun () -> Obs.Clock.now_ns () >= dl
   in
   search ~should_stop ~stopped ~sw_first:false ~capacity ~processor_cost
-    ~accept ~nodes ~n ~loads ~choices ~counters
+    ~accept ~nodes ~bound ~n ~loads ~choices ~counters
     ~current_bound:(fun () -> !best_cost)
     ~improve:(fun cost binding worst ->
       if cost < !best_cost then begin
@@ -319,7 +632,7 @@ let split_depth ~jobs ~n =
   min (n - 2) (depth 0)
 
 let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
-    ~accept ~nodes ~n_apps =
+    ~accept ~nodes ~bound ~n_apps =
   (* one latch shared by every domain: whichever worker's throttled
      clock poll crosses the deadline first publishes the cancellation,
      the others observe it at their next poll (at most 1024 nodes
@@ -491,7 +804,7 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     let t = tasks.(0) in
     let counters = prefix_counters in
     search ~should_stop ~sw_first:true ~capacity ~processor_cost ~accept
-      ~nodes ~n ~loads:t.t_loads ~choices:t.t_choices ~counters
+      ~nodes ~bound ~n ~loads:t.t_loads ~choices:t.t_choices ~counters
       ~current_bound:(fun () -> Atomic.get incumbent)
       ~improve:(fun cost binding worst ->
         if cost < !seed_cost then begin
@@ -581,7 +894,7 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
        sub-millisecond work that costs the thief more in claim latency
        than it buys in balance *)
     search ~try_split ~split_floor:(n - 12) ~should_stop ~sw_first:true
-      ~capacity ~processor_cost ~accept ~nodes ~n ~loads:t.t_loads
+      ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads:t.t_loads
       ~choices:t.t_choices ~counters
       ~current_bound:(fun () -> Atomic.get incumbent)
       ~improve t.t_depth t.t_area t.t_any_sw;
@@ -699,13 +1012,18 @@ let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
           Obs.Metric.incr m_warm_rejected;
           None)
     in
+    let bound =
+      match build_bound ~capacity ~nodes ~n_apps with
+      | bound -> Some bound
+      | exception Over_budget -> None
+    in
     let best, counters, deadline_hit =
       if jobs = 1 || n < 4 then
         solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost
-          ~accept ~nodes ~n_apps
+          ~accept ~nodes ~bound ~n_apps
       else
         solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity
-          ~processor_cost ~accept ~nodes ~n_apps
+          ~processor_cost ~accept ~nodes ~bound ~n_apps
     in
     if deadline_hit then Obs.Metric.incr m_deadline_hits;
     Obs.Metric.add m_nodes counters.explored;

@@ -7,6 +7,34 @@
     synthesis and superposition.  The explorer is exact: it returns a
     cost-minimal feasible binding when one exists.
 
+    The bound reasons over the whole application family at once.  Each
+    call builds one table over the fixed decision order.  At every depth
+    it groups the applications by their undecided software-capable
+    process set.  A group's most loaded member must move its excess load
+    to hardware: past the group's movable load the subtree is
+    infeasible, and otherwise the move costs at least the
+    fractional-knapsack area of that load.  Groups whose movable
+    processes are disjoint pay for disjoint processes, so their terms
+    add up.  Applications that pick different variants of a site move
+    load from disjoint cluster processes, which is where the bound is
+    variant-aware.  A node is cut when area so far, undecided
+    hardware-only area, the processor cost (when software is used or
+    forced) and the best disjoint packing's terms reach the incumbent.
+    Every cut subtree holds no feasible leaf cheaper than the incumbent,
+    so [jobs = 1] finds exactly the incumbents an exhaustive search
+    would; only [explored] and [pruned] shrink.  Each group keeps its
+    undecided movable processes in knapsack order, copied at every
+    depth that extends it, so the table can grow with processes{^2}
+    times applications.  Its build is charged per word written or
+    scanned, and past 2{^21} words (16 MB) it is abandoned: the search
+    then keeps only the plain bound (area so far plus the processor
+    cost once software is used).  When every application's whole
+    software-capable load fits the capacity no group can ever need to
+    move load, and the table keeps only the undecided hardware-only
+    area and the forced processor cost.  Elsewhere a node skips the
+    per-application scan when its highest load leaves room for every
+    group's undecided load.
+
     With [jobs > 1] the decision tree is split at a configurable depth
     into independent subtree tasks, sorted by their lower bound and run
     on a pool of OCaml 5 domains sharing an atomic incumbent cost for
@@ -19,10 +47,11 @@ type solution = {
   cost : Cost.breakdown;
   worst_load : int;  (** highest per-application software load *)
   explored : int;
-      (** decision nodes expanded: nodes that survived the bound check
+      (** decision nodes expanded: nodes that survived the bound checks
           and branched on a process (aggregated across domains) *)
   pruned : int;
-      (** subtrees cut by the incumbent bound or a capacity overload *)
+      (** subtrees cut by a bound reaching the incumbent, a capacity
+          overload, or a group that cannot shed its excess load *)
   degraded : bool;
       (** the deadline expired before the search proved optimality: the
           binding is the best incumbent found, feasible and valid, but a
@@ -69,8 +98,9 @@ val solve :
     it cooperatively (every 1024 expanded nodes, on every domain) and
     past it stops expanding, returning the best incumbent found so far
     with [degraded = true] — or [Error Deadline_no_incumbent] when none
-    was found.  Without a deadline the search is exact and its results
-    are byte-identical to earlier releases.
+    was found.  Without a deadline the search is exact: with [jobs = 1]
+    its binding, cost and worst load are byte-identical to earlier
+    releases, which only expanded more nodes.
 
     [warm] is a previously found binding (e.g. replayed from the
     exploration store): it is re-validated against the current problem —

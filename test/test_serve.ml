@@ -547,6 +547,45 @@ let test_family_request_capped () =
         (P.status_of_response next))
     [ true; false ]
 
+(* Synthesize and pareto flatten one model per configuration, so they
+   share simulate's cap: the same 6561-configuration space is refused
+   before any flattening, alone and as a batch item, and the handler
+   serves the next request. *)
+let test_synthesis_request_capped () =
+  let model =
+    Lang.Printer.to_string
+      (V.Generator.generate
+         { V.Generator.default with sites = 8; variants_per_site = 3 })
+  in
+  let t = Serve.Handler.create ~jobs:1 () in
+  let check_too_large what r =
+    Alcotest.(check string) (what ^ ": error") "error" (P.status_of_response r);
+    Alcotest.(check (option string)) (what ^ ": too_large") (Some "too_large")
+      (Option.bind (J.member "error" r) J.to_string_opt);
+    Alcotest.(check (option int)) (what ^ ": names the limit")
+      (Some Serve.Handler.max_configurations)
+      (Option.bind (J.member "limit" r) J.to_int)
+  in
+  let synth = P.Synthesize { model; tech = tech_source; capacity = None } in
+  check_too_large "synthesize" (handle ~handler:t (plain synth));
+  check_too_large "pareto"
+    (handle ~handler:t
+       (plain (P.Pareto { model; tech = tech_source; capacity = None })));
+  (match
+     Option.bind
+       (J.member "results" (handle ~handler:t (plain (P.Batch [ plain synth ]))))
+       J.to_list
+   with
+  | Some [ item ] -> check_too_large "batch item" item
+  | _ -> Alcotest.fail "expected one batch result");
+  let next =
+    handle ~handler:t
+      (plain
+         (P.Synthesize
+            { model = model_source; tech = tech_source; capacity = None }))
+  in
+  Alcotest.(check string) "next request served" "ok" (P.status_of_response next)
+
 (* A request's [jobs] may lower the handler's domain count, never raise
    it: on a one-domain handler neither a request nor a batch item asking
    for 64 domains spawns a pool. *)
@@ -1315,6 +1354,8 @@ let suite =
         test_client_retry_logged;
       Alcotest.test_case "over-cap family request is refused" `Quick
         test_family_request_capped;
+      Alcotest.test_case "oversized synthesize and pareto are refused" `Quick
+        test_synthesis_request_capped;
       Alcotest.test_case "a request's jobs cannot exceed the handler's" `Quick
         test_request_jobs_capped;
       Alcotest.test_case "flat answers from the family plan equal the oracle"

@@ -30,7 +30,7 @@ let test_journal_roundtrip () =
   with_tmp (fun path ->
       let w = Store.Journal.open_writer ~fsync:false path in
       for i = 1 to 5 do
-        Store.Journal.append w (record i)
+        Store.Journal.append w [ record i ]
       done;
       Store.Journal.close w;
       let r = Store.Journal.replay path in
@@ -62,14 +62,32 @@ let write_file path s =
 (* Property: a journal truncated at EVERY byte offset replays a valid
    prefix of the original records — or reports a structured diagnostic
    for the torn tail — and never raises.  This is the kill -9 contract:
-   whatever the crash leaves behind, recovery is total. *)
+   whatever the crash leaves behind, recovery is total.  It holds for a
+   journal written record by record and for one written in batches,
+   whose bytes are the same frames: a crash inside one batched write
+   leaves a prefix of its records. *)
 let test_truncation_property () =
+  let originals = List.init 7 record in
+  let written append =
+    with_tmp (fun path ->
+        let w = Store.Journal.open_writer ~fsync:false path in
+        append w;
+        Store.Journal.close w;
+        read_file path)
+  in
+  let single =
+    written (fun w -> List.iter (fun r -> Store.Journal.append w [ r ]) originals)
+  in
+  let batched =
+    written (fun w ->
+        Store.Journal.append w (List.filteri (fun i _ -> i < 3) originals);
+        Store.Journal.append w [];
+        Store.Journal.append w (List.filteri (fun i _ -> i >= 3) originals))
+  in
+  Alcotest.(check string) "batches frame records exactly as appends" single
+    batched;
   with_tmp (fun path ->
-      let w = Store.Journal.open_writer ~fsync:false path in
-      let originals = List.init 7 record in
-      List.iter (Store.Journal.append w) originals;
-      Store.Journal.close w;
-      let full = read_file path in
+      let full = batched in
       let n = String.length full in
       for cut = 0 to n do
         write_file path (String.sub full 0 cut);
@@ -99,7 +117,7 @@ let test_corruption_property () =
   with_tmp (fun path ->
       let w = Store.Journal.open_writer ~fsync:false path in
       let originals = List.init 4 record in
-      List.iter (Store.Journal.append w) originals;
+      Store.Journal.append w originals;
       Store.Journal.close w;
       let full = read_file path in
       String.iteri
@@ -121,15 +139,15 @@ let test_corruption_property () =
 let test_writer_truncates_torn_tail () =
   with_tmp (fun path ->
       let w = Store.Journal.open_writer ~fsync:false path in
-      Store.Journal.append w (record 1);
-      Store.Journal.append w (record 2);
+      Store.Journal.append w [ record 1 ];
+      Store.Journal.append w [ record 2 ];
       Store.Journal.close w;
       let full = read_file path in
       write_file path (full ^ "deadbeef 12 {\"torn\":");
       let r = Store.Journal.replay path in
       Alcotest.(check bool) "tail diagnosed" true (r.Store.Journal.tail <> None);
       let w = Store.Journal.open_writer ~fsync:false path in
-      Store.Journal.append w (record 3);
+      Store.Journal.append w [ record 3 ];
       Store.Journal.close w;
       let r = Store.Journal.replay path in
       Alcotest.(check (list json))
@@ -144,9 +162,9 @@ let test_keyed_last_wins () =
   with_tmp (fun path ->
       let store, tail = Store.Keyed.open_store ~fsync:false path in
       Alcotest.(check bool) "cold open is clean" true (tail = None);
-      Store.Keyed.put store ~key:"a" (J.Int 1);
-      Store.Keyed.put store ~key:"b" (J.Int 2);
-      Store.Keyed.put store ~key:"a" (J.Int 3);
+      Store.Keyed.put store [ ("a", J.Int 1) ];
+      Store.Keyed.put store [ ("b", J.Int 2) ];
+      Store.Keyed.put store [ ("a", J.Int 3) ];
       Alcotest.(check (option json)) "last wins" (Some (J.Int 3))
         (Store.Keyed.find store "a");
       Alcotest.(check int) "two live keys" 2 (Store.Keyed.size store);
@@ -164,7 +182,7 @@ let test_keyed_last_wins () =
 let test_keyed_recovers_torn_tail () =
   with_tmp (fun path ->
       let store, _ = Store.Keyed.open_store ~fsync:false path in
-      Store.Keyed.put store ~key:"a" (J.Int 1);
+      Store.Keyed.put store [ ("a", J.Int 1) ];
       Store.Keyed.close store;
       let full = read_file path in
       write_file path (full ^ "0123456789abcdef 5 {\"k\"");
@@ -223,6 +241,29 @@ let test_warm_equals_cold () =
       Alcotest.(check bool) "warm run explores no more than cold" true
         (warm.Synth.Explore.explored <= cold.Synth.Explore.explored))
 
+(* [remember] journals the problem record and the per-app records as
+   one batch; remembering the same solution again finds every key
+   holding an equal value and leaves the journal byte-identical. *)
+let test_remember_is_idempotent () =
+  with_tmp (fun path ->
+      let s =
+        match Synth.Explore.solve tech apps with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail "solve failed"
+      in
+      let appends = Obs.Registry.counter "store.journal_appends" in
+      let store, _ = Store.Keyed.open_store ~fsync:false path in
+      let a0 = Obs.Metric.value appends in
+      Synth.Bound_store.remember store tech apps s;
+      Alcotest.(check int) "one record per key" (1 + List.length apps)
+        (Obs.Metric.value appends - a0);
+      let first = read_file path in
+      Synth.Bound_store.remember store tech apps s;
+      Store.Keyed.close store;
+      Alcotest.(check int) "no record the second time" (1 + List.length apps)
+        (Obs.Metric.value appends - a0);
+      Alcotest.(check string) "journal byte-identical" first (read_file path))
+
 (* A model edit invalidates the problem key but per-app records still
    warm-start the unchanged applications. *)
 let test_partial_warm_after_edit () =
@@ -274,4 +315,6 @@ let suite =
         test_warm_equals_cold;
       Alcotest.test_case "partial warm after model edit" `Quick
         test_partial_warm_after_edit;
+      Alcotest.test_case "remembering a solution twice writes it once" `Quick
+        test_remember_is_idempotent;
     ] )

@@ -175,21 +175,29 @@ let test_table1_exact () =
     (Option.map (fun i -> i = Synth.Binding.Sw)
        (Synth.Binding.impl_of F2.unit_g1 var.Synth.Explore.binding))
 
-let brute_force ?(capacity = 100) tech apps =
+let brute_force ?(capacity = 100) ?(fixed = Synth.Binding.empty)
+    ?(accept = fun _ -> true) tech apps =
   let procs = I.Process_id.Set.elements (Synth.App.union_procs apps) in
   let rec go procs binding =
     match procs with
     | [] ->
-      if Synth.Schedule.is_feasible (Synth.Schedule.check ~capacity tech binding apps)
+      if
+        Synth.Schedule.is_feasible
+          (Synth.Schedule.check ~capacity tech binding apps)
+        && accept binding
       then Some (Synth.Cost.total tech binding)
       else None
     | p :: rest ->
       let try_impl impl =
         let o = Synth.Tech.options_of tech p in
         let available =
-          match impl with
+          (match impl with
           | Synth.Binding.Sw -> Option.is_some o.Synth.Tech.sw
-          | Synth.Binding.Hw -> Option.is_some o.Synth.Tech.hw
+          | Synth.Binding.Hw -> Option.is_some o.Synth.Tech.hw)
+          &&
+          match Synth.Binding.impl_of p fixed with
+          | Some pin -> pin = impl
+          | None -> true
         in
         if available then go rest (Synth.Binding.bind p impl binding) else None
       in
@@ -231,6 +239,247 @@ let prop_explore_matches_bruteforce =
           (Synth.Explore.optimal tech apps)
       in
       expected = got)
+
+(* Variant-structured instances, the shape the explorer's variant-aware
+   bound reasons about: 1-3 shared processes plus 1-3 sites of 1-3
+   mutually exclusive variants, each a cluster of 1-2 processes (at
+   most 16 processes), and one application per variant combination, as
+   [App.of_system] builds them.  Options mix software-only,
+   hardware-only and both; some processes are pinned; random name
+   prefixes shuffle the decision order. *)
+let variant_instance rng =
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let shared = int 1 3 and sites = int 1 3 and variants = int 1 3 in
+  let cluster = if shared + (sites * variants * 2) <= 16 then int 1 2 else 1 in
+  let name fmt =
+    Printf.ksprintf (fun s -> pid (Printf.sprintf "%02d%s" (int 0 99) s)) fmt
+  in
+  let shared_pids = List.init shared (name "s%d") in
+  let site_pids =
+    List.init sites (fun s ->
+        List.init variants (fun v -> List.init cluster (name "x%d_%d_%d" s v)))
+  in
+  let apps =
+    List.fold_left
+      (fun partial choices ->
+        List.concat_map
+          (fun (label, procs) ->
+            List.mapi
+              (fun v ps -> (Printf.sprintf "%s.%d" label v, procs @ ps))
+              choices)
+          partial)
+      [ ("a", shared_pids) ]
+      site_pids
+    |> List.map (fun (label, procs) -> Synth.App.make label procs)
+  in
+  let pids = shared_pids @ List.concat (List.concat site_pids) in
+  let options () =
+    match int 0 4 with
+    | 0 -> Synth.Tech.sw_only ~load:(int 0 59)
+    | 1 -> Synth.Tech.hw_only ~area:(int 0 59)
+    | _ -> Synth.Tech.both ~load:(int 0 59) ~area:(int 0 59)
+  in
+  let tech =
+    Synth.Tech.make ~processor_cost:(int 0 29)
+      (List.map (fun p -> (p, options ())) pids)
+  in
+  let fixed =
+    List.fold_left
+      (fun b p ->
+        if int 0 5 > 0 then b
+        else
+          let o = Synth.Tech.options_of tech p in
+          match (o.Synth.Tech.sw, o.Synth.Tech.hw) with
+          | Some _, Some _ ->
+            Synth.Binding.bind p
+              (if Random.State.bool rng then Synth.Binding.Sw else Synth.Binding.Hw)
+              b
+          | Some _, None -> Synth.Binding.bind p Synth.Binding.Sw b
+          | None, _ -> Synth.Binding.bind p Synth.Binding.Hw b)
+      Synth.Binding.empty pids
+  in
+  (tech, apps, fixed, int 20 139)
+
+(* The optimum (or its absence) matches brute force at jobs 1 and 2, and
+   every returned binding respects the pins and the capacity. *)
+let prop_variant_bound_exact =
+  QCheck.Test.make ~name:"variant-aware bound keeps the explorer exact"
+    ~count:3000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let tech, apps, fixed, capacity =
+        variant_instance (Random.State.make [| seed |])
+      in
+      let expected = brute_force ~capacity ~fixed tech apps in
+      List.for_all
+        (fun jobs ->
+          match Synth.Explore.solve ~jobs ~capacity ~fixed tech apps with
+          | Error Synth.Explore.Infeasible -> expected = None
+          | Error _ -> false
+          | Ok s ->
+            let b = s.Synth.Explore.binding in
+            expected = Some s.Synth.Explore.cost.Synth.Cost.total
+            && Synth.Schedule.is_feasible
+                 (Synth.Schedule.check ~capacity tech b apps)
+            && List.for_all
+                 (fun p -> Synth.Binding.impl_of p b = Synth.Binding.impl_of p fixed)
+                 (Synth.Binding.processes fixed))
+        [ 1; 2 ])
+
+(* figure2-gen-medium of the explore benchmark: 26 processes, 8
+   applications, capacity 120, with the first six processes in decision
+   order ASIC-expensive and cheap in software. *)
+let figure2_medium () =
+  let seed = 9 in
+  let system =
+    Variants.Generator.generate
+      {
+        Variants.Generator.seed;
+        shared_processes = 8;
+        sites = 3;
+        variants_per_site = 2;
+        cluster_processes = 3;
+        latency_range = (1, 10);
+      }
+  in
+  let apps = Synth.App.of_system system in
+  let pids = I.Process_id.Set.elements (Synth.App.union_procs apps) in
+  let tech =
+    Synth.Tech.make ~processor_cost:15
+      (List.mapi
+         (fun i p ->
+           let w =
+             1 + (((Variants.Generator.process_weight p * 31) + (seed * 53)) mod 100)
+           in
+           if i < 6 then (p, Synth.Tech.both ~load:(4 + (w mod 5)) ~area:(300 + w))
+           else (p, Synth.Tech.both ~load:((w / 3) + 5) ~area:(w + 10)))
+         pids)
+  in
+  (tech, apps)
+
+(* The bound is live: the hardware-first search without it expands
+   587,018 nodes on this instance. *)
+let test_bound_is_live () =
+  let tech, apps = figure2_medium () in
+  let s = Synth.Explore.optimal_exn ~capacity:120 tech apps in
+  Alcotest.(check int) "optimum" 728 s.Synth.Explore.cost.Synth.Cost.total;
+  if s.Synth.Explore.explored >= 50_000 then
+    Alcotest.failf "expanded %d nodes, expected fewer than 50,000"
+      s.Synth.Explore.explored
+
+(* Warm starts under the bound: seeded with the cold optimum, jobs=1
+   keeps that binding (no strictly cheaper leaf exists) and expands no
+   more nodes; seeded with the all-hardware binding it still proves the
+   same optimum. *)
+let test_bound_warm_start () =
+  let tech, apps = figure2_medium () in
+  let cold = Synth.Explore.optimal_exn ~capacity:120 tech apps in
+  let solve warm =
+    match Synth.Explore.solve ~capacity:120 ~warm tech apps with
+    | Ok s -> s
+    | Error d -> Alcotest.failf "%a" Synth.Explore.pp_diagnostic d
+  in
+  let same = solve cold.Synth.Explore.binding in
+  Alcotest.(check int) "cost" cold.Synth.Explore.cost.Synth.Cost.total
+    same.Synth.Explore.cost.Synth.Cost.total;
+  Alcotest.(check string) "binding kept"
+    (Format.asprintf "%a" Synth.Binding.pp cold.Synth.Explore.binding)
+    (Format.asprintf "%a" Synth.Binding.pp same.Synth.Explore.binding);
+  Alcotest.(check bool) "no more nodes than cold" true
+    (same.Synth.Explore.explored <= cold.Synth.Explore.explored);
+  let all_hw =
+    Synth.Binding.of_list
+      (List.map
+         (fun p -> (p, Synth.Binding.Hw))
+         (I.Process_id.Set.elements (Synth.App.union_procs apps)))
+  in
+  Alcotest.(check int) "cost from an all-hardware warm start"
+    cold.Synth.Explore.cost.Synth.Cost.total
+    (solve all_hw).Synth.Explore.cost.Synth.Cost.total
+
+(* [accept] under the bound: rejecting every binding at the optimal cost
+   makes the explorer return the next cheapest accepted one, as brute
+   force does, at jobs 1 and 2. *)
+let test_bound_accept () =
+  let rng = Random.State.make [| 7 |] in
+  let rec instance () =
+    let ((tech, apps, fixed, capacity) as i) = variant_instance rng in
+    match brute_force ~capacity ~fixed tech apps with
+    | Some opt
+      when I.Process_id.Set.cardinal (Synth.App.union_procs apps) >= 8
+           && List.length apps >= 4 ->
+      (i, opt)
+    | Some _ | None -> instance ()
+  in
+  let (tech, apps, fixed, capacity), opt = instance () in
+  let accept b = Synth.Cost.total tech b <> opt in
+  let expected = brute_force ~capacity ~fixed ~accept tech apps in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "jobs=%d" jobs)
+        expected
+        (Option.map
+           (fun (s : Synth.Explore.solution) -> s.Synth.Explore.cost.Synth.Cost.total)
+           (Synth.Explore.optimal ~jobs ~capacity ~fixed ~accept tech apps)))
+    [ 1; 2 ]
+
+(* Many shared processes named ahead of six binary sites: 64
+   applications, each needing one unit of load moved to hardware, at
+   cost 10.  Every row of the bound table over the shared prefix copies
+   all 64 groups' item arrays, processes^2 x applications words in all,
+   so the table is built for 20 shared processes and dropped past its
+   budget for 600.  The warm start is optimal: with the table the root
+   is cut, without it the search walks the all-software path. *)
+let shared_ahead_of_sites ~shared =
+  let shared_pids =
+    List.init shared (fun k -> pid (Printf.sprintf "s%04d" k))
+  in
+  let site_pids =
+    List.init 6 (fun s ->
+        List.init 2 (fun v -> pid (Printf.sprintf "x%d_%d" s v)))
+  in
+  let apps =
+    List.fold_left
+      (fun partial choices ->
+        List.concat_map (fun procs -> List.map (fun p -> p :: procs) choices) partial)
+      [ shared_pids ] site_pids
+    |> List.mapi (fun k procs -> Synth.App.make (Printf.sprintf "a%d" k) procs)
+  in
+  let pids = shared_pids @ List.concat site_pids in
+  let tech =
+    Synth.Tech.make ~processor_cost:0
+      (List.map (fun p -> (p, Synth.Tech.both ~load:1 ~area:10)) pids)
+  in
+  let warm =
+    Synth.Binding.of_list
+      (List.mapi
+         (fun k p -> (p, if k = 0 then Synth.Binding.Hw else Synth.Binding.Sw))
+         pids)
+  in
+  (tech, apps, warm, shared + 5)
+
+let test_bound_budget () =
+  let solve ~shared =
+    let tech, apps, warm, capacity = shared_ahead_of_sites ~shared in
+    let before = Gc.allocated_bytes () in
+    match Synth.Explore.solve ~capacity ~warm tech apps with
+    | Ok s ->
+      let words =
+        (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+      in
+      Alcotest.(check int) "optimum" 10 s.Synth.Explore.cost.Synth.Cost.total;
+      (s.Synth.Explore.explored, words)
+    | Error d -> Alcotest.failf "%a" Synth.Explore.pp_diagnostic d
+  in
+  let explored, _ = solve ~shared:20 in
+  Alcotest.(check int) "table built: the root is cut" 0 explored;
+  (* the plain search allocates ~0.8M words here, the table's build
+     budget is 2^21 words, and the whole table would take ~13M *)
+  let explored, words = solve ~shared:600 in
+  Alcotest.(check int) "table dropped: the all-software path" 611 explored;
+  if words > 4_194_304. then
+    Alcotest.failf "solve allocated %.0f words, expected at most 2^22" words
 
 let test_explore_fixed () =
   let tech = F2.table1_tech in
@@ -339,10 +588,18 @@ let suite =
       Alcotest.test_case "Table 1 exact" `Quick test_table1_exact;
       Alcotest.test_case "explore with fixed bindings" `Quick test_explore_fixed;
       Alcotest.test_case "explore infeasible" `Quick test_explore_infeasible;
+      Alcotest.test_case "variant-aware bound is live" `Quick test_bound_is_live;
+      Alcotest.test_case "warm starts under the bound" `Quick
+        test_bound_warm_start;
+      Alcotest.test_case "accept filter under the bound" `Quick
+        test_bound_accept;
+      Alcotest.test_case "bound table past its budget" `Quick
+        test_bound_budget;
       Alcotest.test_case "serial all-in-one" `Quick test_serial_all_in_one;
       Alcotest.test_case "serial incremental" `Quick test_serial_incremental;
       Alcotest.test_case "design time" `Quick test_design_time;
       Alcotest.test_case "superpose per-app" `Quick test_superpose_per_app;
       QCheck_alcotest.to_alcotest ~long:false prop_explore_matches_bruteforce;
+      QCheck_alcotest.to_alcotest ~long:false prop_variant_bound_exact;
       QCheck_alcotest.to_alcotest ~long:false prop_variant_aware_never_worse;
     ] )

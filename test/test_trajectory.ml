@@ -1,6 +1,7 @@
 (* The bench-trajectory regression gate: parsing of bench-explore/v1
-   records and the two failure arms (cost divergence across job counts,
-   aggregate speedup regression past the tolerance). *)
+   records and its failure arms (cost divergence across job counts, a
+   cost changed against the baseline, aggregate and per-field speedup
+   regressions past the tolerance), and re-baseline records. *)
 
 module T = Trajectory
 
@@ -167,6 +168,68 @@ let test_family_within_tolerance () =
   | Ok _ -> ()
   | Error fs -> Alcotest.failf "expected pass, got: %s" (String.concat "; " fs)
 
+(* --------------------------- re-baselines -------------------------- *)
+
+let expect_ok what = function
+  | Ok _ -> ()
+  | Error fs ->
+    Alcotest.failf "%s: expected pass, got: %s" what (String.concat "; " fs)
+
+let expect_failure what sub = function
+  | Ok s -> Alcotest.failf "%s: passed the gate: %s" what s
+  | Error fs ->
+    if not (List.exists (fun f -> has_sub f sub) fs) then
+      Alcotest.failf "%s: no failure mentions %S in: %s" what sub
+        (String.concat "; " fs)
+
+(* A stronger bound that cuts the jobs=1 search far more than the
+   parallel one lowers the aggregate speedup by design: the labelled
+   record skips that floor, the same record unlabelled does not. *)
+let test_rebaseline_skips_aggregate_floor () =
+  let baseline = Some (record ~speedup:10.0 ()) in
+  expect_ok "labelled re-baseline"
+    (check ~baseline ~fresh:(record ~label:"rebaseline-bound" ~speedup:2.0 ()) ());
+  expect_failure "unlabelled" "aggregate speedup regressed"
+    (check ~baseline ~fresh:(record ~label:"bound" ~speedup:2.0 ()) ())
+
+(* A re-baseline changes what the speedup measures, never the answers,
+   and it leaves the per-field floors in force. *)
+let test_rebaseline_keeps_other_arms () =
+  let baseline = Some (record ~speedup:10.0 ~sim:6.0 ()) in
+  expect_failure "cost change" "optimal cost changed"
+    (check ~baseline
+       ~fresh:(record ~label:"rebaseline-bound" ~speedup:2.0 ~sim:6.0
+                 ~costs:[ 35; 35; 35 ] ())
+       ());
+  expect_failure "sim floor" "sim speedup regressed"
+    (check ~baseline
+       ~fresh:(record ~label:"rebaseline-bound" ~speedup:2.0 ~sim:1.0 ())
+       ())
+
+(* The cost arm compares workloads by name even when the workload sets
+   differ, so a tiny record cannot hide a changed answer. *)
+let test_cost_change_across_workload_sets () =
+  let base = record ~name:"table1" ~costs:[ 41; 41; 41 ] () in
+  let tiny = record ~name:"tiny" () in
+  let fresh =
+    {
+      tiny with
+      T.workloads =
+        (record ~name:"table1" ~costs:[ 42; 42; 42 ] ()).T.workloads
+        @ tiny.T.workloads;
+    }
+  in
+  expect_failure "changed table1" "optimal cost changed"
+    (check ~baseline:(Some base) ~fresh ())
+
+(* The record after a re-baseline is gated against it. *)
+let test_next_record_gated_against_rebaseline () =
+  let rebaseline = Some (record ~label:"rebaseline-bound" ~speedup:2.0 ()) in
+  expect_ok "within the budget"
+    (check ~baseline:rebaseline ~fresh:(record ~speedup:1.8 ()) ());
+  expect_failure "regressed" "aggregate speedup regressed"
+    (check ~baseline:rebaseline ~fresh:(record ~speedup:1.0 ()) ())
+
 let sample_json =
   {|[
   {
@@ -286,4 +349,12 @@ let suite =
         `Quick test_family_within_tolerance;
       Alcotest.test_case "parses the sim and family speedup fields" `Quick
         test_parse_sim_and_family_fields;
+      Alcotest.test_case "a re-baseline skips only the aggregate floor" `Quick
+        test_rebaseline_skips_aggregate_floor;
+      Alcotest.test_case "a re-baseline keeps the cost and field arms" `Quick
+        test_rebaseline_keeps_other_arms;
+      Alcotest.test_case "costs compare by workload name" `Quick
+        test_cost_change_across_workload_sets;
+      Alcotest.test_case "the next record is gated against a re-baseline"
+        `Quick test_next_record_gated_against_rebaseline;
     ] )
