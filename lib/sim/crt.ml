@@ -74,6 +74,9 @@ type cprod = {
   p_cid : I.Channel_id.t;
   p_rate : Interval.t;
   p_tags : Spi.Tag.Set.t;
+  p_plain : Spi.Token.t;
+      (* the token this production writes when no payload is inherited,
+         built once so such a firing allocates no token *)
 }
 
 let rec compile_pred ~ix_of = function
@@ -152,6 +155,7 @@ type table = {
   chan_cap : int array;
   chan_initial : Spi.Token.t list array;
   chan_index : int I.Channel_id.Tbl.t;
+  chan_reader : int array;
 }
 
 let find_ix index cid =
@@ -235,7 +239,13 @@ let lower ?(configurations = []) model =
               Array.of_list
                 (List.map
                    (fun (cid, (prod : Spi.Mode.production)) ->
-                     { p_ix = ix_of cid; p_cid = cid; p_rate = prod.rate; p_tags = prod.tags })
+                     {
+                       p_ix = ix_of cid;
+                       p_cid = cid;
+                       p_rate = prod.rate;
+                       p_tags = prod.tags;
+                       p_plain = Spi.Token.make ~tags:prod.tags ();
+                     })
                    (Spi.Mode.productions m));
             cm_inherit =
               (match Spi.Mode.payload_policy m with
@@ -268,17 +278,25 @@ let lower ?(configurations = []) model =
   let procs = Array.of_list (List.map lower_proc (Spi.Model.processes model)) in
   let proc_index = I.Process_id.Tbl.create (max 16 (Array.length procs)) in
   Array.iteri (fun i cp -> I.Process_id.Tbl.replace proc_index cp.pr_pid i) procs;
+  let chan_ids = Array.map Spi.Chan.id chan_decls in
   {
     model;
     procs;
     proc_index;
-    chan_ids = Array.map Spi.Chan.id chan_decls;
+    chan_ids;
     chan_register =
       Array.map (fun c -> Spi.Chan.kind c = Spi.Chan.Register) chan_decls;
     chan_cap =
       Array.map (fun c -> Option.value ~default:(-1) (Spi.Chan.capacity c)) chan_decls;
     chan_initial = Array.map Spi.Chan.initial chan_decls;
     chan_index;
+    chan_reader =
+      Array.map
+        (fun cid ->
+          match Spi.Model.reader_of cid model with
+          | Some pid -> I.Process_id.Tbl.find proc_index pid
+          | None -> -1)
+        chan_ids;
   }
 
 (* ------------------------------ run state ----------------------------- *)
@@ -357,6 +375,10 @@ type run = {
   crashes : I.Process_id.t array;
   record : bool;
   mutable frozen : bool array;
+  woken : bool array;
+  wake : int array;
+  mutable nwake : int;
+  changed : bool array;
   mutable trace : Trace.entry list;
   mutable firings : int;
   mutable now : int;
@@ -404,12 +426,58 @@ let start ~record ~overflow ~stimuli ~firing_budget ?faults tbl dsp =
     crashes;
     record;
     frozen = Array.make (Array.length tbl.procs) false;
+    woken = Array.make (Array.length tbl.procs) false;
+    wake = Array.make (Array.length tbl.procs) 0;
+    nwake = 0;
+    changed = Array.make (Array.length tbl.chan_ids) false;
     trace = [];
     firings = 0;
     now = 0;
     reconf_time = 0;
     makespan = 0;
   }
+
+(* A family split's sibling of [r]: the given tables and state, a copy of
+   the fault state, the shared pools and counters, and its own wake set
+   and change marks (siblings run on other domains). *)
+let fork r ~tbl ~dsp ~chans ~pstates ~heap ~frozen =
+  let nprocs = Array.length tbl.procs in
+  {
+    r with
+    tbl;
+    dsp;
+    chans;
+    pstates;
+    heap;
+    fstate = Option.map Fault.copy r.fstate;
+    frozen;
+    woken = Array.make nprocs false;
+    wake = Array.make nprocs 0;
+    nwake = 0;
+    changed = Array.make (Array.length tbl.chan_ids) false;
+  }
+
+(* ------------------------------ wake set ------------------------------ *)
+
+(* The sweep visits only woken processes.  [Model.build] allows one
+   reader per channel, guard channels included, so an event can enable
+   only the reader of a channel it wrote and a process whose [busy] it
+   cleared; every other process is as disabled as at its last visit. *)
+let wake r ix =
+  if ix >= 0 && not r.woken.(ix) then begin
+    r.woken.(ix) <- true;
+    r.wake.(r.nwake) <- ix;
+    r.nwake <- r.nwake + 1
+  end
+
+let wake_all r =
+  for ix = 0 to Array.length r.woken - 1 do
+    wake r ix
+  done
+
+let set_frozen r frozen =
+  r.frozen <- frozen;
+  wake_all r
 
 (* ---------------------------- step functions -------------------------- *)
 
@@ -423,6 +491,8 @@ let emit r e = if r.record then r.trace <- e :: r.trace
    the token under [Drop_newest]. *)
 let write r ix tok =
   let cs = r.chans.(ix) in
+  r.changed.(ix) <- true;
+  wake r r.tbl.chan_reader.(ix);
   if r.tbl.chan_register.(ix) then begin
     cs.buf.(0) <- tok;
     cs.head <- 0;
@@ -511,6 +581,7 @@ let consume r ps p_ix m_ix cm =
     let toks = ref [] in
     if c.c_ix >= 0 && wanted > 0 then begin
       let cs = r.chans.(c.c_ix) in
+      r.changed.(c.c_ix) <- true;
       let n = if wanted < cs.count then wanted else cs.count in
       (* a register is a sampling read: it keeps its one token *)
       let register = r.tbl.chan_register.(c.c_ix) in
@@ -525,10 +596,26 @@ let consume r ps p_ix m_ix cm =
   ps.slot_payload <- (if cm.cm_inherit then !payload else None);
   ps.slot_consumed <- List.rev !consumed
 
-(* One scheduling sweep over the processes not [frozen]. *)
+(* One scheduling sweep: the woken processes in index order, the order
+   in which a sweep over every process would act on them, each skipped
+   if [frozen].  A visit wakes nobody: starting a firing only consumes
+   from the process's own inputs, and a back-off only sets its [busy]. *)
 let sweep r now =
   let tbl = r.tbl in
-  for ix = 0 to Array.length tbl.procs - 1 do
+  let w = r.wake in
+  let n = r.nwake in
+  for i = 1 to n - 1 do
+    let x = w.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && w.(!j) > x do
+      w.(!j + 1) <- w.(!j);
+      decr j
+    done;
+    w.(!j + 1) <- x
+  done;
+  for k = 0 to n - 1 do
+    let ix = w.(k) in
+    r.woken.(ix) <- false;
     let cp = tbl.procs.(ix) in
     let ps = r.pstates.(ix) in
     let may_fire =
@@ -662,7 +749,8 @@ let sweep r now =
         end
       end
     end
-  done
+  done;
+  r.nwake <- 0
 
 let deliver r time cid tok =
   (match I.Channel_id.Tbl.find_opt r.tbl.chan_index cid with
@@ -704,13 +792,20 @@ let complete r time ix =
   for k = 0 to Array.length cm.cm_produces - 1 do
     let pr = cm.cm_produces.(k) in
     let n = ns.(k) in
-    let tok = Spi.Token.make ~tags:pr.p_tags ?payload:ps.slot_payload () in
+    let tok =
+      match ps.slot_payload with
+      | None -> pr.p_plain
+      | Some payload -> Spi.Token.make ~tags:pr.p_tags ~payload ()
+    in
     if n > 0 then
       if pr.p_ix < 0 then ignore (Spi.Model.get_channel pr.p_cid r.tbl.model)
       else for _ = 1 to n do write r pr.p_ix tok done;
     if r.record then produced := (pr.p_cid, Spi.Token.replicate n tok) :: !produced
   done;
-  if ps.recover_at = 0 then ps.busy <- false;
+  if ps.recover_at = 0 then begin
+    ps.busy <- false;
+    wake r ix
+  end;
   (* event times never decrease, so the latest completion is this one *)
   r.makespan <- time;
   if r.record then begin
@@ -730,7 +825,8 @@ let recover r time ix =
   let ps = r.pstates.(ix) in
   if ps.recover_at <= time then begin
     ps.recover_at <- 0;
-    ps.busy <- false
+    ps.busy <- false;
+    wake r ix
   end
 
 let crash r time k =
@@ -755,6 +851,7 @@ let loop ?(settle = ignore) ?inject:route ?deadline_ns ~limits r =
     match deadline_ns with Some dl -> Obs.Clock.now_ns () >= dl | None -> false
   in
   if expired () then raise Deadline_exceeded;
+  wake_all r;
   settle ();
   sweep r r.now;
   let rec go events =

@@ -13,7 +13,8 @@
       {!Heap.Int_heap}, the fault state and the injection pool;
     - the step functions: consume, complete, fault-filtered {!inject},
       recover, crash, degrade, and the scheduling sweep with
-      configuration dispatch and a [frozen] skip mask;
+      configuration dispatch and a [frozen] skip mask, over the run's
+      wake set;
     - the event {!loop}.
 
     A featured run restricted to one product is that product's run, so
@@ -96,6 +97,9 @@ type table = {
   chan_cap : int array;  (** -1 = unbounded *)
   chan_initial : Spi.Token.t list array;
   chan_index : int Spi.Ids.Channel_id.Tbl.t;
+  chan_reader : int array;
+      (** per channel: index of its one reader ({!Spi.Model.reader_of}),
+          -1 when no process reads it *)
 }
 (** A lowered model.  Immutable, so runs and domains may share it. *)
 
@@ -155,7 +159,17 @@ type run = {
   pool : pool;
   crashes : Spi.Ids.Process_id.t array;  (** scripted crash #k's process *)
   record : bool;  (** keep the trace (see {!start}) *)
-  mutable frozen : bool array;  (** per process: skipped by the sweep *)
+  mutable frozen : bool array;
+      (** per process: skipped by the sweep.  Change it with
+          {!set_frozen}, which wakes every process. *)
+  woken : bool array;  (** per process: in the wake set *)
+  wake : int array;  (** the wake set: its first [nwake] entries *)
+  mutable nwake : int;
+  changed : bool array;
+      (** per channel: written or consumed from since the mark was last
+          cleared.  Every write and consumption sets it; the loop never
+          clears it.  {!Family_compiled} clears the marks of the
+          channels its cold-site probes watch. *)
   mutable trace : Trace.entry list;  (** reversed; empty unless [record] *)
   mutable firings : int;
   mutable now : int;
@@ -185,6 +199,27 @@ val start :
     fault state, [firings], [now], [reconf_time] and [makespan] step
     exactly as when recording. *)
 
+val fork :
+  run ->
+  tbl:table ->
+  dsp:dispatch ->
+  chans:cstate array ->
+  pstates:pstate array ->
+  heap:Heap.Int_heap.t ->
+  frozen:bool array ->
+  run
+(** A family split's sibling of a run: the given table, dispatch,
+    channels, process states, heap and [frozen] mask; a copy of the
+    fault state; the run's pools, [record] flag and counters
+    ([firings], [now], [reconf_time], [makespan]) and trace.  The
+    sibling gets its own empty wake set and clear change marks, since
+    siblings run on other domains; {!loop} wakes every process on
+    entry. *)
+
+val set_frozen : run -> bool array -> unit
+(** Replaces the [frozen] mask and wakes every process, so the next
+    sweep visits all of them. *)
+
 (** {1 Stepping} *)
 
 val inject : run -> int -> Spi.Ids.Channel_id.t -> Spi.Token.t -> unit
@@ -208,6 +243,23 @@ val loop :
     [inject] (default: {!inject} on [r]) receives every pending
     injection.  Both are built once per run, not per event.  On
     quiescence the trace ends with [Quiescent].
+
+    A sweep visits only the processes in the run's wake set, in
+    process-index order, and empties the set.  The first sweep visits
+    every process.  After that, a channel write wakes the channel's
+    reader, a completion or recovery that clears a process's [busy]
+    wakes that process, and {!set_frozen} wakes every process.
+    Consumption, crashes and degradation wake nobody.  This rests on
+    {!Spi.Model.build}'s invariant: a channel has at most one reader,
+    and the channels a process's guards read count as its inputs.  So
+    an event cannot touch another process's guard except by writing to
+    it.  Consumption changes only the consumer's inputs, and the
+    consumer is then busy.  A crash only disables.  A degradation
+    always backs the process off, so the recovery wakes it.  Every
+    process the full sweep over all processes would start is therefore
+    woken, and the woken ones act in the same index order, with the
+    same fault draws and heap sequence numbers: the oracle's firings
+    and trace.
 
     [deadline_ns] is an absolute {!Obs.Clock.now_ns} time.  The clock
     is read on entry and then once every 1024 events, {!Synth.Explore}'s

@@ -291,10 +291,14 @@ let run ?(policy = Typical) ?(limits = default_limits)
       end
   in
   (* One scheduling sweep: start every idle process whose activation is
-     enabled.  Consumption can only disable other processes, never
-     enable them, so a single pass per event batch suffices; newly
-     produced tokens arrive through Complete events which trigger the
-     next sweep. *)
+     enabled.  [Model.build] allows one reader per channel, and the
+     channels a process's guards read count as its inputs, so a
+     consumption changes only the consumer's own inputs and cannot touch
+     another process's guard at all (with [!] guards, "only disables"
+     would not be enough).  A single pass per event batch therefore
+     suffices; newly produced tokens arrive through Complete events
+     which trigger the next sweep.  The compiled loop's wake set
+     ([Crt.loop]) rests on the same invariant. *)
   let try_start now =
     List.iter
       (fun p ->

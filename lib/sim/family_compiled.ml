@@ -130,14 +130,29 @@ let table_of plan i =
    constants from the part representative's initial state. *)
 type probe = { pb_pid : I.Process_id.t; pb_guard : gpred }
 
+(* The live channel indexes a compiled guard reads, onto [acc]. *)
+let rec guard_channels acc = function
+  | G_true | G_false -> acc
+  | G_num_at_least (ix, _) | G_first_has_tag (ix, _) ->
+    if ix >= 0 then ix :: acc else acc
+  | G_and (a, b) | G_or (a, b) -> guard_channels (guard_channels acc a) b
+  | G_not a -> guard_channels acc a
+
 (* Cached settle-probe structures for one still-cold site: its presence
-   partition and the probes of every part.  Rebuilt when the sub-family's
-   membership changes (a split) or its warm set grows (folding depends on
-   it), so the per-event probe is one [eval] per guard. *)
+   partition, the probes of every part, and the channels those probes'
+   guards read (the watch set).  Rebuilt when the sub-family's membership
+   changes (a split) or its warm set grows (folding depends on it), so
+   the per-event probe is one [eval] per guard.  A probe's answer depends
+   only on its watched channels and on crashes, which only turn it false,
+   so a site found cold stays cold until one of them changes.  The watch
+   set is read off the compiled guards, not off the readers in the run's
+   table: the run's member need not read a port another part's variant
+   reads (its table then has no reader for that channel at all). *)
 type hotspot = {
   hs_site : I.Interface_id.t;
   hs_parts : P.t list;
   hs_probes : probe array;
+  hs_watch : int array;  (* channel indexes in the run's table *)
 }
 
 (* A sub-family: its members and still-cold sites around one run of the
@@ -217,7 +232,7 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
       Crt.start ~record ~overflow ~stimuli ~firing_budget ?faults tbl
         (dispatch_of 0)
     in
-    run.frozen <- frozen_of tbl plan.p_sites;
+    Crt.set_frozen run (frozen_of tbl plan.p_sites);
     {
       members = P.full space;
       run;
@@ -305,24 +320,60 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
               else None)
             (Spi.Model.processes (model_of plan rep_b))
         in
+        let probes = Array.of_list (List.concat_map probes_of parts) in
         {
           hs_site = site;
           hs_parts = parts;
-          hs_probes = Array.of_list (List.concat_map probes_of parts);
+          hs_probes = probes;
+          hs_watch =
+            Array.of_list
+              (List.sort_uniq compare
+                 (Array.fold_left
+                    (fun acc pb -> guard_channels acc pb.pb_guard)
+                    [] probes));
         })
       c.cold
   in
   (* Would any variant of the sub-family's configurations start a process
-     of the hotspot's site right now? *)
+     of the hotspot's site right now?  A loop, not a recursive local
+     function: this runs after every event and allocates nothing. *)
   let site_hot c h =
     let probes = h.hs_probes in
-    let rec from k =
-      k < Array.length probes
-      && ((eval c.run.chans probes.(k).pb_guard
-          && not (process_crashed c probes.(k).pb_pid))
-         || from (k + 1))
-    in
-    from 0
+    let hot = ref false and k = ref 0 in
+    while (not !hot) && !k < Array.length probes do
+      let pb = probes.(!k) in
+      if eval c.run.chans pb.pb_guard && not (process_crashed c pb.pb_pid) then
+        hot := true;
+      incr k
+    done;
+    !hot
+  in
+  (* Has a channel the hotspot watches changed since the marks were last
+     cleared? *)
+  let watched_changed c h =
+    let changed = ref false and k = ref 0 in
+    while (not !changed) && !k < Array.length h.hs_watch do
+      if c.run.changed.(h.hs_watch.(!k)) then changed := true;
+      incr k
+    done;
+    !changed
+  in
+  (* The first hot site in site order.  Without [fresh] (probes just
+     rebuilt), only sites whose watched channels changed are probed:
+     every other site was cold at its last probe and still is. *)
+  let rec first_hot c fresh = function
+    | [] -> None
+    | h :: rest ->
+      if (fresh || watched_changed c h) && site_hot c h then Some h
+      else first_hot c fresh rest
+  in
+  let rec clear_watched c = function
+    | [] -> ()
+    | h :: rest ->
+      for k = 0 to Array.length h.hs_watch - 1 do
+        c.run.changed.(h.hs_watch.(k)) <- false
+      done;
+      clear_watched c rest
   in
   (* Fork [c] at [site], mirroring {!Family}'s [split] on the compiled
      representation.  [c] keeps the first part; every other part gets a
@@ -411,16 +462,8 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
             Heap.Int_heap.push ~time:t v' heap_b
           done;
           let run_b =
-            {
-              r with
-              tbl = t_b;
-              dsp = dispatch_of rep_b;
-              chans = chans_b;
-              pstates = pstates_b;
-              heap = heap_b;
-              fstate = Option.map Fault.copy r.fstate;
-              frozen = frozen_of t_b new_cold;
-            }
+            Crt.fork r ~tbl:t_b ~dsp:(dispatch_of rep_b) ~chans:chans_b
+              ~pstates:pstates_b ~heap:heap_b ~frozen:(frozen_of t_b new_cold)
           in
           offer
             {
@@ -438,13 +481,14 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
         rest;
       c.members <- first_part;
       c.cold <- new_cold;
-      r.frozen <- frozen_of r.tbl new_cold;
+      Crt.set_frozen r (frozen_of r.tbl new_cold);
       c.hotspots <- None
   in
   let rec settle stats offer c =
     match c.cold with
     | [] -> () (* fully resolved: the common fast path *)
     | _ -> (
+      let fresh = Option.is_none c.hotspots in
       let hotspots =
         match c.hotspots with
         | Some h -> h
@@ -453,8 +497,8 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
           c.hotspots <- Some h;
           h
       in
-      match List.find_opt (site_hot c) hotspots with
-      | None -> ()
+      match first_hot c fresh hotspots with
+      | None -> clear_watched c hotspots
       | Some h ->
         split stats offer ~sibling_start:Sweep c h.hs_site;
         settle stats offer c)

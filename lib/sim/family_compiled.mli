@@ -17,7 +17,10 @@
     tables.  This module keeps only the presence bookkeeping — split
     detection, fork transplants, narrowing, leaf results — and enters
     the loop through its [settle] and [inject] hooks; processes of
-    still-cold sites are skipped through the run's [frozen] mask.
+    still-cold sites are skipped through the run's [frozen] mask.  The
+    [settle] probe of a still-cold site runs again only when a channel
+    its own compiled guards read has changed ({!Crt.run}'s [changed]
+    marks), and it allocates nothing per event.
 
     The report is a {!Family.report}, and every configuration's result
     is byte-identical to what {!Engine.run} (the oracle) and

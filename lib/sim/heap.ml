@@ -101,6 +101,28 @@ module Int_heap = struct
       d.((3 * j) + k) <- tmp
     done
 
+  (* The sifts are top-level functions of their operands: a local
+     recursive function over [d] would allocate a closure per call. *)
+  let rec sift_up d i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if before d i parent then begin
+        swap d i parent;
+        sift_up d parent
+      end
+    end
+
+  let rec sift_down d size i =
+    let left = (2 * i) + 1 and right = (2 * i) + 2 in
+    let smallest = if left < size && before d left i then left else i in
+    let smallest =
+      if right < size && before d right smallest then right else smallest
+    in
+    if smallest <> i then begin
+      swap d i smallest;
+      sift_down d size smallest
+    end
+
   let push ~time value h =
     let cap = Array.length h.data / 3 in
     if h.size = cap then begin
@@ -115,16 +137,7 @@ module Int_heap = struct
     d.((3 * i) + 2) <- value;
     h.next_seq <- h.next_seq + 1;
     h.size <- h.size + 1;
-    let rec up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if before d i parent then begin
-          swap d i parent;
-          up parent
-        end
-      end
-    in
-    up i
+    sift_up d i
 
   let min_time h = h.data.(0)
   let min_value h = h.data.(2)
@@ -137,20 +150,6 @@ module Int_heap = struct
     h.size <- h.size - 1;
     if h.size > 0 then begin
       swap d 0 h.size;
-      let rec down i =
-        let left = (2 * i) + 1 and right = (2 * i) + 2 in
-        let smallest =
-          if left < h.size && before d left i then left else i
-        in
-        let smallest =
-          if right < h.size && before d right smallest then right
-          else smallest
-        in
-        if smallest <> i then begin
-          swap d i smallest;
-          down smallest
-        end
-      in
-      down 0
+      sift_down d h.size 0
     end
 end

@@ -26,9 +26,10 @@ val copy : 'a t -> 'a t
     heap at sub-family split points with this. *)
 
 (** The same heap specialized to [int] payloads, stored flat in one
-    [int array] — pushing allocates nothing once the backing array has
-    reached the run's high-water mark.  Used by the compiled engine
-    ({!Compile}), whose events are int-coded. *)
+    [int array].  Pushing and dropping allocate nothing once the
+    backing array has reached the run's high-water mark: no entry
+    record and no closure per call.  Used by the compiled event loop
+    ({!Crt}), whose events are int-coded. *)
 module Int_heap : sig
   type t
 

@@ -632,6 +632,134 @@ let test_warm_invalidates_probes () =
   Alcotest.(check int) "X split every Y sub-family" 4
     narrow.Sim.Family.subfamilies
 
+(* Two variants that read different input ports: v1 reads [pa] (host
+   [ca]), v2 reads [pb] (host [cb]).  S moves three initial tokens from
+   [a] to [cb], so tokens arrive only on the port that the root
+   sub-family's representative (site=v1) does not read: its table has no
+   reader for [cb] at all.  The probe of v2's part reads [cb] and must
+   see them, so the site splits and site=v2 runs 6 firings to time 7, as
+   in its own run.  examples/models/ports.spi is this system. *)
+let two_port_system () =
+  let port name = Variants.Port.channel_of (I.Port_id.of_string name) in
+  let ports () =
+    [ Variants.Port.input "pa"; Variants.Port.input "pb"; Variants.Port.output "po" ]
+  in
+  let variant name p reads =
+    Variants.Cluster.make ~channels:[] ~ports:(ports ())
+      ~processes:[ proc p ~from_:(port reads) ~to_:[ port "po" ] ]
+      name
+  in
+  system "ports"
+    ~channels:
+      [ Spi.Chan.queue ~initial:(Spi.Token.replicate 3 Spi.Token.plain) (chan "a");
+        Spi.Chan.queue (chan "ca");
+        Spi.Chan.queue (chan "cb");
+        Spi.Chan.queue (chan "o") ]
+    ~processes:[ proc "S" ~lat:2 ~from_:(chan "a") ~to_:[ chan "cb" ] ]
+    [
+      {
+        Variants.Structure.iface =
+          Variants.Interface.make ~ports:(ports ())
+            ~clusters:[ variant "v1" "p1" "pa"; variant "v2" "p2" "pb" ]
+            "site";
+        wiring =
+          [ (I.Port_id.of_string "pa", chan "ca");
+            (I.Port_id.of_string "pb", chan "cb");
+            (I.Port_id.of_string "po", chan "o") ];
+      };
+    ]
+
+let test_two_port_site () =
+  let system = two_port_system () in
+  List.iter
+    (fun (split, jobs) ->
+      Alcotest.(check bool)
+        (Format.sprintf "three-way, %s, jobs %d"
+           (match split with `Narrow -> "narrow" | `Full -> "full")
+           jobs)
+        true
+        (three_way ~split ~jobs system))
+    [ (`Narrow, 1); (`Narrow, 2); (`Full, 1) ];
+  let s = Sim.Family_compiled.summarize (Sim.Family_compiled.plan system) in
+  let c = s.configs.(1) in
+  Alcotest.(check string) "configuration 1" "site=v2" (render_assignment c.assignment);
+  Alcotest.(check (pair int int)) "site=v2: firings, end time" (6, 7)
+    (c.firings, c.end_time);
+  Alcotest.(check (list int)) "executed, shared, splits" [ 8; 1; 1 ]
+    [ s.executed_firings; s.shared_firings; s.splits ]
+
+(* The sim-family workload's shape: 3 sites x 3 variants, [tokens]
+   initial tokens on the last site's input.  That site splits at once;
+   the earlier sites stay cold for the whole run, so their probes are
+   skipped after every event. *)
+let last_site_loaded ~seed ~tokens =
+  let system =
+    Variants.Generator.generate
+      {
+        Variants.Generator.seed;
+        shared_processes = 8;
+        sites = 3;
+        variants_per_site = 3;
+        cluster_processes = 3;
+        latency_range = (1, 10);
+      }
+  in
+  let input =
+    match List.rev (Variants.System.sites system) with
+    | [] -> assert false
+    | site :: _ ->
+      Option.get
+        (List.find_map
+           (fun port ->
+             if Variants.Port.is_input port then
+               List.assoc_opt (Variants.Port.id port) site.Variants.Structure.wiring
+             else None)
+           site.Variants.Structure.iface.Variants.Structure.iface_ports)
+  in
+  Variants.System.make ~processes:(Variants.System.processes system)
+    ~channels:
+      (List.map
+         (fun c ->
+           if I.Channel_id.equal (Spi.Chan.id c) input then
+             Spi.Chan.queue ~initial:(Spi.Token.replicate tokens Spi.Token.plain) input
+           else c)
+         (Variants.System.channels system))
+    ~sites:(Variants.System.sites system)
+    ~constraints:(Variants.System.constraints system)
+    (Variants.System.name system)
+
+let test_last_site_loaded () =
+  List.iter
+    (fun seed ->
+      let system = last_site_loaded ~seed ~tokens:12 in
+      Alcotest.(check bool)
+        (Format.sprintf "seed %d: three-way, jobs 1 and 2" seed)
+        true
+        (three_way system && three_way ~jobs:2 system);
+      let s = Sim.Family_compiled.summarize (Sim.Family_compiled.plan system) in
+      Alcotest.(check int) (Format.sprintf "seed %d: one split site" seed) 3
+        s.subfamilies)
+    [ 1; 2; 3 ]
+
+(* A firing allocates nothing: on the summary pass, 2,000 more initial
+   tokens (18,000 more firings) cost under one minor word per extra
+   firing.  Each plan runs once first, so its demand-built tables exist. *)
+let test_firing_allocates_nothing () =
+  let plan tokens = Sim.Family_compiled.plan (last_site_loaded ~seed:1 ~tokens) in
+  let small = plan 1000 and large = plan 3000 in
+  let words p =
+    ignore (Sim.Family_compiled.summarize ~jobs:1 p);
+    let w0 = Gc.minor_words () in
+    let s = Sim.Family_compiled.summarize ~jobs:1 p in
+    (Gc.minor_words () -. w0, s.executed_firings)
+  in
+  let w_small, f_small = words small and w_large, f_large = words large in
+  Alcotest.(check int) "18,000 more firings" 18_000 (f_large - f_small);
+  let extra = w_large -. w_small in
+  Alcotest.(check bool)
+    (Format.sprintf "%.0f more minor words, under 18,000" extra)
+    true (extra < 18_000.)
+
 (* Limits the runs hit, a firing limit and a horizon: the four arms
    stop at the same event, with every job count, and every
    configuration reports the limit. *)
@@ -795,6 +923,12 @@ let suite =
         test_limits_hit;
       Alcotest.test_case "deadlines stop the summary pass and compiled runs"
         `Quick test_deadlines;
+      Alcotest.test_case "a port only another variant reads wakes its probe"
+        `Quick test_two_port_site;
+      Alcotest.test_case "sites cold for the whole run, three engines agree"
+        `Quick test_last_site_loaded;
+      Alcotest.test_case "a firing allocates nothing" `Quick
+        test_firing_allocates_nothing;
     ] )
 
 (* Family semantics and the Sim.Family report read-outs, on flat
