@@ -546,11 +546,10 @@ let time_explore ~reps f =
    [heads] processes in pid order (= the explorer's decision order) get
    a large hardware area and a small software load, modelling a system
    whose front-end blocks are ASIC-expensive but cheap to schedule.
-   This is the regime where branch order matters: the hw-first
-   sequential reference pays the full cost bound shell once per wrong
-   early hardware commitment, while the greedy-seeded best-first
-   parallel search discards those subtrees against the shared
-   incumbent. *)
+   This is the regime where branch order matters: a hardware-first
+   search pays the full cost bound shell once per wrong early hardware
+   commitment, while the greedy-seeded best-first search discards
+   those subtrees against the incumbent. *)
 let skewed_apps_and_tech ~heads ~head_area ~shared ~cluster ~seed ~sites
     ~variants () =
   let system =

@@ -197,8 +197,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker domains for the exploration (1 = sequential reference, 0 = \
-           one per recommended domain).")
+          "Worker domains (1 = run on the calling domain, 0 = one per \
+           recommended domain).  The count changes speed, never an optimal \
+           cost or a simulation result.")
 
 let resolve_jobs = function 0 -> Synth.Par.available_jobs () | j -> j
 
@@ -225,7 +226,8 @@ let read_file path =
 let load_system path =
   let source = read_file path in
   try Ok (Lang.Parser.system_of_string source) with
-  | Lang.Parser.Parse_error { line; col; message } ->
+  | Lang.Parser.Parse_error { line; col; message }
+  | Lang.Parser.Too_large { line; col; message; limit = _ } ->
     Error (Lang.Error_report.render ~source ~path ~line ~col ~message)
   | Invalid_argument message -> Error (Format.sprintf "%s: %s" path message)
 

@@ -2,8 +2,17 @@ module I = Spi.Ids
 module V = Variants
 
 exception Parse_error of { line : int; col : int; message : string }
+exception Too_large of { line : int; col : int; limit : int; message : string }
 
-type state = { mutable tokens : Lexer.located list }
+(* [initial N] builds an N-element token list, so a few bytes of model
+   text could otherwise ask for gigabytes: a model's initial tokens are
+   counted as they are parsed and refused past this total. *)
+let max_initial_tokens = 1 lsl 20
+
+type state = {
+  mutable tokens : Lexer.located list;
+  mutable initial_tokens : int;  (** initial tokens parsed so far *)
+}
 
 let error (loc : Lexer.located) fmt =
   Format.kasprintf
@@ -140,6 +149,20 @@ and atom st =
 
 (* ----------------------------- channels ----------------------------- *)
 
+let count_initial st (loc : Lexer.located) n =
+  if n > max_initial_tokens - st.initial_tokens then
+    raise
+      (Too_large
+         {
+           line = loc.Lexer.line;
+           col = loc.Lexer.col;
+           limit = max_initial_tokens;
+           message =
+             Printf.sprintf "a model holds at most %d initial tokens"
+               max_initial_tokens;
+         });
+  st.initial_tokens <- st.initial_tokens + n
+
 let channel st =
   keyword st "channel";
   let name = ident st "a channel name" in
@@ -158,9 +181,11 @@ let channel st =
       match t.Lexer.token with
       | Lexer.INT n ->
         advance st;
+        count_initial st t n;
         Spi.Token.replicate n Spi.Token.plain
       | Lexer.LBRACKET ->
         advance st;
+        count_initial st t 1;
         let tags = tag_list st in
         [ Spi.Token.make ~tags:(Spi.Tag.Set.of_list tags) () ]
       | tok -> error t "expected a count or '[tags]', found %a" Lexer.pp_token tok
@@ -410,7 +435,7 @@ let system_of_string input =
             with Lexer.Lex_error { line; col; message } ->
               raise (Parse_error { line; col; message }))
       in
-      let st = { tokens } in
+      let st = { tokens; initial_tokens = 0 } in
       keyword st "system";
       let name = ident st "a system name" in
       expect st Lexer.LBRACE "'{'";

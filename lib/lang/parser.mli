@@ -37,9 +37,19 @@ sel_item ::= rule                                  # target is a cluster
 
 exception Parse_error of { line : int; col : int; message : string }
 
+exception Too_large of { line : int; col : int; limit : int; message : string }
+(** The model asks for more than [limit] of something the parser would
+    have to build in memory; the position is the offending literal. *)
+
+val max_initial_tokens : int
+(** The most initial tokens a model may declare over all its channels
+    ([initial N] counts [N], [initial [tags]] counts one): 2{^20}.  The
+    count is checked before any token list is built. *)
+
 val system_of_string : string -> Variants.System.t
 (** @raise Parse_error on syntax errors (lex errors are re-raised as
-    parse errors); @raise Invalid_argument when the parsed entities
+    parse errors); @raise Too_large past {!max_initial_tokens};
+    @raise Invalid_argument when the parsed entities
     violate construction invariants (duplicate modes, bad intervals,
     ...). Structural validation is the caller's choice
     ({!Variants.System.validate}). *)

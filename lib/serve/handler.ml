@@ -116,24 +116,29 @@ let family_plan_for t system =
 
 (* -- model/tech loading ------------------------------------------------ *)
 
-let load_system source =
+(* Both loaders answer a failure with the request's error response. *)
+let load_system ?id source =
   match Lang.Parser.system_of_string source with
   | exception Lang.Parser.Parse_error { line; col; message } ->
-    Error (Printf.sprintf "model:%d:%d: %s" line col message)
-  | exception Invalid_argument m -> Error (Printf.sprintf "model: %s" m)
+    Error (P.error ?id (Printf.sprintf "model:%d:%d: %s" line col message))
+  | exception Lang.Parser.Too_large { line; col; limit; message } ->
+    Error
+      (P.too_large ?id ~limit (Printf.sprintf "model:%d:%d: %s" line col message))
+  | exception Invalid_argument m -> Error (P.error ?id (Printf.sprintf "model: %s" m))
   | system -> (
     match V.System.validate system with
     | [] -> Ok system
     | errors ->
       Error
-        (String.concat "; "
-           (List.map (Format.asprintf "%a" V.System.pp_error) errors)))
+        (P.error ?id
+           (String.concat "; "
+              (List.map (Format.asprintf "%a" V.System.pp_error) errors))))
 
-let load_tech source =
+let load_tech ?id source =
   match Lang.Tech_file.of_string source with
   | exception Lang.Parser.Parse_error { line; col; message } ->
-    Error (Printf.sprintf "tech:%d:%d: %s" line col message)
-  | exception Invalid_argument m -> Error (Printf.sprintf "tech: %s" m)
+    Error (P.error ?id (Printf.sprintf "tech:%d:%d: %s" line col message))
+  | exception Invalid_argument m -> Error (P.error ?id (Printf.sprintf "tech: %s" m))
   | tech -> Ok tech
 
 let binding_json = Synth.Bound_store.binding_to_json
@@ -159,16 +164,18 @@ let cost_json (c : Synth.Cost.breakdown) =
    writes are replayed on the calling domain once the pool has joined. *)
 
 let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
-  match (load_system model, load_tech tech) with
-  | Error e, _ | _, Error e -> (P.error ?id e, [])
+  match (load_system ?id model, load_tech ?id tech) with
+  | Error e, _ | _, Error e -> (e, [])
   | Ok system, Ok _ when too_large system ->
     (refuse_too_large ?id "synthesize", [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
-    let warm =
-      Option.bind t.store (fun st ->
-          Synth.Bound_store.warm_binding ?capacity st tech apps)
+    let hit =
+      Option.map
+        (fun st -> (st, Synth.Bound_store.lookup ?capacity st tech apps))
+        t.store
     in
+    let warm = Option.bind hit (fun (_, h) -> h.Synth.Bound_store.warm) in
     let t0 = Obs.Clock.now_ns () in
     match
       Synth.Explore.solve ~jobs ?capacity ?deadline_ns ?warm tech apps
@@ -195,16 +202,16 @@ let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
           ]
       in
       let commits =
-        match t.store with
-        | Some st ->
-          [ (fun () -> Synth.Bound_store.remember ?capacity st tech apps s) ]
+        match hit with
+        | Some (st, hit) ->
+          [ (fun () -> Synth.Bound_store.remember ?capacity ~hit st tech apps s) ]
         | None -> []
       in
       (response, commits))
 
 let pareto ~jobs ~id ~model ~tech ~capacity =
-  match (load_system model, load_tech tech) with
-  | Error e, _ | _, Error e -> (P.error ?id e, [])
+  match (load_system ?id model, load_tech ?id tech) with
+  | Error e, _ | _, Error e -> (e, [])
   | Ok system, Ok _ when too_large system -> (refuse_too_large ?id "pareto", [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
@@ -297,8 +304,8 @@ let simulate t ~deadline_ns ~id ~jobs ~model ~until ~family =
     P.deadline_exceeded ?id "simulate: the deadline passed before the runs finished"
   in
   let response =
-    match load_system model with
-    | Error e -> P.error ?id e
+    match load_system ?id model with
+    | Error e -> e
     | Ok system when too_large system -> refuse_too_large ?id "simulate"
     | Ok system -> (
       match family_plan_for t system with

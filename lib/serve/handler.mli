@@ -13,7 +13,8 @@ val max_configurations : int
 (** Simulate (family or flat), synthesize and pareto requests whose
     variant space has more configurations than this are answered with a
     {!Protocol.too_large} error before any model is flattened or plan
-    built.  An overflowing count is refused the same way. *)
+    built.  An overflowing count is refused the same way, and so is a
+    model past {!Lang.Parser.max_initial_tokens}, while it is parsed. *)
 
 val create :
   ?store:Store.Keyed.t ->

@@ -91,25 +91,47 @@ let solution_record restrict (s : Explore.solution) : Obs.Json.t =
       ("binding", binding_to_json binding);
     ]
 
-let remember ?capacity store tech apps (s : Explore.solution) =
-  Store.Keyed.put store
-    ((problem_key ?capacity tech apps, solution_record None s)
-    :: List.map
-         (fun (a : App.t) ->
-           (app_key ?capacity tech a, solution_record (Some a.App.procs) s))
-         apps)
+type hit = {
+  key : string;
+  warm : Binding.t option;
+  exact : Obs.Json.t option;
+}
+
+(* An exact hit that answers with its own record has nothing to write:
+   the problem record would be put unchanged, and the per-application
+   records are only warm seeds. *)
+let remember ?capacity ?hit store tech apps (s : Explore.solution) =
+  let record = solution_record None s in
+  match hit with
+  | Some { exact = Some stored; _ }
+    when (not s.Explore.degraded) && stored = record ->
+    ()
+  | Some _ | None ->
+    let key =
+      match hit with
+      | Some h -> h.key
+      | None -> problem_key ?capacity tech apps
+    in
+    Store.Keyed.put store
+      ((key, record)
+      :: List.map
+           (fun (a : App.t) ->
+             (app_key ?capacity tech a, solution_record (Some a.App.procs) s))
+           apps)
+
+let record_binding json =
+  Option.bind (Obs.Json.member "binding" json) binding_of_json
 
 let stored_binding store key =
-  match Store.Keyed.find store key with
-  | None -> None
-  | Some json ->
-    Option.bind (Obs.Json.member "binding" json) binding_of_json
+  Option.bind (Store.Keyed.find store key) record_binding
 
-let warm_binding ?capacity store tech apps =
-  match stored_binding store (problem_key ?capacity tech apps) with
-  | Some b ->
+let lookup ?capacity store tech apps =
+  let key = problem_key ?capacity tech apps in
+  let exact = Store.Keyed.find store key in
+  match Option.bind exact record_binding with
+  | Some _ as warm ->
     Obs.Metric.incr m_problem_hits;
-    Some b
+    { key; warm; exact }
   | None -> (
     let partial =
       List.fold_left
@@ -125,7 +147,10 @@ let warm_binding ?capacity store tech apps =
     match partial with
     | Some _ ->
       Obs.Metric.incr m_app_hits;
-      partial
+      { key; warm = partial; exact = None }
     | None ->
       Obs.Metric.incr m_cold;
-      None)
+      { key; warm = None; exact = None })
+
+let warm_binding ?capacity store tech apps =
+  (lookup ?capacity store tech apps).warm

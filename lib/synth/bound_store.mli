@@ -24,13 +24,17 @@ val app_key : ?capacity:int -> Tech.t -> App.t -> string
 (** Canonical hash of one application's subproblem: its process set and
     the technology entries (and processor cost) restricted to it. *)
 
-val remember :
-  ?capacity:int -> Store.Keyed.t -> Tech.t -> App.t list ->
-  Explore.solution -> unit
-(** Journals the solution under the problem key and under every
-    application key (each app's record restricted to its processes), as
-    one {!Store.Keyed.put}: one write and one fsync, and no record
-    for a key that already holds the same value. *)
+type hit = {
+  key : string;  (** the problem key, hashed once *)
+  warm : Binding.t option;  (** the warm start {!warm_binding} returns *)
+  exact : Obs.Json.t option;
+      (** the stored problem record, when the exact problem hit *)
+}
+
+val lookup :
+  ?capacity:int -> Store.Keyed.t -> Tech.t -> App.t list -> hit
+(** One store lookup for a solve: the problem key, the warm start, and
+    the exact record it came from. *)
 
 val warm_binding :
   ?capacity:int -> Store.Keyed.t -> Tech.t -> App.t list -> Binding.t option
@@ -38,6 +42,19 @@ val warm_binding :
     union of the per-application hits (left-biased merge), when any.
     The result may cover only part of the problem — {!Explore.solve}'s
     warm validation completes and checks it. *)
+
+val remember :
+  ?capacity:int -> ?hit:hit -> Store.Keyed.t -> Tech.t -> App.t list ->
+  Explore.solution -> unit
+(** Journals the solution under the problem key and under every
+    application key (each app's record restricted to its processes), as
+    one {!Store.Keyed.put}: one write and one fsync, and no record
+    for a key that already holds the same value.  [hit] is the
+    {!lookup} that warmed this solve: its key is reused, and when the
+    exact record already holds this answer (same cost and binding, not
+    degraded) nothing is hashed or written.  The per-application records
+    then keep the binding of the last problem solved, not of the last
+    one answered; both are only warm seeds. *)
 
 val binding_to_json : Binding.t -> Obs.Json.t
 val binding_of_json : Obs.Json.t -> Binding.t option

@@ -409,31 +409,28 @@ let variant_cut ~capacity ~processor_cost ~loads bound =
     base >= incumbent
     || (worst + row.max_sw_load > capacity && groups_cut row (incumbent - base))
 
-(* The branch-and-bound core, shared by the sequential and the parallel
-   path.  Search state: index into [nodes], the binding prefix,
-   accumulated ASIC area, whether any process went to software (the
-   processor cost trigger), the per-application software loads in
-   [loads] and the highest of them ([worst]).  Two lower bounds of a
-   partial assignment: the plain one, area so far + processor cost if
-   any software so far (every completion only adds cost), and at nodes
-   that survive it the variant-aware [bound] table's.  A partial
-   assignment dies as soon as one application's load exceeds capacity
-   (software loads only grow), or as soon as the table shows no
-   completion fits.
+(* The branch-and-bound core.  Search state: index into [nodes], the
+   binding prefix, accumulated ASIC area, whether any process went to
+   software (the processor cost trigger), the per-application software
+   loads in [loads] and the highest of them ([worst]).  Two lower
+   bounds of a partial assignment: the plain one, area so far +
+   processor cost if any software so far (every completion only adds
+   cost), and at nodes that survive it the variant-aware [bound]
+   table's.  A partial assignment dies as soon as one application's
+   load exceeds capacity (software loads only grow), or as soon as the
+   table shows no completion fits.
 
-   Child order: the sequential reference visits the hardware child
-   first (the historical order of the seed implementation).  The
-   parallel path sets [sw_first] and visits the software child first —
-   the software child always carries the lower bound (software adds no
-   area), so this is best-first descent, and it is what lets the
-   bound-sorted task schedule establish a tight incumbent early.
+   Child order: software first.  The software child always carries the
+   lower bound (software adds no area), so this is best-first descent,
+   and it is what lets the estimate-sorted seeds establish a tight
+   incumbent early.
 
    Counter semantics: [explored] counts decision nodes expanded — nodes
    that survive both bound checks and branch on a process.  [pruned]
    counts subtrees cut, whether by either bound or by a capacity
    overload; complete leaves count as neither.  Hardware and software
    children are treated identically, so the totals are comparable
-   across search orders and domain counts. *)
+   across domain counts. *)
 let choice_hw = 1
 let choice_sw = 2
 
@@ -458,27 +455,26 @@ let materialize ~nodes ~n choices =
    must not allocate per node, or minor collections (stop-the-world
    rendezvous across domains) dominate the parallel run time. *)
 (* [try_split i area any_sw] is consulted at branch nodes where both
-   children exist (parallel path only): returning [true] means the
-   caller captured the hardware sibling as a pool task, so only the
-   software child — the lower bound — descends in place.  The check
-   runs mid-descent, so a task deep in its subtree still sheds work the
-   moment another worker goes hungry — but only down to [split_floor]:
-   below it the remaining subtree is too small to be worth shipping,
-   and the guard keeps the hot deep nodes free of the hook's atomic
-   reads (a plain int compare instead).  With the default hook the
-   search is the sequential reference. *)
+   children exist: returning [true] means the caller captured the
+   hardware sibling as a pool task, so only the software child — the
+   lower bound — descends in place.  The check runs mid-descent, so a
+   task deep in its subtree still sheds work the moment another worker
+   goes hungry — but only down to [split_floor]: below it the remaining
+   subtree is too small to be worth shipping, and the guard keeps the
+   hot deep nodes free of the hook's atomic reads (a plain int compare
+   instead).  With the default hook the search never sheds. *)
 (* [should_stop] is the cooperative cancellation hook next to
    [try_split]: it is consulted once every 1024 expanded nodes — a
    single [land] on the hot path between polls, so a deadline costs
    nothing measurable and a run without one is byte-identical — and
-   once it fires [stopped] latches, the recursion unwinds without
-   expanding further nodes, and the caller reads [stopped] to learn the
-   search was cut short (the incumbent found so far is still valid, it
-   is just not proved optimal). *)
+   once it fires [stopped] latches and the recursion unwinds without
+   expanding further nodes.  The caller learns the search was cut short
+   from its own hook's state (the incumbent found so far is still
+   valid, it is just not proved optimal). *)
 let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
-    ?(should_stop = fun () -> false) ?(stopped = ref false) ~sw_first
-    ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads ~choices
-    ~counters ~current_bound ~improve start area0 any_sw0 =
+    ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads
+    ~choices ~counters ~current_bound ~improve start area0 any_sw0 =
+  let stopped = ref false in
   (* hoisted so the recursive closures are allocated once per call, not
      once per node *)
   let rec add_loads members m load k worst =
@@ -510,24 +506,18 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
       counters.explored <- counters.explored + 1;
       if counters.explored land 1023 = 0 && should_stop () then
         stopped := true
-      else if sw_first then begin
-        if
-          i < split_floor
-          && Option.is_some nodes.(i).hw
-          && Option.is_some nodes.(i).sw
-          && try_split i area any_sw
-        then
-          (* hardware sibling shipped to the pool — best-first child
-             continues in place *)
-          sw_child i area worst
-        else begin
-          sw_child i area worst;
-          hw_child i area any_sw worst
-        end
-      end
-      else begin
-        hw_child i area any_sw worst;
+      else if
+        i < split_floor
+        && Option.is_some nodes.(i).hw
+        && Option.is_some nodes.(i).sw
+        && try_split i area any_sw
+      then
+        (* hardware sibling shipped to the pool — best-first child
+           continues in place *)
         sw_child i area worst
+      else begin
+        sw_child i area worst;
+        hw_child i area any_sw worst
       end
     end
   and hw_child i area any_sw worst =
@@ -554,61 +544,18 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
   in
   go start area0 any_sw0 (Array.fold_left max 0 loads)
 
-let solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
-    ~nodes ~bound ~n_apps =
-  let n = Array.length nodes in
-  let loads = Array.make n_apps 0 in
-  let choices = Array.make n 0 in
-  let counters = { explored = 0; pruned = 0 } in
-  let best = ref None and best_cost = ref max_int in
-  (* a validated warm incumbent prunes from the first node, exactly like
-     a greedy seed; the exhaustive descent below still proves (or beats)
-     it, so warm and cold runs report identical costs *)
-  (match warm with
-  | Some (cost, binding, worst) ->
-    best := Some (binding, worst);
-    best_cost := cost;
-    Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns)
-  | None -> ());
-  (* an already-expired deadline degrades immediately — the throttled
-     in-search poll would never fire on a small tree *)
-  let stopped =
-    ref
-      (match deadline_ns with
-      | Some dl -> Obs.Clock.now_ns () >= dl
-      | None -> false)
-  in
-  let should_stop =
-    match deadline_ns with
-    | None -> fun () -> false
-    | Some dl -> fun () -> Obs.Clock.now_ns () >= dl
-  in
-  search ~should_stop ~stopped ~sw_first:false ~capacity ~processor_cost
-    ~accept ~nodes ~bound ~n ~loads ~choices ~counters
-    ~current_bound:(fun () -> !best_cost)
-    ~improve:(fun cost binding worst ->
-      if cost < !best_cost then begin
-        if !best_cost = max_int then
-          Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-        Obs.Metric.incr m_improvements;
-        Domain_trace.record_improvement ~cost;
-        best_cost := cost;
-        best := Some (binding, worst)
-      end)
-    0 0 false;
-  (!best, counters, !stopped)
-
-(* Parallel path: enumerate the decision tree down to a split depth
-   into independent subtree tasks (each carrying its own loads
-   snapshot), order the tasks by the cost of a greedy completion of
-   their prefix, and run them on a domain pool with a shared atomic
-   incumbent for cross-domain pruning.  The search is best-first at
-   both levels: tasks are claimed cheapest-estimate-first through the
-   pool's cursor, and inside a task the lower-bound child (software) is
+(* The search: enumerate the decision tree down to a split depth into
+   independent subtree tasks (each carrying its own loads snapshot),
+   order the tasks by the cost of a greedy completion of their prefix,
+   dive the best one for an incumbent, and run the rest cheapest-first
+   with a shared atomic incumbent.  The search is best-first at both
+   levels: tasks are claimed cheapest-estimate-first through the pool's
+   cursor, and inside a task the lower-bound child (software) is
    descended first.  The cheapest greedy completion also seeds the
    incumbent, so the most promising subtrees run against a tight bound
-   from the first node and the expensive subtrees are pruned wholesale
-   — this helps even when the domains outnumber the cores. *)
+   from the first node and the expensive subtrees are pruned wholesale.
+   [jobs = 1] runs the tasks in that order on the calling domain; more
+   jobs run them on a domain pool. *)
 type task = {
   t_choices : int array;  (** full-length decision vector, prefix filled *)
   t_area : int;
@@ -625,13 +572,14 @@ type task = {
    actively harmful: seeds all enqueue at pool start, so a wide seed
    array means the last-claimed seeds sit queued for most of the run,
    which is exactly the [par.task_queue_wait_ns] tail the deques are
-   meant to remove. *)
+   meant to remove.  A tree of fewer than two nodes is one task at its
+   root. *)
 let split_depth ~jobs ~n =
   let target = jobs * 16 in
   let rec depth d = if 1 lsl d >= target || d >= 14 then d else depth (d + 1) in
-  min (n - 2) (depth 0)
+  max 0 (min (n - 2) (depth 0))
 
-let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
+let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     ~accept ~nodes ~bound ~n_apps =
   (* one latch shared by every domain: whichever worker's throttled
      clock poll crosses the deadline first publishes the cancellation,
@@ -664,18 +612,30 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
   let tasks = ref [] in
   let loads = Array.make n_apps 0 in
   let choices = Array.make n 0 in
-  (* No incumbent exists yet, so enumeration prunes on capacity only;
-     its node counts fold into the totals. *)
-  let rec enumerate i area any_sw =
-    if i = depth then
-      let bound = area + if any_sw then processor_cost else 0 in
+  (* Against a validated warm incumbent the prefix prunes exactly as
+     [search] does: a subtree that cannot beat it becomes no task, so an
+     optimal warm start leaves little or nothing to run.  Without one
+     only capacity prunes here, and each task's root applies the bound.
+     Node counts fold into the totals. *)
+  let warm_cost, cut =
+    match (warm, bound) with
+    | Some (cost, _, _), Some bound ->
+      (cost, variant_cut ~capacity ~processor_cost ~loads bound)
+    | Some (cost, _, _), None -> (cost, fun _ _ _ _ _ -> false)
+    | None, _ -> (max_int, fun _ _ _ _ _ -> false)
+  in
+  let rec enumerate i area any_sw worst =
+    let lower = area + if any_sw then processor_cost else 0 in
+    if lower >= warm_cost || (i < n && cut i area any_sw worst warm_cost) then
+      prefix_counters.pruned <- prefix_counters.pruned + 1
+    else if i = depth then
       tasks :=
         {
           t_choices = Array.copy choices;
           t_area = area;
           t_any_sw = any_sw;
           t_loads = Array.copy loads;
-          t_bound = bound;
+          t_bound = lower;
           t_depth = depth;
         }
         :: !tasks
@@ -685,26 +645,26 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
       (match nd.hw with
       | Some a ->
         choices.(i) <- choice_hw;
-        enumerate (i + 1) (area + a) any_sw
+        enumerate (i + 1) (area + a) any_sw worst
       | None -> ());
       match nd.sw with
       | Some load ->
-        let ok = ref true in
+        let worst' = ref worst in
         Array.iter
           (fun ai ->
             loads.(ai) <- loads.(ai) + load;
-            if loads.(ai) > capacity then ok := false)
+            worst' := max !worst' loads.(ai))
           nd.members;
-        if !ok then begin
+        if !worst' <= capacity then begin
           choices.(i) <- choice_sw;
-          enumerate (i + 1) area true
+          enumerate (i + 1) area true !worst'
         end
         else prefix_counters.pruned <- prefix_counters.pruned + 1;
         Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
       | None -> ()
     end
   in
-  enumerate 0 0 false;
+  enumerate 0 0 false 0;
   let tasks = Array.of_list !tasks in
   (* Greedy completion of a task prefix: place each remaining process in
      software when the loads allow it, in hardware otherwise.  The
@@ -786,8 +746,10 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
   (* the greedy seeding above is the first incumbent when it exists;
      otherwise the first CAS win below records the gauge *)
   let have_incumbent = Atomic.make (!seed_cost < max_int) in
-  if Atomic.get have_incumbent then
+  if Atomic.get have_incumbent then begin
     Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
+    Domain_trace.record_improvement ~cost:!seed_cost
+  end;
   let note_incumbent () =
     if not (Atomic.exchange have_incumbent true) then
       Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
@@ -799,11 +761,12 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
      diving it to the bottom usually lands the true global optimum, so
      the pool then runs every remaining seed — and every speculatively
      shed sibling — against a tight bound instead of discovering it
-     concurrently while domains contend for cores. *)
-  if Array.length tasks > 0 then begin
+     concurrently while domains contend for cores.  An expired deadline
+     skips it: the seed is the answer. *)
+  if Array.length tasks > 0 && not (Atomic.get cancelled) then begin
     let t = tasks.(0) in
     let counters = prefix_counters in
-    search ~should_stop ~sw_first:true ~capacity ~processor_cost ~accept
+    search ~should_stop ~capacity ~processor_cost ~accept
       ~nodes ~bound ~n ~loads:t.t_loads ~choices:t.t_choices ~counters
       ~current_bound:(fun () -> Atomic.get incumbent)
       ~improve:(fun cost binding worst ->
@@ -820,14 +783,16 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     if Array.length tasks > 0 then Array.sub tasks 1 (Array.length tasks - 1)
     else tasks
   in
-  (* Run the tasks on the work-stealing pool.  Each worker threads a
-     domain-local accumulator (best solution + node counters); a task
-     whose subtree root still has siblings to offer re-splits while any
-     worker is hungry: the hardware child (never the lower bound) is
-     snapshotted and pushed onto the owner's deque for thieves to drain
-     FIFO, and the software child — best-first — continues in place on
-     the task's own arrays.  Re-splitting allocates per {e split}, not
-     per node, so the search loop itself stays allocation-free. *)
+  (* Run the rest through [Par.fold]: in order on the calling domain at
+     [jobs = 1], on the work-stealing pool otherwise.  Each worker
+     threads a domain-local accumulator (best solution + node counters).
+     On a pool, a task whose subtree root still has siblings to offer
+     re-splits while any worker is hungry: the hardware child (never the
+     lower bound) is snapshotted and pushed onto the owner's deque for
+     thieves to drain FIFO, and the software child — best-first —
+     continues in place on the task's own arrays.  Re-splitting
+     allocates per {e split}, not per node, so the search loop itself
+     stays allocation-free. *)
   let acc_init () =
     { c_best = ref None; c_cost = ref max_int;
       c_counters = { explored = 0; pruned = 0 } }
@@ -893,7 +858,7 @@ let solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     (* a shed below [n - 12] ships a subtree of at most [2^12] nodes —
        sub-millisecond work that costs the thief more in claim latency
        than it buys in balance *)
-    search ~try_split ~split_floor:(n - 12) ~should_stop ~sw_first:true
+    search ~try_split ~split_floor:(n - 12) ~should_stop
       ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads:t.t_loads
       ~choices:t.t_choices ~counters
       ~current_bound:(fun () -> Atomic.get incumbent)
@@ -996,7 +961,6 @@ let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
   | exception Diagnosed d -> Error d
   | nodes ->
     let processor_cost = Tech.processor_cost tech in
-    let n = Array.length nodes in
     let n_apps = Array.length apps in
     let warm =
       match warm with
@@ -1018,12 +982,8 @@ let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
       | exception Over_budget -> None
     in
     let best, counters, deadline_hit =
-      if jobs = 1 || n < 4 then
-        solve_seq ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost
-          ~accept ~nodes ~bound ~n_apps
-      else
-        solve_par ~start_ns ~deadline_ns ~warm ~jobs ~capacity
-          ~processor_cost ~accept ~nodes ~bound ~n_apps
+      run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
+        ~accept ~nodes ~bound ~n_apps
     in
     if deadline_hit then Obs.Metric.incr m_deadline_hits;
     Obs.Metric.add m_nodes counters.explored;

@@ -21,8 +21,8 @@
     hardware-only area, the processor cost (when software is used or
     forced) and the best disjoint packing's terms reach the incumbent.
     Every cut subtree holds no feasible leaf cheaper than the incumbent,
-    so [jobs = 1] finds exactly the incumbents an exhaustive search
-    would; only [explored] and [pruned] shrink.  Each group keeps its
+    so the search finds the optimal cost an exhaustive search would;
+    only [explored] and [pruned] shrink.  Each group keeps its
     undecided movable processes in knapsack order, copied at every
     depth that extends it, so the table can grow with processes{^2}
     times applications.  Its build is charged per word written or
@@ -35,12 +35,17 @@
     per-application scan when its highest load leaves room for every
     group's undecided load.
 
-    With [jobs > 1] the decision tree is split at a configurable depth
-    into independent subtree tasks, sorted by their lower bound and run
-    on a pool of OCaml 5 domains sharing an atomic incumbent cost for
-    cross-domain pruning.  The optimal cost is identical for every job
-    count; when several bindings attain it, the one returned may
-    differ.  [jobs = 1] is the sequential reference implementation. *)
+    There is one search for every job count.  It splits the decision
+    tree at a shallow depth into subtree tasks; given a warm start, the
+    split prunes against it exactly as the search itself does.  It orders the tasks by the cost of a greedy
+    completion of their prefix, seeds the incumbent with the cheapest
+    one, dives the best task to the bottom, and then runs the rest
+    cheapest-first, each software child first.  [jobs = 1] runs them in
+    that order on the calling domain and spawns no domain; [jobs > 1]
+    runs them on a pool of OCaml 5 domains sharing an atomic incumbent
+    cost.  An optimal warm start usually leaves no task for a pool.  The
+    optimal cost is identical for every job count; when several
+    bindings attain it, the one returned may differ. *)
 
 type solution = {
   binding : Binding.t;
@@ -84,8 +89,8 @@ val solve :
   Tech.t ->
   App.t list ->
   (solution, diagnostic) result
-(** [jobs] is the domain count: 1 (default) for the sequential
-    reference, [n > 1] for a pool of [n] domains, 0 for the machine's
+(** [jobs] is the domain count: 1 (default) for the calling domain
+    alone, [n > 1] for a pool of [n] domains, 0 for the machine's
     recommended domain count.  [fixed] pins implementations for some
     processes (used by the incremental baseline).  [accept] is an
     additional feasibility filter evaluated on complete bindings —
@@ -98,9 +103,9 @@ val solve :
     it cooperatively (every 1024 expanded nodes, on every domain) and
     past it stops expanding, returning the best incumbent found so far
     with [degraded = true] — or [Error Deadline_no_incumbent] when none
-    was found.  Without a deadline the search is exact: with [jobs = 1]
-    its binding, cost and worst load are byte-identical to earlier
-    releases, which only expanded more nodes.
+    was found.  A deadline that has already expired answers the
+    cheapest greedy completion (or the warm start) without searching.
+    Without a deadline the search is exact.
 
     [warm] is a previously found binding (e.g. replayed from the
     exploration store): it is re-validated against the current problem —

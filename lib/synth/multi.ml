@@ -88,10 +88,10 @@ let materialize ~procs_arr ~nodes ~n choices =
 
 (* Counter semantics match {!Explore}: [explored] counts decision nodes
    expanded, [pruned] counts subtrees cut by the bound or a capacity
-   overload.  As in {!Explore.search}, the sequential reference visits
-   the hardware child first while the parallel path sets [sw_first]:
-   a software placement on an already-used processor adds no cost, so
-   descending software first is best-first. *)
+   overload.  The sequential reference visits the hardware child first
+   while the parallel path sets [sw_first], the order {!Explore.search}
+   always uses: a software placement on an already-used processor adds
+   no cost, so descending software first is best-first. *)
 (* [try_split i area cpu_cost] — see {!Explore.search}: consulted at
    every branch node with both a hardware and a software option;
    returning [true] means the hardware sibling was captured as a pool
@@ -373,7 +373,7 @@ let optimal ?(jobs = 1) ?(accept = fun _ -> true) ?deadline_ns tech
     Array.sort (fun a b -> Int.compare a.t_bound b.t_bound) tasks;
     let incumbent = Atomic.make max_int in
     let seed_best = ref None and seed_cost = ref max_int in
-    (* Root incumbent seeding, as in {!Explore.solve_par}: dive the best
+    (* Root incumbent seeding, as in {!Explore.solve}: dive the best
        subtree sequentially so the pool never starts with a cold bound. *)
     if Array.length tasks > 0 then begin
       let t = tasks.(0) in
@@ -422,7 +422,7 @@ let optimal ?(jobs = 1) ?(accept = fun _ -> true) ?deadline_ns tech
         lower ()
       in
       (* Shed the hardware sibling at any branch node while a worker is
-         hungry (same scheme as {!Explore.solve_par}): the snapshot
+         hungry (same scheme as {!Explore.solve}): the snapshot
          copies the task's mutable choice vector and load state; stale
          entries beyond node [i] are overwritten by the thief's own
          descent before [materialize] reads them. *)

@@ -28,7 +28,13 @@ val flip_point :
   flip option
 (** Searches [range] (inclusive) for the smallest parameter value at
     which the cost-optimal implementation of the process differs from
-    its implementation at the low end of the range.  [None] when the
+    its implementation at the low end of the range.  Each value is
+    decided by two optima, one with the process pinned to hardware and
+    one pinned to software: the decision flips only where the other
+    implementation is strictly cheaper, and a tie keeps the decision
+    taken at the low end (at the low end itself, the optimum's own
+    binding breaks a tie).  So the answer never depends on which of
+    several equal-cost optima the search returns.  [None] when the
     decision is stable across the whole range, the problem is
     infeasible at the low end, or the process lacks the swept option.
     @raise Invalid_argument on an empty range. *)

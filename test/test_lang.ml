@@ -449,3 +449,47 @@ let suite =
         Alcotest.test_case "tech file errors" `Quick test_tech_file_errors;
         Alcotest.test_case "tech file table1" `Quick test_tech_file_table1;
       ] )
+
+(* appended: [initial N] is bounded while parsing.  A ten-digit count is
+   refused at its literal before any token list is built, so the parse
+   allocates a few kilowords instead of ~3 x 10^10 words; the bound
+   counts every channel of the model, and the 5000-token models of the
+   test suite still parse. *)
+let test_initial_tokens_bounded () =
+  let refused src ~line ~col =
+    match Lang.Parser.system_of_string src with
+    | exception Lang.Parser.Too_large { line = l; col = c; limit; _ } ->
+      Alcotest.(check (pair int int)) "position" (line, col) (l, c);
+      Alcotest.(check int) "limit" Lang.Parser.max_initial_tokens limit
+    | _ -> Alcotest.fail "model accepted"
+  in
+  let before = Gc.minor_words () in
+  refused "system s {\n  channel a queue initial 10000000000\n}\n" ~line:2
+    ~col:27;
+  let words = Gc.minor_words () -. before in
+  if words > 50_000. then
+    Alcotest.failf "refusing the model allocated %.0f words" words;
+  (* the first channel's half is built, the second's is refused *)
+  let half = (Lang.Parser.max_initial_tokens / 2) + 1 in
+  refused
+    (Printf.sprintf
+       "system s {\n  channel a queue initial %d\n  channel b queue initial %d\n}\n"
+       half half)
+    ~line:3 ~col:27;
+  let system =
+    Lang.Parser.system_of_string
+      "system s {\n  channel a queue initial 5000\n  channel b queue initial ['x']\n}\n"
+  in
+  Alcotest.(check (list int)) "token counts" [ 5000; 1 ]
+    (List.map
+       (fun c -> List.length (Spi.Chan.initial c))
+       (Variants.System.channels system))
+
+let suite =
+  let name, tests = suite in
+  ( name,
+    tests
+    @ [
+        Alcotest.test_case "initial tokens are bounded" `Quick
+          test_initial_tokens_bounded;
+      ] )

@@ -49,21 +49,42 @@ let test_missing_option () =
           pid))
 
 let test_flip_matches_linear_scan () =
-  (* the binary search agrees with an exhaustive scan *)
+  (* the binary search agrees with an exhaustive scan of the same
+     decision at every value: PA pinned to hardware against PA pinned
+     to software, flipping only where the other side is strictly
+     cheaper *)
   let range = (26, 60) in
   let scan () =
     let lo, hi = range in
-    let impl v =
+    let pinned tech impl =
+      match
+        Synth.Explore.solve
+          ~fixed:(Synth.Binding.bind F2.pa impl Synth.Binding.empty)
+          tech apps
+      with
+      | Ok s -> Some s.Synth.Explore.cost.Synth.Cost.total
+      | Error _ -> None
+    in
+    let impl ~keep v =
       let tech =
         Synth.Tech.with_options F2.pa (Synth.Tech.both ~load:40 ~area:v)
           F2.table1_tech
       in
-      Option.bind (Synth.Explore.optimal tech apps) (fun s ->
-          Synth.Binding.impl_of F2.pa s.Synth.Explore.binding)
+      match (pinned tech Synth.Binding.Hw, pinned tech Synth.Binding.Sw) with
+      | None, None -> None
+      | Some _, None -> Some Synth.Binding.Hw
+      | None, Some _ -> Some Synth.Binding.Sw
+      | Some hw, Some sw ->
+        if hw < sw then Some Synth.Binding.Hw
+        else if sw < hw then Some Synth.Binding.Sw
+        else keep
     in
-    let base = impl lo in
+    let base = impl ~keep:None lo in
+    Alcotest.(check bool) "decided at the low end" true (Option.is_some base);
     let rec find v =
-      if v > hi then None else if impl v <> base then Some v else find (v + 1)
+      if v > hi then None
+      else if impl ~keep:base v <> base then Some v
+      else find (v + 1)
     in
     find (lo + 1)
   in

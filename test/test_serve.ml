@@ -153,6 +153,9 @@ let contains ~sub s =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
+let message r =
+  Option.value ~default:"" (Option.bind (J.member "message" r) J.to_string_opt)
+
 let test_handler_ping () =
   let r = handle (plain P.Ping) in
   Alcotest.(check string) "ok" "ok" (P.status_of_response r)
@@ -212,6 +215,61 @@ let test_handler_warm_equals_cold () =
         (cost_of warm);
       Alcotest.(check string) "store-first cost == cold cost" (cost_of cold)
         (cost_of first))
+
+(* An exact store hit that answers with the stored record hashes no
+   application key and writes nothing, even where a per-application
+   record holds another problem's binding: the store keeps its size,
+   the journal gains no append, and the answer is warm at the stored
+   cost. *)
+let test_handler_exact_hit_writes_nothing () =
+  let path = tmp_store () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let synth =
+        plain
+          (P.Synthesize
+             { model = model_source; tech = tech_source; capacity = None })
+      in
+      let store, _ = Store.Keyed.open_store ~fsync:false path in
+      let first = handle ~handler:(Serve.Handler.create ~store ~jobs:1 ()) synth in
+      (* the application's record now holds the all-hardware binding, as
+         if another problem sharing the application was solved last *)
+      let tech = Lang.Tech_file.of_string tech_source in
+      let apps =
+        Synth.App.of_system (Lang.Parser.system_of_string model_source)
+      in
+      let all_hw =
+        Synth.Binding.of_list
+          (List.map
+             (fun p -> (p, Synth.Binding.Hw))
+             (Spi.Ids.Process_id.Set.elements (Synth.App.union_procs apps)))
+      in
+      Store.Keyed.put store
+        (List.map
+           (fun a ->
+             ( Synth.Bound_store.app_key tech a,
+               J.Obj
+                 [
+                   ("schema", J.String "bound/v1");
+                   ("cost", J.Int (Synth.Cost.total tech all_hw));
+                   ("degraded", J.Bool false);
+                   ("binding", Synth.Bound_store.binding_to_json all_hw);
+                 ] ))
+           apps);
+      Store.Keyed.close store;
+      (* reopen: the exact record comes back from the journal *)
+      let store, _ = Store.Keyed.open_store ~fsync:false path in
+      let appends = Obs.Registry.counter "store.journal_appends" in
+      let size0 = Store.Keyed.size store and a0 = Obs.Metric.value appends in
+      let hit = handle ~handler:(Serve.Handler.create ~store ~jobs:2 ()) synth in
+      let size1 = Store.Keyed.size store in
+      Store.Keyed.close store;
+      Alcotest.(check (option bool)) "warm" (Some true)
+        (Option.bind (J.member "warm" hit) J.to_bool);
+      Alcotest.(check string) "stored cost" (cost_of first) (cost_of hit);
+      Alcotest.(check int) "no record added" size0 size1;
+      Alcotest.(check int) "no journal append" a0 (Obs.Metric.value appends))
 
 let test_handler_batch () =
   let t = Serve.Handler.create ~jobs:2 () in
@@ -586,6 +644,31 @@ let test_synthesis_request_capped () =
   in
   Alcotest.(check string) "next request served" "ok" (P.status_of_response next)
 
+(* A model asking for more initial tokens than the parser builds is
+   refused while it is parsed, as [too_large] with the token limit and
+   the literal's position, by every op that carries a model. *)
+let test_initial_tokens_capped () =
+  let model = "system s {\n  channel a queue initial 10000000000\n}\n" in
+  let t = Serve.Handler.create ~jobs:1 () in
+  let check_too_large what r =
+    Alcotest.(check (option string)) (what ^ ": too_large") (Some "too_large")
+      (Option.bind (J.member "error" r) J.to_string_opt);
+    Alcotest.(check (option int)) (what ^ ": names the limit")
+      (Some Lang.Parser.max_initial_tokens)
+      (Option.bind (J.member "limit" r) J.to_int);
+    Alcotest.(check bool) (what ^ ": positioned") true
+      (contains ~sub:"model:2:27:" (message r))
+  in
+  check_too_large "synthesize"
+    (handle ~handler:t
+       (plain (P.Synthesize { model; tech = tech_source; capacity = None })));
+  check_too_large "pareto"
+    (handle ~handler:t
+       (plain (P.Pareto { model; tech = tech_source; capacity = None })));
+  check_too_large "simulate"
+    (handle ~handler:t
+       (plain (P.Simulate { model; until = None; compiled = true; family = false })))
+
 (* A request's [jobs] may lower the handler's domain count, never raise
    it: on a one-domain handler neither a request nor a batch item asking
    for 64 domains spawns a pool. *)
@@ -614,9 +697,6 @@ let test_request_jobs_capped () =
   Alcotest.(check int) "no pool for the batch item" p0 (Obs.Metric.value pools)
 
 (* ------------------- flat answers from the family plan ------------ *)
-
-let message r =
-  Option.value ~default:"" (Option.bind (J.member "message" r) J.to_string_opt)
 
 (* Every queue the first configuration leaves unwritten starts with
    [n] tokens, so the daemon's stimulus-free runs fire. *)
@@ -1356,6 +1436,10 @@ let suite =
         test_family_request_capped;
       Alcotest.test_case "oversized synthesize and pareto are refused" `Quick
         test_synthesis_request_capped;
+      Alcotest.test_case "too many initial tokens are refused" `Quick
+        test_initial_tokens_capped;
+      Alcotest.test_case "an exact store hit writes nothing" `Quick
+        test_handler_exact_hit_writes_nothing;
       Alcotest.test_case "a request's jobs cannot exceed the handler's" `Quick
         test_request_jobs_capped;
       Alcotest.test_case "flat answers from the family plan equal the oracle"

@@ -246,10 +246,13 @@ let prop_explore_matches_bruteforce =
    most 16 processes), and one application per variant combination, as
    [App.of_system] builds them.  Options mix software-only,
    hardware-only and both; some processes are pinned; random name
-   prefixes shuffle the decision order. *)
-let variant_instance rng =
+   prefixes shuffle the decision order.  [shared] and [sites] narrow
+   the ranges of shared processes and sites. *)
+let variant_instance ?(shared = (1, 3)) ?(sites = (1, 3)) rng =
   let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
-  let shared = int 1 3 and sites = int 1 3 and variants = int 1 3 in
+  let shared = int (fst shared) (snd shared)
+  and sites = int (fst sites) (snd sites)
+  and variants = int 1 3 in
   let cluster = if shared + (sites * variants * 2) <= 16 then int 1 2 else 1 in
   let name fmt =
     Printf.ksprintf (fun s -> pid (Printf.sprintf "%02d%s" (int 0 99) s)) fmt
@@ -326,11 +329,104 @@ let prop_variant_bound_exact =
                  (Synth.Binding.processes fixed))
         [ 1; 2 ])
 
+(* The greedy completion of the empty prefix, in decision order:
+   software when every application it belongs to keeps its load within
+   [capacity], hardware otherwise.  [None] when some process then has
+   no allowed option. *)
+let root_greedy ~capacity ~fixed tech apps =
+  let procs = I.Process_id.Set.elements (Synth.App.union_procs apps) in
+  let loads = Array.make (List.length apps) 0 in
+  List.fold_left
+    (fun acc p ->
+      Option.bind acc (fun (area, any_sw) ->
+          let o = Synth.Tech.options_of tech p in
+          let pin = Synth.Binding.impl_of p fixed in
+          let sw = if pin = Some Synth.Binding.Hw then None else o.Synth.Tech.sw
+          and hw = if pin = Some Synth.Binding.Sw then None else o.Synth.Tech.hw in
+          let members =
+            List.concat
+              (List.mapi
+                 (fun i (a : Synth.App.t) ->
+                   if I.Process_id.Set.mem p a.Synth.App.procs then [ i ] else [])
+                 apps)
+          in
+          match sw with
+          | Some s
+            when List.for_all
+                   (fun i -> loads.(i) + s.Synth.Tech.load <= capacity)
+                   members ->
+            List.iter (fun i -> loads.(i) <- loads.(i) + s.Synth.Tech.load) members;
+            Some (area, true)
+          | Some _ | None ->
+            Option.map (fun h -> (area + h.Synth.Tech.area, any_sw)) hw))
+    (Some (0, false)) procs
+  |> Option.map (fun (area, any_sw) ->
+         area + if any_sw then Synth.Tech.processor_cost tech else 0)
+
+(* The one search at every job count, on variant instances of every
+   size; half the seeds draw fewer than four processes, where the split
+   depth bottoms out.  A solve returns brute force's optimum, and a
+   solve whose deadline has already expired answers the greedy
+   incumbent, degraded: at most the root greedy completion's cost, and
+   [Deadline_no_incumbent] only when no greedy completion exists. *)
+let prop_one_search =
+  QCheck.Test.make ~name:"one search: exact at jobs 1 and 2, greedy when expired"
+    ~count:600
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rec tiny () =
+        let ((_, apps, _, _) as i) =
+          variant_instance ~shared:(0, 1) ~sites:(1, 1) rng
+        in
+        if I.Process_id.Set.cardinal (Synth.App.union_procs apps) < 4 then i
+        else tiny ()
+      in
+      let tech, apps, fixed, capacity =
+        if seed mod 2 = 0 then tiny () else variant_instance rng
+      in
+      let expected = brute_force ~capacity ~fixed tech apps in
+      let greedy = root_greedy ~capacity ~fixed tech apps in
+      let valid (s : Synth.Explore.solution) =
+        let b = s.Synth.Explore.binding in
+        Synth.Schedule.is_feasible (Synth.Schedule.check ~capacity tech b apps)
+        && List.for_all
+             (fun p -> Synth.Binding.impl_of p b = Synth.Binding.impl_of p fixed)
+             (Synth.Binding.processes fixed)
+        && (Synth.Cost.of_binding tech b).Synth.Cost.total
+           = s.Synth.Explore.cost.Synth.Cost.total
+      in
+      List.for_all
+        (fun jobs ->
+          let exact =
+            match Synth.Explore.solve ~jobs ~capacity ~fixed tech apps with
+            | Error Synth.Explore.Infeasible -> expected = None
+            | Error _ -> false
+            | Ok s ->
+              expected = Some s.Synth.Explore.cost.Synth.Cost.total
+              && (not s.Synth.Explore.degraded)
+              && valid s
+          in
+          let expired =
+            match
+              Synth.Explore.solve ~jobs ~capacity ~fixed
+                ~deadline_ns:(Obs.Clock.now_ns ()) tech apps
+            with
+            | Error Synth.Explore.Deadline_no_incumbent -> greedy = None
+            | Error _ -> false
+            | Ok s ->
+              let cost = s.Synth.Explore.cost.Synth.Cost.total in
+              s.Synth.Explore.degraded && valid s
+              && (match expected with Some e -> cost >= e | None -> false)
+              && match greedy with Some g -> cost <= g | None -> true
+          in
+          exact && expired)
+        [ 1; 2 ])
+
 (* figure2-gen-medium of the explore benchmark: 26 processes, 8
    applications, capacity 120, with the first six processes in decision
    order ASIC-expensive and cheap in software. *)
-let figure2_medium () =
-  let seed = 9 in
+let figure2_medium ?(seed = 9) () =
   let system =
     Variants.Generator.generate
       {
@@ -357,8 +453,8 @@ let figure2_medium () =
   in
   (tech, apps)
 
-(* The bound is live: the hardware-first search without it expands
-   587,018 nodes on this instance. *)
+(* The bound is live: without it the search expands 37,746 nodes on
+   this instance at jobs=1, with it about 1,600. *)
 let test_bound_is_live () =
   let tech, apps = figure2_medium () in
   let s = Synth.Explore.optimal_exn ~capacity:120 tech apps in
@@ -396,6 +492,47 @@ let test_bound_warm_start () =
   Alcotest.(check int) "cost from an all-hardware warm start"
     cold.Synth.Explore.cost.Synth.Cost.total
     (solve all_hw).Synth.Explore.cost.Synth.Cost.total
+
+(* The same liveness at both job counts, tight enough that a search
+   without the bound (37,746 nodes at jobs=1) fails it. *)
+let test_bound_live_every_jobs () =
+  let tech, apps = figure2_medium () in
+  List.iter
+    (fun jobs ->
+      let s = Synth.Explore.optimal_exn ~jobs ~capacity:120 tech apps in
+      Alcotest.(check int) (Printf.sprintf "optimum, jobs=%d" jobs) 728
+        s.Synth.Explore.cost.Synth.Cost.total;
+      if s.Synth.Explore.explored >= 5_000 then
+        Alcotest.failf "jobs=%d expanded %d nodes, expected fewer than 5,000"
+          jobs s.Synth.Explore.explored)
+    [ 1; 2 ]
+
+(* jobs=1 runs its seeds on the calling domain, and at jobs=2 a warm
+   start with the cold optimum prunes the prefix so far that no seed
+   is left for a domain pool, on figure2_medium and on the same
+   generator at seeds 1-5. *)
+let test_warm_start_no_pool () =
+  let pools = Obs.Registry.counter "par.pools" in
+  List.iter
+    (fun seed ->
+      let tech, apps = figure2_medium ~seed () in
+      let solve ?warm jobs =
+        match Synth.Explore.solve ~jobs ~capacity:120 ?warm tech apps with
+        | Ok s -> s
+        | Error d -> Alcotest.failf "%a" Synth.Explore.pp_diagnostic d
+      in
+      let p0 = Obs.Metric.value pools in
+      let cold = solve 1 in
+      Alcotest.(check int) (Printf.sprintf "seed %d: jobs=1 starts no pool" seed)
+        p0 (Obs.Metric.value pools);
+      let warm = solve ~warm:cold.Synth.Explore.binding 2 in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: warm jobs=2 starts no pool" seed)
+        p0 (Obs.Metric.value pools);
+      Alcotest.(check int) (Printf.sprintf "seed %d: warm cost" seed)
+        cold.Synth.Explore.cost.Synth.Cost.total
+        warm.Synth.Explore.cost.Synth.Cost.total)
+    [ 9; 1; 2; 3; 4; 5 ]
 
 (* [accept] under the bound: rejecting every binding at the optimal cost
    makes the explorer return the next cheapest accepted one, as brute
@@ -459,11 +596,11 @@ let shared_ahead_of_sites ~shared =
   in
   (tech, apps, warm, shared + 5)
 
-let test_bound_budget () =
+let test_bound_budget jobs () =
   let solve ~shared =
     let tech, apps, warm, capacity = shared_ahead_of_sites ~shared in
     let before = Gc.allocated_bytes () in
-    match Synth.Explore.solve ~capacity ~warm tech apps with
+    match Synth.Explore.solve ~jobs ~capacity ~warm tech apps with
     | Ok s ->
       let words =
         (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
@@ -594,12 +731,19 @@ let suite =
       Alcotest.test_case "accept filter under the bound" `Quick
         test_bound_accept;
       Alcotest.test_case "bound table past its budget" `Quick
-        test_bound_budget;
+        (test_bound_budget 1);
+      Alcotest.test_case "bound table past its budget, jobs=2" `Quick
+        (test_bound_budget 2);
+      Alcotest.test_case "bound is live at jobs 1 and 2" `Quick
+        test_bound_live_every_jobs;
+      Alcotest.test_case "an optimal warm start starts no pool" `Quick
+        test_warm_start_no_pool;
       Alcotest.test_case "serial all-in-one" `Quick test_serial_all_in_one;
       Alcotest.test_case "serial incremental" `Quick test_serial_incremental;
       Alcotest.test_case "design time" `Quick test_design_time;
       Alcotest.test_case "superpose per-app" `Quick test_superpose_per_app;
       QCheck_alcotest.to_alcotest ~long:false prop_explore_matches_bruteforce;
       QCheck_alcotest.to_alcotest ~long:false prop_variant_bound_exact;
+      QCheck_alcotest.to_alcotest ~long:false prop_one_search;
       QCheck_alcotest.to_alcotest ~long:false prop_variant_aware_never_worse;
     ] )
