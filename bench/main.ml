@@ -10,13 +10,13 @@
    ablation-reconf, ablation-stages, ablation-correlation,
    ablation-sensitivity, ablation-heuristic, explore-json.
 
-   Options: --no-perf skips the Bechamel suite, --jobs N runs the
-   synthesis explorers on N domains, and explore-json (with optional
-   --json FILE, --tiny, --label TEXT) appends a machine-readable perf
-   record to the benchmark trajectory (see docs/BENCH.md).
-   check-trajectory gates the trajectory file: it fails when the
-   freshest record's optimal costs diverge across job counts or its
-   aggregate speedup regressed >30%% against the previous record. *)
+   Options: --no-perf skips the Bechamel suite, and explore-json (with
+   optional --json FILE, --tiny, --label TEXT) appends a
+   machine-readable perf record to the benchmark trajectory (see
+   docs/BENCH.md).  check-trajectory gates the trajectory file: it
+   fails when the freshest record's optimal costs differ from the
+   previous record's or one of its speedups regressed >30%% against
+   it. *)
 
 module I = Spi.Ids
 module F1 = Paper.Figure1
@@ -24,7 +24,6 @@ module F2 = Paper.Figure2
 module V = Variants
 
 (* Global knobs, set once by the argv parse below. *)
-let jobs = ref 1
 let json_path = ref "BENCH_explore.json"
 let tiny = ref false
 let label = ref ""
@@ -39,16 +38,16 @@ let header title =
 (* Table 1: system cost.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let table1_solutions ?(jobs = 1) () =
+let table1_solutions () =
   let tech = F2.table1_tech in
-  let s1 = Synth.Explore.optimal_exn ~jobs tech [ F2.app1 ] in
-  let s2 = Synth.Explore.optimal_exn ~jobs tech [ F2.app2 ] in
+  let s1 = Synth.Explore.optimal_exn tech [ F2.app1 ] in
+  let s2 = Synth.Explore.optimal_exn tech [ F2.app2 ] in
   let sup =
-    match Synth.Superpose.superpose ~jobs tech [ F2.app1; F2.app2 ] with
+    match Synth.Superpose.superpose tech [ F2.app1; F2.app2 ] with
     | Some r -> r
     | None -> failwith "superposition infeasible"
   in
-  let var = Synth.Explore.optimal_exn ~jobs tech [ F2.app1; F2.app2 ] in
+  let var = Synth.Explore.optimal_exn tech [ F2.app1; F2.app2 ] in
   (s1, s2, sup, var)
 
 let names_of set =
@@ -57,7 +56,7 @@ let names_of set =
 
 let table1 () =
   header "Table 1: System Cost (paper: 34 / 38 / 57 / 41)";
-  let s1, s2, sup, var = table1_solutions ~jobs:!jobs () in
+  let s1, s2, sup, var = table1_solutions () in
   let apps = [ F2.app1; F2.app2 ] in
   Format.printf "%-14s | %-26s | %-22s | %5s | %5s@." "" "Software" "Hardware"
     "Total" "Time";
@@ -515,14 +514,13 @@ let ablation_heuristic () =
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark trajectory: the explore-json experiment times the         *)
-(* branch-and-bound exploration workloads at several domain counts and *)
-(* appends one machine-readable record per invocation to a JSON file   *)
+(* branch-and-bound exploration workloads, cold and warm, and appends  *)
+(* one machine-readable record per invocation to a JSON file           *)
 (* (default BENCH_explore.json), so runs stay comparable across PRs.   *)
 (* Schema: docs/BENCH.md.                                              *)
 (* ------------------------------------------------------------------ *)
 
 type explore_run = {
-  run_jobs : int;
   wall_s : float;
   run_cost : int option;
   run_explored : int;
@@ -797,14 +795,18 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
+(* A bench-explore/v1 record.  The search runs on one domain, so every
+   record holds one jobs=1 run per workload, [max_jobs] 1 and speedups
+   of 1.0: the schema is kept so [check-trajectory] reads old and new
+   records alike. *)
+let record_to_json ~timestamp ~label ~metrics workload_rows =
   let b = Buffer.create 1024 in
   let add fmt = Format.ksprintf (Buffer.add_string b) fmt in
   add "  {\n";
   add "    \"schema\": \"bench-explore/v1\",\n";
   add "    \"timestamp\": %.0f,\n" timestamp;
   if label <> "" then add "    \"label\": \"%s\",\n" (json_escape label);
-  add "    \"max_jobs\": %d,\n" max_jobs;
+  add "    \"max_jobs\": 1,\n";
   add "    \"workloads\": [\n";
   let n = List.length workload_rows in
   List.iteri
@@ -813,9 +815,7 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
            processes,
            applications,
            capacity,
-           runs,
-           speedup,
-           identical,
+           r,
            (warm_wall, warm_cost, warm_explored),
            (sim_interp, sim_compiled, sim_compile, sim_speedup),
            (fam_npass, fam_wall, fam_speedup, fam_configs) ) ->
@@ -824,24 +824,17 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
       add "        \"processes\": %d,\n" processes;
       add "        \"applications\": %d,\n" applications;
       add "        \"capacity\": %d,\n" capacity;
-      add "        \"runs\": [\n";
-      let m = List.length runs in
-      List.iteri
-        (fun j r ->
-          add
-            "          {\"jobs\": %d, \"wall_s\": %.6f, \"cost\": %s, \
-             \"explored\": %d, \"pruned\": %d}%s\n"
-            r.run_jobs r.wall_s
-            (match r.run_cost with
-            | Some c -> string_of_int c
-            | None -> "null")
-            r.run_explored r.run_pruned
-            (if j = m - 1 then "" else ","))
-        runs;
-      add "        ],\n";
-      add "        \"speedup_max_jobs\": %.3f,\n" speedup;
-      (* warm-start measurement at max_jobs, an extra field the
-         trajectory gate tolerates (and ignores) *)
+      add
+        "        \"runs\": [\n\
+        \          {\"jobs\": 1, \"wall_s\": %.6f, \"cost\": %s, \
+         \"explored\": %d, \"pruned\": %d}\n\
+        \        ],\n"
+        r.wall_s
+        (match r.run_cost with Some c -> string_of_int c | None -> "null")
+        r.run_explored r.run_pruned;
+      add "        \"speedup_max_jobs\": 1.000,\n";
+      (* warm-start measurement, an extra field the trajectory gate
+         tolerates (and ignores) *)
       add "        \"warm\": {\"wall_s\": %.6f, \"cost\": %s, \"explored\": %d},\n"
         warm_wall
         (match warm_cost with Some c -> string_of_int c | None -> "null")
@@ -860,23 +853,18 @@ let record_to_json ~timestamp ~label ~max_jobs ~metrics workload_rows =
         "        \"family_compiled\": {\"npass_wall_s\": %.6f, \
          \"family_wall_s\": %.6f, \"configs\": %d, \"speedup\": %.3f},\n"
         fam_npass fam_wall fam_configs fam_speedup;
-      add "        \"costs_identical\": %b\n" identical;
+      add "        \"costs_identical\": true\n";
       add "      }%s\n" (if i = n - 1 then "" else ","))
     workload_rows;
   add "    ],\n";
-  let total j =
+  let total =
     List.fold_left
-      (fun acc (_, _, _, _, runs, _, _, _, _, _) ->
-        match List.find_opt (fun r -> r.run_jobs = j) runs with
-        | Some r -> acc +. r.wall_s
-        | None -> acc)
+      (fun acc (_, _, _, _, r, _, _, _) -> acc +. r.wall_s)
       0. workload_rows
   in
-  let t1 = total 1 and tm = total max_jobs in
   add "    \"aggregate\": {\"wall_s_jobs1\": %.6f, \"wall_s_max_jobs\": %.6f, \
-       \"speedup_max_jobs\": %.3f},\n"
-    t1 tm
-    (if tm > 0. then t1 /. tm else 1.);
+       \"speedup_max_jobs\": 1.000},\n"
+    total total;
   (* the explorer's obs/v1 snapshot for this record's runs, pre-rendered
      because it comes from a different JSON emitter *)
   add "    \"metrics\": %s\n" metrics;
@@ -914,15 +902,10 @@ let append_record path record =
   close_out oc
 
 let explore_json () =
-  header "explore-json: parallel exploration perf trajectory";
+  header "explore-json: exploration perf trajectory";
   (* start the registry from zero so the embedded snapshot covers
      exactly this experiment's exploration work *)
   Obs.Registry.reset ();
-  (* --jobs N narrows the sweep to [1; N] so a multicore CI matrix can
-     produce one labelled record per core budget; the default remains
-     the full 1/2/4 sweep *)
-  let job_counts = if !jobs > 1 then [ 1; !jobs ] else [ 1; 2; 4 ] in
-  let max_jobs = List.fold_left max 1 job_counts in
   let reps = if !tiny then 1 else 3 in
   let rows =
     List.map
@@ -930,47 +913,26 @@ let explore_json () =
         let processes =
           I.Process_id.Set.cardinal (Synth.App.union_procs apps)
         in
-        let runs =
-          List.map
-            (fun jobs ->
-              let wall, sol =
-                time_explore ~reps (fun () ->
-                    Synth.Explore.optimal ~jobs ~capacity tech apps)
-              in
-              {
-                run_jobs = jobs;
-                wall_s = wall;
-                run_cost =
-                  Option.map
-                    (fun (s : Synth.Explore.solution) ->
-                      s.Synth.Explore.cost.Synth.Cost.total)
-                    sol;
-                run_explored =
-                  (match sol with
-                  | Some s -> s.Synth.Explore.explored
-                  | None -> 0);
-                run_pruned =
-                  (match sol with
-                  | Some s -> s.Synth.Explore.pruned
-                  | None -> 0);
-              })
-            job_counts
+        let wall, sol =
+          time_explore ~reps (fun () ->
+              Synth.Explore.optimal ~capacity tech apps)
         in
-        let wall_of j =
-          match List.find_opt (fun r -> r.run_jobs = j) runs with
-          | Some r -> r.wall_s
-          | None -> nan
+        let cold_cost =
+          Option.map
+            (fun (s : Synth.Explore.solution) ->
+              s.Synth.Explore.cost.Synth.Cost.total)
+            sol
         in
-        let speedup = wall_of 1 /. wall_of max_jobs in
-        let identical =
-          match runs with
-          | [] -> true
-          | r :: rest -> List.for_all (fun q -> q.run_cost = r.run_cost) rest
+        let run =
+          {
+            wall_s = wall;
+            run_cost = cold_cost;
+            run_explored =
+              (match sol with Some s -> s.Synth.Explore.explored | None -> 0);
+            run_pruned =
+              (match sol with Some s -> s.Synth.Explore.pruned | None -> 0);
+          }
         in
-        if not identical then begin
-          Format.eprintf "explore-json: OPTIMAL COSTS DIVERGE on %s@." name;
-          exit 1
-        end;
         (* warm-vs-cold: remember the optimum in a throwaway store and
            re-solve with the stored binding as the warm incumbent.  The
            store may only change the work, never the answer — a cost
@@ -981,7 +943,7 @@ let explore_json () =
             ~finally:(fun () ->
               try Sys.remove path with Sys_error _ -> ())
             (fun () ->
-              match Synth.Explore.solve ~jobs:max_jobs ~capacity tech apps with
+              match Synth.Explore.solve ~capacity tech apps with
               | Error _ -> (nan, None, 0)
               | Ok cold ->
                 let store, _ = Store.Keyed.open_store ~fsync:false path in
@@ -991,10 +953,7 @@ let explore_json () =
                 in
                 let wall, sol =
                   time_explore ~reps (fun () ->
-                      match
-                        Synth.Explore.solve ~jobs:max_jobs ~capacity ?warm
-                          tech apps
-                      with
+                      match Synth.Explore.solve ~capacity ?warm tech apps with
                       | Ok s -> Some s
                       | Error _ -> None)
                 in
@@ -1008,9 +967,6 @@ let explore_json () =
                   | Some s -> s.Synth.Explore.explored
                   | None -> 0 ))
         in
-        let cold_cost =
-          match List.rev runs with r :: _ -> r.run_cost | [] -> None
-        in
         if warm_cost <> cold_cost then begin
           Format.eprintf "explore-json: WARM COST DIVERGES FROM COLD on %s@."
             name;
@@ -1023,23 +979,18 @@ let explore_json () =
           family_measurement ~reps name system
         in
         Format.printf
-          "%-20s | %2d procs | %2d apps | jobs=1 %8.4fs | jobs=%d %8.4fs | \
-           speedup %.2fx | cost %s | sim %8.4fs -> %8.4fs (%.2fx) | family \
-           %d cfgs %8.4fs -> %8.4fs (%.2fx)@."
-          name processes (List.length apps) (wall_of 1) max_jobs
-          (wall_of max_jobs) speedup
-          (match (List.hd runs).run_cost with
-          | Some c -> string_of_int c
-          | None -> "infeas")
+          "%-20s | %2d procs | %2d apps | explore %8.4fs | cost %s | sim \
+           %8.4fs -> %8.4fs (%.2fx) | family %d cfgs %8.4fs -> %8.4fs \
+           (%.2fx)@."
+          name processes (List.length apps) wall
+          (match cold_cost with Some c -> string_of_int c | None -> "infeas")
           sim_interp sim_compiled sim_speedup fam_configs fam_npass fam_wall
           fam_speedup;
         ( name,
           processes,
           List.length apps,
           capacity,
-          runs,
-          speedup,
-          identical,
+          run,
           (warm_wall, warm_cost, warm_explored),
           sim,
           family ))
@@ -1047,8 +998,7 @@ let explore_json () =
   in
   let metrics = Obs.Json.to_string (Obs.Registry.snapshot ()) in
   let record =
-    record_to_json ~timestamp:(Unix.time ()) ~label:!label ~max_jobs ~metrics
-      rows
+    record_to_json ~timestamp:(Unix.time ()) ~label:!label ~metrics rows
   in
   append_record !json_path record;
   Format.printf "@.appended record to %s@." !json_path
@@ -1152,8 +1102,8 @@ let experiments =
 
 let usage () =
   Format.eprintf
-    "usage: main.exe [EXPERIMENT...] [--no-perf] [--jobs N] [--tiny] [--json \
-     FILE] [--label TEXT] [--tolerance F]@.available experiments: %s, perf, \
+    "usage: main.exe [EXPERIMENT...] [--no-perf] [--tiny] [--json FILE] \
+     [--label TEXT] [--tolerance F]@.available experiments: %s, perf, \
      check-trajectory@."
     (String.concat ", " (List.map fst experiments));
   exit 1
@@ -1161,21 +1111,11 @@ let usage () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args = List.filter (fun a -> a <> "--") args in
-  let int_of name v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None ->
-      Format.eprintf "%s expects an integer, got %s@." name v;
-      exit 1
-  in
   let rec parse names = function
     | [] -> List.rev names
     | "--no-perf" :: rest -> parse names rest (* handled below *)
     | "--tiny" :: rest ->
       tiny := true;
-      parse names rest
-    | "--jobs" :: v :: rest ->
-      jobs := int_of "--jobs" v;
       parse names rest
     | "--json" :: v :: rest ->
       json_path := v;
@@ -1190,7 +1130,7 @@ let () =
         Format.eprintf "--tolerance expects a float, got %s@." v;
         exit 1);
       parse names rest
-    | ("--jobs" | "--json" | "--label" | "--tolerance") :: [] -> usage ()
+    | ("--json" | "--label" | "--tolerance") :: [] -> usage ()
     | a :: _ when String.length a > 2 && String.sub a 0 2 = "--" -> usage ()
     | name :: rest -> parse (name :: names) rest
   in

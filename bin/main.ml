@@ -473,15 +473,6 @@ let trace_buffered_flag =
           "Hold the whole timeline in memory and write $(b,--trace) once at \
            the end instead of streaming (the output bytes are identical)")
 
-let compiled_flag =
-  Arg.(
-    value & flag
-    & info [ "compiled" ]
-        ~doc:
-          "Accepted and ignored: every run already uses the compiled engines \
-           (Sim.Compile for one model, Sim.Family_compiled with \
-           $(b,--family)).  Kept for compatibility; it will be removed")
-
 (* One handle regardless of export mode: [flush] after each run's emit
    (a no-op when buffered), [finish] once at the end. *)
 type trace_out = {
@@ -674,8 +665,8 @@ let simulate_cmd =
         ~stimuli:(bundled.stimuli ()) ~jobs ~deadline ~show_trace ~trace_path
         ~trace_buffered ~metrics_path (sys ())
   in
-  let run bundled policy _compiled family jobs deadline show_trace vcd_path
-      trace_path trace_buffered span_capacity metrics_path =
+  let run bundled policy family jobs deadline show_trace vcd_path trace_path
+      trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family then
       run_family bundled policy jobs deadline show_trace trace_path
@@ -717,8 +708,8 @@ let simulate_cmd =
           model's whole variant space in one featured pass and exit with \
           the worst configuration's code")
     Term.(
-      const run $ model_arg $ policy_arg $ compiled_flag $ family_flag
-      $ jobs_arg $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ trace_arg
+      const run $ model_arg $ policy_arg $ family_flag $ jobs_arg
+      $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ trace_arg
       $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
 
 let faultsim_cmd =
@@ -896,7 +887,7 @@ let faultsim_cmd =
       (List.map snd reports)
   in
   let run model_name seeds no_faults family deadline drop transient trace_seed
-      jobs _compiled trace_path trace_buffered span_capacity metrics_path =
+      jobs trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if seeds < 1 then begin
       Format.eprintf "faultsim: --seeds must be positive@.";
@@ -1054,8 +1045,7 @@ let faultsim_cmd =
     Term.(
       const run $ model_name_arg $ seeds_arg $ no_faults_flag $ family_flag
       $ deadline_arg $ drop_arg $ transient_arg $ trace_seed_arg $ jobs_arg
-      $ compiled_flag $ trace_arg $ trace_buffered_flag $ span_capacity_arg
-      $ metrics_arg)
+      $ trace_arg $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
 
 let simulate_file_cmd =
   let variant_arg =
@@ -1081,9 +1071,8 @@ let simulate_file_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Write the trace as CSV to $(docv)")
   in
-  let run path variants drive policy _compiled family jobs deadline show_trace
-      vcd_path json_path csv_path trace_path trace_buffered span_capacity
-      metrics_path =
+  let run path variants drive policy family jobs deadline show_trace vcd_path
+      json_path csv_path trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family && (vcd_path <> None || json_path <> None || csv_path <> None)
     then begin
@@ -1164,9 +1153,9 @@ let simulate_file_cmd =
           space in one featured pass")
     Term.(
       const run $ file_arg $ variant_arg $ drive_arg $ policy_arg
-      $ compiled_flag $ family_flag $ jobs_arg $ deadline_opt_arg
-      $ print_trace_flag $ vcd_arg $ json_arg $ csv_arg $ trace_arg
-      $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
+      $ family_flag $ jobs_arg $ deadline_opt_arg $ print_trace_flag
+      $ vcd_arg $ json_arg $ csv_arg $ trace_arg $ trace_buffered_flag
+      $ span_capacity_arg $ metrics_arg)
 
 let analyze_cmd =
   let run bundled =
@@ -1239,21 +1228,20 @@ let dot_system_cmd =
     Term.(const run $ name_arg)
 
 let synthesize_cmd =
-  let run jobs _compiled trace_path trace_buffered span_capacity metrics_path =
+  let run trace_path trace_buffered span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if Option.is_some trace_path then Synth.Domain_trace.enable ();
-    let jobs = resolve_jobs jobs in
     let tech = F2.table1_tech in
     let apps = [ F2.app1; F2.app2 ] in
     let print name (s : Synth.Explore.solution) =
       Format.printf "%-14s %a@." name Synth.Cost.pp s.Synth.Explore.cost
     in
-    print "Application 1" (Synth.Explore.optimal_exn ~jobs tech [ F2.app1 ]);
-    print "Application 2" (Synth.Explore.optimal_exn ~jobs tech [ F2.app2 ]);
-    (match Synth.Superpose.superpose ~jobs tech apps with
+    print "Application 1" (Synth.Explore.optimal_exn tech [ F2.app1 ]);
+    print "Application 2" (Synth.Explore.optimal_exn tech [ F2.app2 ]);
+    (match Synth.Superpose.superpose tech apps with
     | Some r -> Format.printf "%-14s %a@." "Superposition" Synth.Cost.pp r.Synth.Superpose.cost
     | None -> Format.printf "superposition infeasible@.");
-    print "With variants" (Synth.Explore.optimal_exn ~jobs tech apps);
+    print "With variants" (Synth.Explore.optimal_exn tech apps);
     let out = trace_out ~buffered:trace_buffered trace_path in
     (match out with
     | Some o ->
@@ -1298,8 +1286,8 @@ let synthesize_cmd =
          "Run the Table 1 synthesis flows and simulate each application's \
           flattened model as a sanity check")
     Term.(
-      const run $ jobs_arg $ compiled_flag $ trace_arg $ trace_buffered_flag
-      $ span_capacity_arg $ metrics_arg)
+      const run $ trace_arg $ trace_buffered_flag $ span_capacity_arg
+      $ metrics_arg)
 
 let schedule_cmd =
   let run () =
@@ -1650,8 +1638,8 @@ let request_cmd =
       Format.eprintf "request: missing %s@." what;
       exit 2
   in
-  let run socket op model tech capacity until compiled family count
-      deadline_ms id timeout_s attempts seed jobs trace =
+  let run socket op model tech capacity until family count deadline_ms id
+      timeout_s attempts seed jobs trace =
     let synthesize () =
       Serve.Protocol.Synthesize
         {
@@ -1679,7 +1667,7 @@ let request_cmd =
           {
             model = read_file (need "--file MODEL" model);
             until;
-            compiled;
+            compiled = false;
             family;
           }
       | `Batch ->
@@ -1719,7 +1707,7 @@ let request_cmd =
           retries and an idempotency key")
     Term.(
       const run $ socket_arg $ op_arg $ model_arg $ tech_arg $ capacity_arg
-      $ until_arg $ compiled_flag $ family_flag $ count_arg $ deadline_arg
+      $ until_arg $ family_flag $ count_arg $ deadline_arg
       $ id_arg $ timeout_arg $ attempts_arg $ seed_arg $ jobs_req_arg
       $ trace_spans_flag)
 

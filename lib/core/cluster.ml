@@ -31,6 +31,7 @@ let input_channel_ids = port_channel_ids input_ports
 let output_channel_ids = port_channel_ids output_ports
 
 type error =
+  | Duplicate_port of I.Port_id.t
   | Port_channel_declared of I.Channel_id.t
   | Undeclared_channel of I.Process_id.t * I.Channel_id.t
   | Input_port_fanout of I.Port_id.t * I.Process_id.t list
@@ -46,6 +47,7 @@ let pp_error ppf =
     Format.pp_print_list ~pp_sep:Format.pp_print_space I.Process_id.pp
   in
   function
+  | Duplicate_port p -> Format.fprintf ppf "duplicate port %a" I.Port_id.pp p
   | Port_channel_declared c ->
     Format.fprintf ppf "internal channel %a shadows a port" I.Channel_id.pp c
   | Undeclared_channel (p, c) ->
@@ -78,7 +80,14 @@ let port_of_channel ports cid =
     (fun p -> I.Channel_id.equal (Port.channel_of (Port.id p)) cid)
     ports
 
+(* Every check but the first works on the cluster's port sets, which a
+   port declared twice leaves undefined. *)
 let rec validate (c : t) =
+  match Port.duplicates c.Structure.cluster_ports with
+  | [] -> validate_ported c
+  | dups -> List.map (fun p -> Duplicate_port p) dups
+
+and validate_ported (c : t) =
   let errors = ref [] in
   let err e = errors := e :: !errors in
   let internal = internal_channel_ids c in

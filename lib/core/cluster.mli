@@ -23,6 +23,9 @@ val input_ports : t -> Spi.Ids.Port_id.Set.t
 val output_ports : t -> Spi.Ids.Port_id.Set.t
 
 type error =
+  | Duplicate_port of Spi.Ids.Port_id.t
+      (** the cluster declares a port id twice; no other check of the
+          cluster runs, since they all need its port sets *)
   | Port_channel_declared of Spi.Ids.Channel_id.t
       (** an internal channel reuses a port's placeholder name *)
   | Undeclared_channel of Spi.Ids.Process_id.t * Spi.Ids.Channel_id.t

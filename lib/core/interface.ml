@@ -26,6 +26,7 @@ let variant_count t = List.length (clusters t)
 
 type error =
   | No_clusters
+  | Duplicate_port of I.Port_id.t
   | Duplicate_cluster of I.Cluster_id.t
   | Signature_mismatch of I.Cluster_id.t
   | Cluster_error of I.Cluster_id.t * Cluster.error
@@ -35,6 +36,7 @@ type error =
 
 let pp_error ppf = function
   | No_clusters -> Format.pp_print_string ppf "interface has no clusters"
+  | Duplicate_port p -> Format.fprintf ppf "duplicate port %a" I.Port_id.pp p
   | Duplicate_cluster c ->
     Format.fprintf ppf "duplicate cluster %a" I.Cluster_id.pp c
   | Signature_mismatch c ->
@@ -56,6 +58,8 @@ let validate (t : t) =
   let errors = ref [] in
   let err e = errors := e :: !errors in
   if clusters t = [] then err No_clusters;
+  let duplicate_ports = Port.duplicates (ports t) in
+  List.iter (fun p -> err (Duplicate_port p)) duplicate_ports;
   let known = cluster_ids t in
   let is_known cid = List.exists (I.Cluster_id.equal cid) known in
   ignore
@@ -70,9 +74,20 @@ let validate (t : t) =
        [] (clusters t));
   List.iter
     (fun c ->
-      if not (Port.same_signature (ports t) (Cluster.ports c)) then
-        err (Signature_mismatch (Cluster.id c));
-      List.iter (fun e -> err (Cluster_error (Cluster.id c, e))) (Cluster.validate c))
+      (* signatures are compared only between duplicate-free port lists,
+         and a cluster's duplicate already named for the interface is
+         not named again *)
+      if
+        duplicate_ports = []
+        && Port.duplicates (Cluster.ports c) = []
+        && not (Port.same_signature (ports t) (Cluster.ports c))
+      then err (Signature_mismatch (Cluster.id c));
+      List.iter
+        (function
+          | Cluster.Duplicate_port p
+            when List.exists (I.Port_id.equal p) duplicate_ports -> ()
+          | e -> err (Cluster_error (Cluster.id c, e)))
+        (Cluster.validate c))
     (clusters t);
   (match selection t with
   | None -> ()

@@ -28,6 +28,9 @@ val variant_count : t -> int
 
 type error =
   | No_clusters
+  | Duplicate_port of Spi.Ids.Port_id.t
+      (** the interface declares a port id twice; no cluster signature is
+          compared against its ports *)
   | Duplicate_cluster of Spi.Ids.Cluster_id.t
   | Signature_mismatch of Spi.Ids.Cluster_id.t
       (** the cluster's ports differ from the interface's (Def. 2) *)

@@ -33,6 +33,18 @@ let signature ports =
     (Spi.Ids.Port_id.Set.empty, Spi.Ids.Port_id.Set.empty)
     ports
 
+let duplicates ports =
+  let rec go seen dups = function
+    | [] -> List.rev dups
+    | p :: rest when Spi.Ids.Port_id.Set.mem p.id seen ->
+      go seen
+        (if List.exists (Spi.Ids.Port_id.equal p.id) dups then dups
+         else p.id :: dups)
+        rest
+    | p :: rest -> go (Spi.Ids.Port_id.Set.add p.id seen) dups rest
+  in
+  go Spi.Ids.Port_id.Set.empty [] ports
+
 let same_signature a b =
   let ia, oa = signature a and ib, ob = signature b in
   Spi.Ids.Port_id.Set.equal ia ib && Spi.Ids.Port_id.Set.equal oa ob

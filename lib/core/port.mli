@@ -29,6 +29,11 @@ val signature : t list -> Spi.Ids.Port_id.Set.t * Spi.Ids.Port_id.Set.t
 (** Input and output port-id sets of a port list.
     @raise Invalid_argument on duplicate port ids. *)
 
+val duplicates : t list -> Spi.Ids.Port_id.t list
+(** The port ids a list declares more than once, each once, in the
+    order of their second declaration.  {!signature} raises exactly
+    when this is not empty. *)
+
 val same_signature : t list -> t list -> bool
 (** Port-wise compatibility: equal input sets and equal output sets
     (Def. 2: "each cluster matches the interface in terms of input and

@@ -28,6 +28,7 @@ type located = { token : token; line : int; col : int }
 exception Lex_error of { line : int; col : int; message : string }
 
 val tokenize : string -> located list
-(** @raise Lex_error on illegal characters or unterminated tags. *)
+(** @raise Lex_error on illegal characters, unterminated tags and
+    integer literals outside [min_int .. max_int]. *)
 
 val pp_token : Format.formatter -> token -> unit

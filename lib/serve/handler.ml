@@ -163,7 +163,7 @@ let cost_json (c : Synth.Cost.breakdown) =
    items execute on pool domains, and the journal is single-writer, so
    writes are replayed on the calling domain once the pool has joined. *)
 
-let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
+let synthesize t ~deadline_ns ~id ~model ~tech ~capacity =
   match (load_system ?id model, load_tech ?id tech) with
   | Error e, _ | _, Error e -> (e, [])
   | Ok system, Ok _ when too_large system ->
@@ -178,7 +178,7 @@ let synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity =
     let warm = Option.bind hit (fun (_, h) -> h.Synth.Bound_store.warm) in
     let t0 = Obs.Clock.now_ns () in
     match
-      Synth.Explore.solve ~jobs ?capacity ?deadline_ns ?warm tech apps
+      Synth.Explore.solve ?capacity ?deadline_ns ?warm tech apps
     with
     | exception Not_found ->
       (P.error ?id "technology library misses an application process", [])
@@ -387,7 +387,7 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
     t.shutdown <- true;
     (P.ok ?id [ ("op", J.String "shutdown"); ("draining", J.Bool true) ], [])
   | P.Synthesize { model; tech; capacity } ->
-    synthesize t ~deadline_ns ~jobs ~id ~model ~tech ~capacity
+    synthesize t ~deadline_ns ~id ~model ~tech ~capacity
   | P.Pareto { model; tech; capacity } ->
     pareto ~jobs ~id ~model ~tech ~capacity
   | P.Simulate { model; until; compiled = _; family } ->

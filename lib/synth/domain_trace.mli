@@ -1,4 +1,5 @@
-(** Per-domain timeline capture for the parallel explorer.
+(** Per-domain timeline capture for the explorer (one lane, on the
+    calling domain) and for {!Par} pools (one lane per worker domain).
 
     The search loops are allocation-free and must stay that way, so
     tracing writes fixed-layout integer records into a bounded

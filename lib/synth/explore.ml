@@ -41,29 +41,19 @@ type node = {
 
 type counters = { mutable explored : int; mutable pruned : int }
 
-(* Domain-local accumulator for the work-stealing fold: the best
-   (binding, worst-load) seen by this worker and its node counters. *)
-type par_acc = {
-  c_best : (Binding.t * int) option ref;
-  c_cost : int ref;
-  c_counters : counters;
-}
-
 exception Diagnosed of diagnostic
 
 (* Observability: node totals are folded into the registry once per
-   solve (and per parallel task), never from the search loop itself, so
-   instrumentation adds a handful of atomic operations to a search that
-   expands millions of nodes.  Incumbent improvements and the
-   time-to-first-incumbent gauge are bumped from the (rare) improve
-   path. *)
+   solve, never from the search loop itself, so instrumentation adds a
+   handful of atomic operations to a search that expands millions of
+   nodes.  Incumbent improvements and the time-to-first-incumbent gauge
+   are bumped from the (rare) improve path. *)
 let m_nodes = Obs.Registry.counter "explore.nodes_expanded"
 let m_pruned = Obs.Registry.counter "explore.pruned"
 let m_solves = Obs.Registry.counter "explore.solves"
 let m_tasks = Obs.Registry.counter "explore.tasks"
 let m_improvements = Obs.Registry.counter "explore.incumbent_improvements"
 let m_ttfi = Obs.Registry.gauge "explore.time_to_first_incumbent_ns"
-let m_resplits = Obs.Registry.counter "explore.resplits"
 let m_deadline_hits = Obs.Registry.counter "explore.deadline_hits"
 let m_warm_accepted = Obs.Registry.counter "explore.warm_starts_accepted"
 let m_warm_rejected = Obs.Registry.counter "explore.warm_starts_rejected"
@@ -350,8 +340,7 @@ let build_bound ~capacity ~nodes ~n_apps =
    [incumbent] or no completion fits.  [worst] is the highest load in
    [loads]; when it leaves room for every group's open load no group
    needs to move anything, and the per-application scan is skipped.
-   [terms] is the call's per-group scratch, so tasks on several domains
-   share [bound] read-only. *)
+   [terms] is the call's per-group scratch; [bound] is only read. *)
 let variant_cut ~capacity ~processor_cost ~loads bound =
   let n_apps = Array.length loads in
   let terms = Array.make bound.max_groups 0 in
@@ -429,17 +418,14 @@ let variant_cut ~capacity ~processor_cost ~loads bound =
    that survive both bound checks and branch on a process.  [pruned]
    counts subtrees cut, whether by either bound or by a capacity
    overload; complete leaves count as neither.  Hardware and software
-   children are treated identically, so the totals are comparable
-   across domain counts. *)
+   children are treated identically. *)
 let choice_hw = 1
 let choice_sw = 2
 
 (* Rebuild a [Binding.t] from the mutable decision vector.  Called only
    at leaves that survive the bound check — those are incumbent
    improvements, so this stays off the hot path and the search loop
-   itself allocates nothing.  (With several domains time-slicing few
-   cores, per-node allocation is poison: every minor collection is a
-   stop-the-world rendezvous across all domains.) *)
+   itself allocates nothing. *)
 let materialize ~nodes ~n choices =
   let b = ref Binding.empty in
   for j = 0 to n - 1 do
@@ -452,28 +438,18 @@ let materialize ~nodes ~n choices =
 
 (* The recursion is written with mutually recursive child functions and
    index loops rather than local closures or [Array.iter]: the body
-   must not allocate per node, or minor collections (stop-the-world
-   rendezvous across domains) dominate the parallel run time. *)
-(* [try_split i area any_sw] is consulted at branch nodes where both
-   children exist: returning [true] means the caller captured the
-   hardware sibling as a pool task, so only the software child — the
-   lower bound — descends in place.  The check runs mid-descent, so a
-   task deep in its subtree still sheds work the moment another worker
-   goes hungry — but only down to [split_floor]: below it the remaining
-   subtree is too small to be worth shipping, and the guard keeps the
-   hot deep nodes free of the hook's atomic reads (a plain int compare
-   instead).  With the default hook the search never sheds. *)
-(* [should_stop] is the cooperative cancellation hook next to
-   [try_split]: it is consulted once every 1024 expanded nodes — a
-   single [land] on the hot path between polls, so a deadline costs
-   nothing measurable and a run without one is byte-identical — and
-   once it fires [stopped] latches and the recursion unwinds without
-   expanding further nodes.  The caller learns the search was cut short
-   from its own hook's state (the incumbent found so far is still
-   valid, it is just not proved optimal). *)
-let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
-    ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads
-    ~choices ~counters ~current_bound ~improve start area0 any_sw0 =
+   must not allocate per node, or minor collections dominate the run
+   time of a search that expands millions of nodes. *)
+(* [should_stop] is the cooperative cancellation hook: it is consulted
+   once every 1024 expanded nodes — a single [land] on the hot path
+   between polls, so a deadline costs nothing measurable and a run
+   without one is byte-identical — and once it fires [stopped] latches
+   and the recursion unwinds without expanding further nodes.  The
+   caller learns the search was cut short from its own hook's state
+   (the incumbent found so far is still valid, it is just not proved
+   optimal). *)
+let search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
+    ~loads ~choices ~counters ~current_bound ~improve start area0 any_sw0 =
   let stopped = ref false in
   (* hoisted so the recursive closures are allocated once per call, not
      once per node *)
@@ -506,15 +482,6 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
       counters.explored <- counters.explored + 1;
       if counters.explored land 1023 = 0 && should_stop () then
         stopped := true
-      else if
-        i < split_floor
-        && Option.is_some nodes.(i).hw
-        && Option.is_some nodes.(i).sw
-        && try_split i area any_sw
-      then
-        (* hardware sibling shipped to the pool — best-first child
-           continues in place *)
-        sw_child i area worst
       else begin
         sw_child i area worst;
         hw_child i area any_sw worst
@@ -545,70 +512,55 @@ let search ?(try_split = fun _ _ _ -> false) ?(split_floor = -1)
   go start area0 any_sw0 (Array.fold_left max 0 loads)
 
 (* The search: enumerate the decision tree down to a split depth into
-   independent subtree tasks (each carrying its own loads snapshot),
-   order the tasks by the cost of a greedy completion of their prefix,
-   dive the best one for an incumbent, and run the rest cheapest-first
-   with a shared atomic incumbent.  The search is best-first at both
-   levels: tasks are claimed cheapest-estimate-first through the pool's
-   cursor, and inside a task the lower-bound child (software) is
-   descended first.  The cheapest greedy completion also seeds the
-   incumbent, so the most promising subtrees run against a tight bound
-   from the first node and the expensive subtrees are pruned wholesale.
-   [jobs = 1] runs the tasks in that order on the calling domain; more
-   jobs run them on a domain pool. *)
+   independent subtree tasks rooted at that depth (each carrying its
+   own loads snapshot), order the tasks by the cost of a greedy
+   completion of their prefix, dive the best one for an incumbent, and
+   run the rest cheapest-first.  The search is best-first at both
+   levels: tasks run cheapest-estimate-first, and inside a task the
+   lower-bound child (software) is descended first.  The cheapest
+   greedy completion also seeds the incumbent, so the most promising
+   subtrees run against a tight bound from the first node and the
+   expensive subtrees are pruned wholesale.  Everything runs on the
+   calling domain. *)
 type task = {
   t_choices : int array;  (** full-length decision vector, prefix filled *)
   t_area : int;
   t_any_sw : bool;
   t_loads : int array;
   t_bound : int;
-  t_depth : int;  (** first undecided node — the task's subtree root *)
 }
 
-(* A shallow static split: just enough seeds for the cursor to hand
-   every domain a distinct well-estimated subtree at start-up.  Load
-   balance does not depend on this depth any more — tasks re-split on
-   demand whenever a worker goes hungry — and a deep static split is
-   actively harmful: seeds all enqueue at pool start, so a wide seed
-   array means the last-claimed seeds sit queued for most of the run,
-   which is exactly the [par.task_queue_wait_ns] tail the deques are
-   meant to remove.  A tree of fewer than two nodes is one task at its
-   root. *)
-let split_depth ~jobs ~n =
-  let target = jobs * 16 in
-  let rec depth d = if 1 lsl d >= target || d >= 14 then d else depth (d + 1) in
-  max 0 (min (n - 2) (depth 0))
-
-let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
-    ~accept ~nodes ~bound ~n_apps =
-  (* one latch shared by every domain: whichever worker's throttled
-     clock poll crosses the deadline first publishes the cancellation,
-     the others observe it at their next poll (at most 1024 nodes
-     later), and the pool stops claiming queued tasks *)
+let run_search ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
+    ~nodes ~bound ~n_apps =
+  (* the deadline latch: the throttled clock poll in [search] sets it,
+     and once it is set no further task starts *)
   let cancelled =
     (* an already-expired deadline collapses the search before it
        starts: the greedy seeding below still provides the incumbent *)
-    Atomic.make
+    ref
       (match deadline_ns with
       | Some dl -> Obs.Clock.now_ns () >= dl
       | None -> false)
   in
   let should_stop =
     match deadline_ns with
-    | None -> fun () -> Atomic.get cancelled
+    | None -> fun () -> !cancelled
     | Some dl ->
       fun () ->
-        Atomic.get cancelled
+        !cancelled
         ||
         if Obs.Clock.now_ns () >= dl then begin
-          Atomic.set cancelled true;
+          cancelled := true;
           true
         end
         else false
   in
   let n = Array.length nodes in
-  let depth = split_depth ~jobs ~n in
-  let prefix_counters = { explored = 0; pruned = 0 } in
+  (* a shallow split: at most 2^4 seeds, enough for the greedy estimates
+     to order the subtrees; a tree of fewer than two nodes is one task
+     at its root *)
+  let depth = max 0 (min (n - 2) 4) in
+  let counters = { explored = 0; pruned = 0 } in
   let tasks = ref [] in
   let loads = Array.make n_apps 0 in
   let choices = Array.make n 0 in
@@ -627,7 +579,7 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
   let rec enumerate i area any_sw worst =
     let lower = area + if any_sw then processor_cost else 0 in
     if lower >= warm_cost || (i < n && cut i area any_sw worst warm_cost) then
-      prefix_counters.pruned <- prefix_counters.pruned + 1
+      counters.pruned <- counters.pruned + 1
     else if i = depth then
       tasks :=
         {
@@ -636,11 +588,10 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
           t_any_sw = any_sw;
           t_loads = Array.copy loads;
           t_bound = lower;
-          t_depth = depth;
         }
         :: !tasks
     else begin
-      prefix_counters.explored <- prefix_counters.explored + 1;
+      counters.explored <- counters.explored + 1;
       let nd = nodes.(i) in
       (match nd.hw with
       | Some a ->
@@ -659,7 +610,7 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
           choices.(i) <- choice_sw;
           enumerate (i + 1) area true !worst'
         end
-        else prefix_counters.pruned <- prefix_counters.pruned + 1;
+        else counters.pruned <- counters.pruned + 1;
         Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
       | None -> ()
     end
@@ -671,12 +622,11 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
      result is a feasible solution of the task's subtree (when every
      process has the needed option), which serves two purposes:
 
-     - the cheapest greedy completion seeds the shared incumbent with a
-       real candidate before any domain starts, so no worker searches
-       with a cold [max_int] bound;
-     - tasks are scheduled cheapest-estimate-first.  The greedy cost is
-       an upper bound on the subtree optimum, which predicts solution
-       quality far better than the lower bound: a prefix that commits
+     - the cheapest greedy completion seeds the incumbent with a real
+       candidate, so no task searches with a cold [max_int] bound;
+     - tasks run cheapest-estimate-first.  The greedy cost is an upper
+       bound on the subtree optimum, which predicts solution quality
+       far better than the lower bound: a prefix that commits
        everything to software looks unbeatable to the bound yet burns
        the capacity that its completion then pays for in area. *)
   let greedy_complete t =
@@ -684,7 +634,7 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
     let filled = Array.copy t.t_choices in
     let area = ref t.t_area and any_sw = ref t.t_any_sw in
     let feasible = ref true in
-    for i = t.t_depth to n - 1 do
+    for i = depth to n - 1 do
       if !feasible then begin
         let nd = nodes.(i) in
         let sw_fits =
@@ -724,171 +674,63 @@ let run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
       | c -> c)
     order;
   let tasks = Array.map (fun i -> tasks.(i)) order in
-  let seed_best = ref None and seed_cost = ref max_int in
+  let best = ref None and incumbent = ref max_int in
   (* a validated warm incumbent competes with the greedy completions on
-     equal terms; whichever is cheaper seeds the shared bound *)
+     equal terms; whichever is cheaper seeds the bound *)
   (match warm with
   | Some (cost, binding, worst) ->
-    seed_cost := cost;
-    seed_best := Some (binding, worst)
+    incumbent := cost;
+    best := Some (binding, worst)
   | None -> ());
   Array.iter
     (fun e ->
       match e with
       | Some (cost, binding, worst)
-        when cost < !seed_cost && accept binding ->
-        seed_cost := cost;
-        seed_best := Some (binding, worst)
+        when cost < !incumbent && accept binding ->
+        incumbent := cost;
+        best := Some (binding, worst)
       | Some _ | None -> ())
     estimates;
-  let incumbent = Atomic.make !seed_cost in
   Obs.Metric.add m_tasks (Array.length tasks);
   (* the greedy seeding above is the first incumbent when it exists;
-     otherwise the first CAS win below records the gauge *)
-  let have_incumbent = Atomic.make (!seed_cost < max_int) in
-  if Atomic.get have_incumbent then begin
+     otherwise the first improvement below records the gauge *)
+  if !incumbent < max_int then begin
     Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-    Domain_trace.record_improvement ~cost:!seed_cost
+    Domain_trace.record_improvement ~cost:!incumbent
   end;
-  let note_incumbent () =
-    if not (Atomic.exchange have_incumbent true) then
-      Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-    Obs.Metric.incr m_improvements
+  let improve cost binding worst =
+    if cost < !incumbent then begin
+      if !incumbent = max_int then
+        Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
+      Obs.Metric.incr m_improvements;
+      incumbent := cost;
+      best := Some (binding, worst);
+      Domain_trace.record_improvement ~cost
+    end
   in
-  (* Root incumbent dive (same scheme as {!Multi.optimal}): solve the
-     best-estimated subtree sequentially before any domain spawns.  The
-     greedy completion only bounds that subtree's optimum from above;
-     diving it to the bottom usually lands the true global optimum, so
-     the pool then runs every remaining seed — and every speculatively
-     shed sibling — against a tight bound instead of discovering it
-     concurrently while domains contend for cores.  An expired deadline
-     skips it: the seed is the answer. *)
-  if Array.length tasks > 0 && not (Atomic.get cancelled) then begin
-    let t = tasks.(0) in
-    let counters = prefix_counters in
-    search ~should_stop ~capacity ~processor_cost ~accept
-      ~nodes ~bound ~n ~loads:t.t_loads ~choices:t.t_choices ~counters
-      ~current_bound:(fun () -> Atomic.get incumbent)
-      ~improve:(fun cost binding worst ->
-        if cost < !seed_cost then begin
-          seed_cost := cost;
-          seed_best := Some (binding, worst);
-          Atomic.set incumbent cost;
-          note_incumbent ();
-          Domain_trace.record_improvement ~cost
+  let run t =
+    search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
+      ~loads:t.t_loads ~choices:t.t_choices ~counters
+      ~current_bound:(fun () -> !incumbent)
+      ~improve depth t.t_area t.t_any_sw
+  in
+  (* Dive the best-estimated subtree to the bottom first: the greedy
+     completion only bounds its optimum from above, and the dive usually
+     lands the true global optimum, so every remaining task runs against
+     a tight bound.  The rest then run in estimate order, one span each;
+     none starts once the deadline latch is set. *)
+  Array.iteri
+    (fun k t ->
+      if not !cancelled then
+        if k = 0 then run t
+        else begin
+          let task_ns = Obs.Clock.now_ns () in
+          run t;
+          Obs.Registry.record_span ~name:"explore.task_ns" ~start_ns:task_ns
+            ~dur_ns:(Obs.Clock.elapsed_ns task_ns)
         end)
-      t.t_depth t.t_area t.t_any_sw
-  end;
-  let tasks =
-    if Array.length tasks > 0 then Array.sub tasks 1 (Array.length tasks - 1)
-    else tasks
-  in
-  (* Run the rest through [Par.fold]: in order on the calling domain at
-     [jobs = 1], on the work-stealing pool otherwise.  Each worker
-     threads a domain-local accumulator (best solution + node counters).
-     On a pool, a task whose subtree root still has siblings to offer
-     re-splits while any worker is hungry: the hardware child (never the
-     lower bound) is snapshotted and pushed onto the owner's deque for
-     thieves to drain FIFO, and the software child — best-first —
-     continues in place on the task's own arrays.  Re-splitting
-     allocates per {e split}, not per node, so the search loop itself
-     stays allocation-free. *)
-  let acc_init () =
-    { c_best = ref None; c_cost = ref max_int;
-      c_counters = { explored = 0; pruned = 0 } }
-  in
-  let acc_merge a b =
-    a.c_counters.explored <- a.c_counters.explored + b.c_counters.explored;
-    a.c_counters.pruned <- a.c_counters.pruned + b.c_counters.pruned;
-    (match !(b.c_best) with
-    | Some bw when !(b.c_cost) < !(a.c_cost) ->
-      a.c_cost := !(b.c_cost);
-      a.c_best := Some bw
-    | Some _ | None -> ());
-    a
-  in
-  let run_task ctx acc t =
-    let task_ns = Obs.Clock.now_ns () in
-    let counters = acc.c_counters in
-    let improve cost binding worst =
-      if cost < !(acc.c_cost) then begin
-        acc.c_cost := cost;
-        acc.c_best := Some (binding, worst)
-      end;
-      (* lower the shared incumbent monotonically *)
-      let rec lower () =
-        let cur = Atomic.get incumbent in
-        if cost < cur then
-          if Atomic.compare_and_set incumbent cur cost then begin
-            note_incumbent ();
-            Domain_trace.record_improvement ~cost
-          end
-          else lower ()
-      in
-      lower ()
-    in
-    (* Shed the hardware sibling at any branch node while a worker is
-       hungry.  The snapshot copies the task's mutable arrays: entries
-       beyond node [i] are stale exploration residue, but every path to
-       a leaf overwrites its whole suffix before [materialize] reads
-       it, so the thief never observes them. *)
-    let try_split i area any_sw =
-      Par.should_split ctx
-      && begin
-           let a = Option.get nodes.(i).hw in
-           let hw_choices = Array.copy t.t_choices in
-           hw_choices.(i) <- choice_hw;
-           let pushed =
-             Par.push ctx
-               {
-                 t_choices = hw_choices;
-                 t_area = area + a;
-                 t_any_sw = any_sw;
-                 t_loads = Array.copy t.t_loads;
-                 t_bound = area + a + (if any_sw then processor_cost else 0);
-                 t_depth = i + 1;
-               }
-           in
-           if pushed then Obs.Metric.incr m_resplits;
-           (* deque full: the sibling was never enqueued — the caller
-              keeps both children in place *)
-           pushed
-         end
-    in
-    (* a shed below [n - 12] ships a subtree of at most [2^12] nodes —
-       sub-millisecond work that costs the thief more in claim latency
-       than it buys in balance *)
-    search ~try_split ~split_floor:(n - 12) ~should_stop
-      ~capacity ~processor_cost ~accept ~nodes ~bound ~n ~loads:t.t_loads
-      ~choices:t.t_choices ~counters
-      ~current_bound:(fun () -> Atomic.get incumbent)
-      ~improve t.t_depth t.t_area t.t_any_sw;
-    (* one span per task: per-domain node throughput shows up in the
-       span stream without any per-node cost *)
-    Obs.Registry.record_span ~name:"explore.task_ns" ~start_ns:task_ns
-      ~dur_ns:(Obs.Clock.elapsed_ns task_ns);
-    acc
-  in
-  let folded =
-    Par.fold
-      ~cancel:(fun () -> Atomic.get cancelled)
-      ~jobs ~init:acc_init ~merge:acc_merge ~f:run_task tasks
-  in
-  let best = ref !seed_best and best_cost = ref !seed_cost in
-  let counters = prefix_counters in
-  counters.explored <- counters.explored + folded.c_counters.explored;
-  counters.pruned <- counters.pruned + folded.c_counters.pruned;
-  (match !(folded.c_best) with
-  | Some bw when !(folded.c_cost) < !best_cost ->
-    best_cost := !(folded.c_cost);
-    best := Some bw
-  | Some _ | None -> ());
-  (!best, counters, Atomic.get cancelled)
-
-let resolve_jobs = function
-  | 0 -> Par.available_jobs ()
-  | j when j < 0 -> invalid_arg "Explore: negative jobs"
-  | j -> j
+    tasks;
+  (!best, counters, !cancelled)
 
 (* Replay a stored binding against the *current* compiled problem: every
    pinned implementation must be respected, every application
@@ -947,10 +789,9 @@ let warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps warm =
   in
   place 0 0 false Binding.empty
 
-let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
+let solve ?jobs:_ ?(capacity = Schedule.default_capacity)
     ?(fixed = Binding.empty) ?(accept = fun _ -> true) ?deadline_ns ?warm
     tech apps =
-  let jobs = resolve_jobs jobs in
   let start_ns = Obs.Clock.now_ns () in
   Obs.Metric.incr m_solves;
   let procs =
@@ -982,7 +823,7 @@ let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
       | exception Over_budget -> None
     in
     let best, counters, deadline_hit =
-      run_search ~start_ns ~deadline_ns ~warm ~jobs ~capacity ~processor_cost
+      run_search ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost
         ~accept ~nodes ~bound ~n_apps
     in
     if deadline_hit then Obs.Metric.incr m_deadline_hits;
@@ -1003,13 +844,13 @@ let solve ?(jobs = 1) ?(capacity = Schedule.default_capacity)
           degraded = deadline_hit;
         })
 
-let optimal ?jobs ?capacity ?fixed ?accept tech apps =
-  match solve ?jobs ?capacity ?fixed ?accept tech apps with
+let optimal ?capacity ?fixed ?accept tech apps =
+  match solve ?capacity ?fixed ?accept tech apps with
   | Ok s -> Some s
   | Error _ -> None
 
-let optimal_exn ?jobs ?capacity ?fixed ?accept tech apps =
-  match solve ?jobs ?capacity ?fixed ?accept tech apps with
+let optimal_exn ?capacity ?fixed ?accept tech apps =
+  match solve ?capacity ?fixed ?accept tech apps with
   | Ok s -> s
   | Error d ->
     failwith (Format.asprintf "Explore.optimal: %a" pp_diagnostic d)

@@ -35,17 +35,14 @@
     per-application scan when its highest load leaves room for every
     group's undecided load.
 
-    There is one search for every job count.  It splits the decision
-    tree at a shallow depth into subtree tasks; given a warm start, the
-    split prunes against it exactly as the search itself does.  It orders the tasks by the cost of a greedy
+    The search runs on the calling domain and starts no other.  It
+    splits the decision tree at a shallow depth into subtree tasks;
+    given a warm start, the split prunes against it exactly as the
+    search itself does, so an optimal warm start usually leaves few
+    tasks or none.  It orders the tasks by the cost of a greedy
     completion of their prefix, seeds the incumbent with the cheapest
     one, dives the best task to the bottom, and then runs the rest
-    cheapest-first, each software child first.  [jobs = 1] runs them in
-    that order on the calling domain and spawns no domain; [jobs > 1]
-    runs them on a pool of OCaml 5 domains sharing an atomic incumbent
-    cost.  An optimal warm start usually leaves no task for a pool.  The
-    optimal cost is identical for every job count; when several
-    bindings attain it, the one returned may differ. *)
+    cheapest-first, each software child first. *)
 
 type solution = {
   binding : Binding.t;
@@ -53,7 +50,7 @@ type solution = {
   worst_load : int;  (** highest per-application software load *)
   explored : int;
       (** decision nodes expanded: nodes that survived the bound checks
-          and branched on a process (aggregated across domains) *)
+          and branched on a process *)
   pruned : int;
       (** subtrees cut by a bound reaching the incumbent, a capacity
           overload, or a group that cannot shed its excess load *)
@@ -89,18 +86,17 @@ val solve :
   Tech.t ->
   App.t list ->
   (solution, diagnostic) result
-(** [jobs] is the domain count: 1 (default) for the calling domain
-    alone, [n > 1] for a pool of [n] domains, 0 for the machine's
-    recommended domain count.  [fixed] pins implementations for some
-    processes (used by the incremental baseline).  [accept] is an
-    additional feasibility filter evaluated on complete bindings —
-    e.g. {!Timing.all_satisfied} partially applied, to demand
-    latency-path constraints on top of schedulability; with [jobs > 1]
-    it is called concurrently from several domains and must be
-    thread-safe (the bundled filters are pure).
+(** [jobs] is accepted and ignored: the search always runs on the
+    calling domain, so every value, negative ones included, gives the
+    same answer and the same [explored]/[pruned] counts.  [fixed] pins
+    implementations for some processes (used by the incremental
+    baseline).  [accept] is an additional feasibility filter evaluated
+    on complete bindings — e.g. {!Timing.all_satisfied} partially
+    applied, to demand latency-path constraints on top of
+    schedulability.
 
     [deadline_ns] is an absolute {!Obs.Clock} reading: the search checks
-    it cooperatively (every 1024 expanded nodes, on every domain) and
+    it cooperatively (every 1024 expanded nodes) and
     past it stops expanding, returning the best incumbent found so far
     with [degraded = true] — or [Error Deadline_no_incumbent] when none
     was found.  A deadline that has already expired answers the
@@ -115,11 +111,9 @@ val solve :
     still proves optimality, so a warm run returns exactly the costs of
     a cold one; an invalid warm binding is counted and ignored.
     @raise Not_found when an application process is missing from the
-    technology library.
-    @raise Invalid_argument when [jobs < 0]. *)
+    technology library. *)
 
 val optimal :
-  ?jobs:int ->
   ?capacity:int ->
   ?fixed:Binding.t ->
   ?accept:(Binding.t -> bool) ->
@@ -130,7 +124,6 @@ val optimal :
     only care whether a feasible binding exists. *)
 
 val optimal_exn :
-  ?jobs:int ->
   ?capacity:int ->
   ?fixed:Binding.t ->
   ?accept:(Binding.t -> bool) ->

@@ -7,11 +7,10 @@
     per-application and per-processor — mutually exclusive variants
     still share every processor they are placed on.
 
-    Like {!Explore}, the search runs on a pool of OCaml 5 domains when
-    [jobs > 1]: the placement tree is split at a configurable depth into
-    independent subtree tasks (each with its own load matrix), sorted by
-    lower bound and pruned against a shared atomic incumbent.  The
-    optimal cost is identical for every job count. *)
+    The search is an exact branch and bound on the calling domain: the
+    hardware placement of a process first, then software on each
+    processor in list order, pruned by area plus the cost of the
+    processors used so far. *)
 
 type processor = {
   id : Spi.Ids.Resource_id.t;
@@ -33,8 +32,8 @@ type solution = {
   worst_load : (Spi.Ids.Resource_id.t * int) list;
       (** per processor, the highest per-application load *)
   explored : int;
-      (** decision nodes expanded, aggregated across domains (same
-          counter semantics as {!Explore.solution}) *)
+      (** decision nodes expanded (same counter semantics as
+          {!Explore.solution}) *)
   pruned : int;
       (** subtrees cut by the incumbent bound or a capacity overload *)
   degraded : bool;
@@ -43,7 +42,6 @@ type solution = {
 }
 
 val optimal :
-  ?jobs:int ->
   ?accept:(binding -> bool) ->
   ?deadline_ns:int ->
   Tech.t ->
@@ -53,15 +51,11 @@ val optimal :
 (** Cost-minimal feasible placement, exact (branch and bound).  The
     [Tech.t] software load figures apply uniformly to every processor
     (homogeneous execution times; heterogeneous costs/capacities).
-    [jobs] follows the {!Explore.solve} convention: 1 (default)
-    sequential, [n > 1] a pool of [n] domains, 0 the machine's
-    recommended domain count; [accept] must be thread-safe when
-    [jobs > 1].  [deadline_ns] follows {!Explore.solve}: an absolute
-    {!Obs.Clock} reading past which the search stops expanding and
-    returns its best incumbent with [degraded = true] ([None] when no
-    incumbent was found in time).
-    @raise Invalid_argument when [processors] contains duplicate ids or
-    [jobs < 0].
+    [accept] filters complete placements.  [deadline_ns] follows
+    {!Explore.solve}: an absolute {!Obs.Clock} reading past which the
+    search stops expanding and returns its best incumbent with
+    [degraded = true] ([None] when no incumbent was found in time).
+    @raise Invalid_argument when [processors] contains duplicate ids.
     @raise Not_found when an application process is missing from the
     technology library. *)
 

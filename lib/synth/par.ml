@@ -51,7 +51,6 @@ type 'a pool = {
   seeds : 'a cell array;
   cursor : int Atomic.t;  (** next unclaimed seed index *)
   pending : int Atomic.t;  (** tasks enqueued or running, not yet done *)
-  hungry : int Atomic.t;  (** workers currently failing to find work *)
   failure : exn option Atomic.t;
   cancel : unit -> bool;
   next_id : int Atomic.t;
@@ -66,15 +65,6 @@ type 'a ctx = {
 }
 
 let worker_index ctx = ctx.worker
-
-(* Split only while some worker is hungry AND the asker's own deque is
-   drained: one outstanding shed task per worker at a time.  Without the
-   deque check a long task keeps shedding at every branch node for as
-   long as any thief is between steals, flooding the pool with subtree
-   snapshots nobody is waiting for. *)
-let should_split ctx =
-  Atomic.get ctx.pool.hungry > 0
-  && Ws_deque.size ctx.pool.deques.(ctx.worker) = 0
 
 let deque_capacity = 256
 
@@ -206,16 +196,12 @@ let run_worker pool ~init ~f worker =
           loop ()
         end
         else if Atomic.get pool.pending = 0 then ()
-        else begin
-          Atomic.incr pool.hungry;
-          let stolen = steal_loop 0 in
-          Atomic.decr pool.hungry;
-          match stolen with
+        else
+          match steal_loop 0 with
           | Some cell ->
             run cell;
             loop ()
           | None -> ()
-        end
   in
   loop ();
   if ctx.lost_races > 0 then Obs.Metric.add m_steal_failures ctx.lost_races;
@@ -230,7 +216,6 @@ let make_pool ~jobs ~cancel seeds =
     seeds = Array.mapi (fun i v -> { id = i; enq_ns = start_ns; v }) seeds;
     cursor = Atomic.make 0;
     pending = Atomic.make n;
-    hungry = Atomic.make 0;
     failure = Atomic.make None;
     cancel;
     next_id = Atomic.make n;

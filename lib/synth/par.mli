@@ -1,26 +1,21 @@
-(** A work-stealing domain pool for search-tree fan-out.
+(** A work-stealing domain pool for independent tasks.
 
-    The synthesis explorers split their decision trees into independent
-    subtree tasks; this module runs such task arrays on OCaml 5 domains.
-    Scheduling is three-tiered, in claim order:
+    Its users are the family simulation's split-off sub-families
+    ({!fold} with {!push}), the daemon's batch items, the fault
+    campaign's seeds and the Pareto enumeration's subtrees ({!map}).
+    The synthesis branch and bound ({!Explore}, {!Multi}) runs on the
+    calling domain and does not use it.  Scheduling is three-tiered,
+    in claim order:
 
     + each worker drains its own bounded {!Ws_deque} of dynamically
-      pushed children, LIFO — depth-first through the subtree it is
+      pushed children, LIFO — depth-first through the work it is
       already hot on;
     + an empty worker claims the next {e seed} task through a shared
-      atomic cursor, so a seed array sorted by priority (e.g. the
-      branch-and-bound greedy estimate) is consumed best-first across
-      the whole pool regardless of the domain count;
+      atomic cursor, so a seed array sorted by priority is consumed
+      in order across the whole pool regardless of the domain count;
     + when both are dry it steals, FIFO, from a random victim's deque —
-      idle domains drain the oldest (shallowest, largest) outstanding
-      subtrees of whichever domain is overloaded.
-
-    Tasks re-split {e on demand}: {!should_split} reports whether any
-    worker is currently hungry, and a task that can cheaply cut off an
-    independent child should then {!push} it.  A front-loaded workload
-    — one seed subtree dwarfing the rest — therefore spreads across
-    every domain instead of pinning one, which is what removes the long
-    [par.task_queue_wait_ns] tail of the old static split.
+      idle domains drain the oldest outstanding children of whichever
+      domain is overloaded.
 
     Failure semantics: the first exception raised by any task wins and
     is re-raised after all domains have joined; every task claimed after
@@ -45,14 +40,6 @@ type 'a ctx
 
 val worker_index : 'a ctx -> int
 (** The calling worker's slot, in [0 .. jobs - 1]. *)
-
-val should_split : 'a ctx -> bool
-(** [true] while at least one worker is failing to find work {e and} the
-    calling worker's own deque is drained — the moment when cutting off
-    and {!push}ing an independent child pays.  The own-deque condition
-    throttles shedding to one outstanding child per worker: a previously
-    shed task that no thief has claimed yet is already available, so
-    snapshotting more siblings would only burn allocations. *)
 
 val push : 'a ctx -> 'a -> bool
 (** Offer a child task to the calling worker's own deque (LIFO for the
@@ -84,12 +71,12 @@ val fold :
     tasks already running are expected to observe the same condition
     through their own cooperative checks — and the accumulators folded
     so far are merged and returned as usual, so a deadline-cancelled
-    search still yields its best incumbent.  Each worker domain threads its own accumulator, seeded by
-    [init ()], through every task it happens to execute; after the pool
-    quiesces the per-worker accumulators are [merge]d (in worker order)
-    on the calling domain.  [f] must therefore be commutative up to
-    [merge] — branch-and-bound folds (min over costs, sums over
-    counters) are.  With [jobs = 1] the pool degenerates to an in-order
+    run still yields what it folded.  Each worker domain threads its
+    own accumulator, seeded by [init ()], through every task it happens
+    to execute; after the pool quiesces the per-worker accumulators are
+    [merge]d (in worker order) on the calling domain.  [f] must
+    therefore be commutative up to [merge] (min over costs, sums over
+    counters are).  With [jobs = 1] the pool degenerates to an in-order
     loop over [seeds] with a local LIFO stack for pushes: the sequential
     reference for the differential tests.  Exception semantics match
     {!map}.

@@ -14,11 +14,11 @@ type result = {
    hardware copy carries a cost of its own.  The reported [merged]
    binding resolves such conflicts toward hardware (the block physically
    exists); [conflicts] lists them. *)
-let superpose ?jobs ?capacity tech apps =
+let superpose ?capacity tech apps =
   let solutions =
     List.map
       (fun (a : App.t) ->
-        (a.App.name, Explore.optimal ?jobs ?capacity tech [ a ]))
+        (a.App.name, Explore.optimal ?capacity tech [ a ]))
       apps
   in
   if List.exists (fun (_, s) -> Option.is_none s) solutions then None

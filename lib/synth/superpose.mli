@@ -20,10 +20,8 @@ type result = {
           copy shares the (already paid) processor *)
 }
 
-val superpose :
-  ?jobs:int -> ?capacity:int -> Tech.t -> App.t list -> result option
-(** [None] when any single application is infeasible on its own.
-    [jobs] is forwarded to each per-application {!Explore.optimal}
-    call (same convention: 1 sequential, [n > 1] domains, 0 auto). *)
+val superpose : ?capacity:int -> Tech.t -> App.t list -> result option
+(** [None] when any single application is infeasible on its own.  Each
+    application is solved by its own {!Explore.optimal} call. *)
 
 val pp_result : Format.formatter -> result -> unit

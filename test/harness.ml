@@ -1,6 +1,6 @@
 (* Shared workload builders for the synthesis test-suite: seeded random
-   instances for every explorer entry point, plus job-count sweep
-   helpers.  Every builder is deterministic in [seed] so failures
+   instances for every explorer entry point, plus a job-count sweep
+   helper.  Every builder is deterministic in [seed] so failures
    reported by qcheck shrink to a reproducible instance. *)
 
 module I = Spi.Ids
@@ -11,8 +11,7 @@ let seeded seed = Random.State.make [| seed |]
 
 (* Random single-processor instance in the style of the brute-force
    property in [Test_synth]: overlapping applications over a random
-   technology.  Large enough that the parallel path actually splits
-   (n >= 4). *)
+   technology. *)
 let random_instance ~n ~seed =
   let rng = seeded seed in
   let pids = List.init n (fun i -> pid (Format.sprintf "q%d" i)) in
@@ -37,8 +36,7 @@ let random_instance ~n ~seed =
   (tech, apps)
 
 (* Random instance with a mix of sw-only / hw-only / both options, so
-   the search tree has uneven branching — the shape that exercises
-   re-splitting and stealing rather than the balanced static split. *)
+   the search tree has uneven branching. *)
 let random_mixed_instance ~n ~seed =
   let rng = seeded seed in
   let pids = List.init n (fun i -> pid (Format.sprintf "m%d" i)) in
@@ -94,14 +92,11 @@ let random_multi_instance ~n ~n_cpu ~seed =
 
 (* Job-count sweeps.  [sweep_jobs] runs [f jobs] for each count and
    conjoins the results — for use inside qcheck properties.  The
-   default sweep covers the odd worker (3) and oversubscription (8)
-   beyond the physical core count of small CI machines. *)
+   default sweep covers oversubscription (8) beyond the physical core
+   count of small CI machines. *)
 let default_jobs = [ 2; 4; 8 ]
 
 let sweep_jobs ?(jobs = default_jobs) f = List.for_all f jobs
-
-let check_sweep ?(jobs = default_jobs) name f =
-  List.iter (fun j -> Alcotest.(check bool) (Format.sprintf "%s, jobs=%d" name j) true (f j)) jobs
 
 (* Pool workload that forces at least one steal, deterministically: the
    single seed task pushes [children] subtasks onto its own deque and
@@ -127,16 +122,6 @@ let force_steals ~jobs ~children () =
         Atomic.incr children_run;
         acc + 1)
     [| `Seed |]
-
-(* Total cost of an Explore solution option, [max_int] for None — a
-   single comparable scalar for differential properties. *)
-let explore_cost = function
-  | None -> max_int
-  | Some s -> s.Synth.Explore.cost.Synth.Cost.total
-
-let multi_cost = function
-  | None -> max_int
-  | Some s -> s.Synth.Multi.total_cost
 
 (* ------------------- simulation workloads (Compile) ------------------ *)
 

@@ -493,3 +493,55 @@ let suite =
         Alcotest.test_case "initial tokens are bounded" `Quick
           test_initial_tokens_bounded;
       ] )
+
+(* appended: an integer literal outside [min_int .. max_int] is a lex
+   error at the literal, which both parsers report as a positioned
+   [Parse_error]: in an [initial] count, in a latency interval, in a
+   tech file's processor cost, and with a leading minus.  The extremes
+   themselves still lex. *)
+let test_int_literal_range () =
+  let too_big = string_of_int max_int ^ "0"
+  and too_small = string_of_int min_int ^ "0" in
+  let refused what parse src ~line ~col =
+    match parse src with
+    | exception Lang.Parser.Parse_error { line = l; col = c; message } ->
+      Alcotest.(check (pair int int)) (what ^ ": position") (line, col) (l, c);
+      Alcotest.(check string) (what ^ ": message")
+        "integer literal out of range" message
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  let system = Lang.Parser.system_of_string in
+  refused "initial" system
+    (Printf.sprintf "system s {\n  channel a queue initial %s\n}\n" too_big)
+    ~line:2 ~col:27;
+  refused "latency" system
+    (Printf.sprintf
+       "system s {\n  channel a queue\n  process p {\n    mode m { latency [2, %s] consume a 1 }\n  }\n}\n"
+       too_big)
+    ~line:4 ~col:26;
+  refused "processor" Lang.Tech_file.of_string
+    (Printf.sprintf "tech t {\n  processor %s\n  impl a sw 1 hw 1\n}\n" too_big)
+    ~line:2 ~col:13;
+  refused "negative latency" system
+    (Printf.sprintf
+       "system s {\n  channel a queue\n  process p {\n    mode m { latency [%s, 2] consume a 1 }\n  }\n}\n"
+       too_small)
+    ~line:4 ~col:23;
+  match
+    Lang.Lexer.tokenize
+      (Printf.sprintf "%s %s" (string_of_int max_int) (string_of_int min_int))
+  with
+  | [ a; b; _eof ] ->
+    Alcotest.(check bool) "max_int and min_int lex" true
+      (a.Lang.Lexer.token = Lang.Lexer.INT max_int
+      && b.Lang.Lexer.token = Lang.Lexer.INT min_int)
+  | _ -> Alcotest.fail "three tokens expected"
+
+let suite =
+  let name, tests = suite in
+  ( name,
+    tests
+    @ [
+        Alcotest.test_case "integer literals out of range are positioned"
+          `Quick test_int_literal_range;
+      ] )

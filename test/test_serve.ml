@@ -313,8 +313,8 @@ let test_handler_shutdown () =
 
 (* A workload big enough that the search cannot finish instantly: an
    expired deadline must still return the greedy incumbent, marked
-   degraded.  (The parallel path seeds the incumbent from greedy
-   completions before the first deadline poll.) *)
+   degraded.  (The search seeds the incumbent from greedy completions
+   before the first deadline poll.) *)
 let big_workload () =
   let system =
     V.Generator.generate
@@ -1392,6 +1392,79 @@ let test_shutdown_drains_backlog () =
       (match J.parse shutdown with Ok r -> P.status_of_response r | Error e -> e)
   | _ -> Alcotest.failf "expected two answers, got %d lines" (List.length answers)
 
+(* ------------------- one-domain synthesis, bad input -------------- *)
+
+(* The synthesis search runs on the calling domain whatever the
+   handler's domain count: a cold synthesize on a two-domain handler
+   starts no domain pool, and neither does a warm one. *)
+let test_synthesize_starts_no_pool () =
+  let path = tmp_store () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let store, _ = Store.Keyed.open_store ~fsync:false path in
+      let t = Serve.Handler.create ~store ~jobs:2 () in
+      let pools = Obs.Registry.counter "par.pools" in
+      let synth =
+        plain
+          (P.Synthesize
+             { model = model_source; tech = tech_source; capacity = None })
+      in
+      let p0 = Obs.Metric.value pools in
+      let cold = handle ~handler:t synth in
+      let warm = handle ~handler:t synth in
+      Store.Keyed.close store;
+      Alcotest.(check (option bool)) "cold" (Some false)
+        (Option.bind (J.member "warm" cold) J.to_bool);
+      Alcotest.(check (option bool)) "warm" (Some true)
+        (Option.bind (J.member "warm" warm) J.to_bool);
+      Alcotest.(check string) "same cost" (cost_of cold) (cost_of warm);
+      Alcotest.(check int) "no domain pool" p0 (Obs.Metric.value pools))
+
+(* An integer literal past [max_int] answers a positioned parse error,
+   not the catch-all's message for an escaped exception. *)
+let test_int_literal_out_of_range () =
+  let model =
+    "system s {\n  channel a queue initial 99999999999999999999999\n}\n"
+  in
+  let r =
+    handle (plain (P.Synthesize { model; tech = tech_source; capacity = None }))
+  in
+  Alcotest.(check string) "error" "error" (P.status_of_response r);
+  Alcotest.(check string) "message"
+    "model:2:27: integer literal out of range" (message r)
+
+(* A port declared twice is a validation error naming the port, not an
+   escaped [Invalid_argument]. *)
+let test_duplicate_port () =
+  let model =
+    {|system s {
+  channel A queue
+  channel B queue
+  interface f {
+    port in i = A
+    port in i = A
+    port out o = B
+    cluster c {
+      process p { mode m { latency 1 consume i 1 produce o 1 } }
+    }
+  }
+}
+|}
+  in
+  let r =
+    handle
+      (plain
+         (P.Simulate { model; until = None; compiled = false; family = false }))
+  in
+  Alcotest.(check string) "error" "error" (P.status_of_response r);
+  Alcotest.(check bool)
+    (Printf.sprintf "names the port: %s" (message r))
+    true
+    (contains ~sub:"duplicate port i" (message r));
+  Alcotest.(check bool) "no escaped exception" false
+    (contains ~sub:"Invalid_argument" (J.to_string r))
+
 let suite =
   ( "serve",
     [
@@ -1456,4 +1529,10 @@ let suite =
         test_slow_reader;
       Alcotest.test_case "a shutdown drains backlogged answers" `Quick
         test_shutdown_drains_backlog;
+      Alcotest.test_case "a synthesize starts no domain pool" `Quick
+        test_synthesize_starts_no_pool;
+      Alcotest.test_case "an out-of-range literal is a positioned error"
+        `Quick test_int_literal_out_of_range;
+      Alcotest.test_case "a duplicate port is a validation error" `Quick
+        test_duplicate_port;
     ] )

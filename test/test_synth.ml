@@ -208,8 +208,13 @@ let brute_force ?(capacity = 100) ?(fixed = Synth.Binding.empty)
   in
   go procs Synth.Binding.empty
 
+(* Two generators against brute force: two overlapping applications
+   over processes with both options, and the mixed family (software-only,
+   hardware-only and both; one to three applications) on three more
+   processes, whose search trees branch unevenly.  A returned binding
+   must also be schedulable and priced at its reported cost. *)
 let prop_explore_matches_bruteforce =
-  QCheck.Test.make ~name:"explorer is exact vs brute force" ~count:60
+  QCheck.Test.make ~name:"explorer is exact vs brute force" ~count:200
     QCheck.(pair (int_range 1 6) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
@@ -232,13 +237,18 @@ let prop_explore_matches_bruteforce =
           Synth.App.make "b" (match subset () with [] -> [ List.hd pids ] | s -> s);
         ]
       in
-      let expected = brute_force tech apps in
-      let got =
-        Option.map
-          (fun (s : Synth.Explore.solution) -> s.Synth.Explore.cost.Synth.Cost.total)
-          (Synth.Explore.optimal tech apps)
+      let exact (tech, apps) =
+        match Synth.Explore.optimal tech apps with
+        | None -> brute_force tech apps = None
+        | Some s ->
+          let b = s.Synth.Explore.binding
+          and cost = s.Synth.Explore.cost.Synth.Cost.total in
+          brute_force tech apps = Some cost
+          && Synth.Schedule.is_feasible (Synth.Schedule.check tech b apps)
+          && (Synth.Cost.of_binding tech b).Synth.Cost.total = cost
       in
-      expected = got)
+      exact (tech, apps)
+      && exact (Harness.random_mixed_instance ~n:(n + 3) ~seed:(seed * 97)))
 
 (* Variant-structured instances, the shape the explorer's variant-aware
    bound reasons about: 1-3 shared processes plus 1-3 sites of 1-3
@@ -493,13 +503,18 @@ let test_bound_warm_start () =
     cold.Synth.Explore.cost.Synth.Cost.total
     (solve all_hw).Synth.Explore.cost.Synth.Cost.total
 
-(* The same liveness at both job counts, tight enough that a search
-   without the bound (37,746 nodes at jobs=1) fails it. *)
+(* The same liveness at both job counts ([jobs] is accepted and
+   ignored), tight enough that a search without the bound (37,746 nodes
+   at jobs=1) fails it. *)
 let test_bound_live_every_jobs () =
   let tech, apps = figure2_medium () in
   List.iter
     (fun jobs ->
-      let s = Synth.Explore.optimal_exn ~jobs ~capacity:120 tech apps in
+      let s =
+        match Synth.Explore.solve ~jobs ~capacity:120 tech apps with
+        | Ok s -> s
+        | Error d -> Alcotest.failf "%a" Synth.Explore.pp_diagnostic d
+      in
       Alcotest.(check int) (Printf.sprintf "optimum, jobs=%d" jobs) 728
         s.Synth.Explore.cost.Synth.Cost.total;
       if s.Synth.Explore.explored >= 5_000 then
@@ -507,10 +522,10 @@ let test_bound_live_every_jobs () =
           jobs s.Synth.Explore.explored)
     [ 1; 2 ]
 
-(* jobs=1 runs its seeds on the calling domain, and at jobs=2 a warm
-   start with the cold optimum prunes the prefix so far that no seed
-   is left for a domain pool, on figure2_medium and on the same
-   generator at seeds 1-5. *)
+(* Neither a cold solve at jobs=1 nor a warm one at jobs=2, seeded
+   with the cold optimum, starts a domain pool, and the warm cost is
+   the cold one, on figure2_medium and on the same generator at seeds
+   1-5. *)
 let test_warm_start_no_pool () =
   let pools = Obs.Registry.counter "par.pools" in
   List.iter
@@ -558,7 +573,8 @@ let test_bound_accept () =
         expected
         (Option.map
            (fun (s : Synth.Explore.solution) -> s.Synth.Explore.cost.Synth.Cost.total)
-           (Synth.Explore.optimal ~jobs ~capacity ~fixed ~accept tech apps)))
+           (Result.to_option
+              (Synth.Explore.solve ~jobs ~capacity ~fixed ~accept tech apps))))
     [ 1; 2 ]
 
 (* Many shared processes named ahead of six binary sites: 64
@@ -711,6 +727,120 @@ let prop_variant_aware_never_worse =
       | None, _ -> true (* single app infeasible: nothing to compare *)
       | Some _, None -> false (* superposable implies feasible *))
 
+(* ------------------------- diagnostics ----------------------------- *)
+
+let diagnostic =
+  Alcotest.testable Synth.Explore.pp_diagnostic (fun a b ->
+      match (a, b) with
+      | Synth.Explore.Infeasible, Synth.Explore.Infeasible -> true
+      | ( Synth.Explore.Pinned_impl_unavailable a,
+          Synth.Explore.Pinned_impl_unavailable b ) ->
+        I.Process_id.equal a.process b.process && a.impl = b.impl
+      | _ -> false)
+
+let solution_cost = Alcotest.testable Synth.Explore.pp_solution (fun _ _ -> true)
+
+let result_t = Alcotest.result solution_cost diagnostic
+
+let test_pinned_impl_unavailable () =
+  let x = pid "x" and y = pid "y" in
+  let tech =
+    Synth.Tech.make
+      [
+        (x, Synth.Tech.sw_only ~load:10);
+        (y, Synth.Tech.both ~load:10 ~area:5);
+      ]
+  in
+  let apps = [ Synth.App.make "a" [ x; y ] ] in
+  (* pinning x to hardware is unsatisfiable: its entry has no hw option *)
+  let fixed = Synth.Binding.of_list [ (x, Synth.Binding.Hw) ] in
+  Alcotest.check result_t "names the pinned process and impl"
+    (Error
+       (Synth.Explore.Pinned_impl_unavailable
+          { process = x; impl = Synth.Binding.Hw }))
+    (Synth.Explore.solve ~fixed tech apps);
+  (* the mirror image: pinning a hw-only process to software *)
+  let tech_hw =
+    Synth.Tech.make
+      [ (x, Synth.Tech.hw_only ~area:7); (y, Synth.Tech.both ~load:10 ~area:5) ]
+  in
+  let fixed_sw = Synth.Binding.of_list [ (x, Synth.Binding.Sw) ] in
+  Alcotest.check result_t "sw pin on hw-only process"
+    (Error
+       (Synth.Explore.Pinned_impl_unavailable
+          { process = x; impl = Synth.Binding.Sw }))
+    (Synth.Explore.solve ~fixed:fixed_sw tech_hw apps)
+
+let test_genuinely_infeasible_is_distinct () =
+  (* a software-only process whose load exceeds any capacity is a
+     capacity infeasibility, not a pinning error *)
+  let tech = Synth.Tech.make [ (pid "x", Synth.Tech.sw_only ~load:200) ] in
+  let apps = [ Synth.App.make "a" [ pid "x" ] ] in
+  Alcotest.check result_t "plain Infeasible" (Error Synth.Explore.Infeasible)
+    (Synth.Explore.solve tech apps);
+  (* five such processes: the search splits them into prefix tasks and
+     reports the same diagnostic *)
+  let tech5 =
+    Synth.Tech.make
+      (List.init 5 (fun i ->
+           (pid (Format.sprintf "x%d" i), Synth.Tech.sw_only ~load:200)))
+  in
+  let apps5 =
+    [ Synth.App.make "a" (List.init 5 (fun i -> pid (Format.sprintf "x%d" i))) ]
+  in
+  Alcotest.check result_t "five processes, Infeasible"
+    (Error Synth.Explore.Infeasible)
+    (Synth.Explore.solve tech5 apps5)
+
+let test_pinned_diagnostic_six_processes () =
+  (* validation fires before any search on a six-process instance *)
+  let xs = List.init 6 (fun i -> pid (Format.sprintf "x%d" i)) in
+  let tech =
+    Synth.Tech.make
+      (List.map
+         (fun p ->
+           if I.Process_id.equal p (List.hd xs) then
+             (p, Synth.Tech.sw_only ~load:5)
+           else (p, Synth.Tech.both ~load:5 ~area:10))
+         xs)
+  in
+  let apps = [ Synth.App.make "a" xs ] in
+  let fixed = Synth.Binding.of_list [ (List.hd xs, Synth.Binding.Hw) ] in
+  Alcotest.check result_t "pinning diagnostic"
+    (Error
+       (Synth.Explore.Pinned_impl_unavailable
+          { process = List.hd xs; impl = Synth.Binding.Hw }))
+    (Synth.Explore.solve ~fixed tech apps)
+
+(* [jobs] is accepted and ignored: a cold solve of figure2_medium
+   returns the same cost, binding and node counts at jobs 1, 2 and 4,
+   and none of them starts a domain pool.  (The deleted pool search
+   expanded 1,581 nodes here at jobs 2, against 1,566 at jobs 1.) *)
+let test_solve_ignores_jobs () =
+  let tech, apps = figure2_medium () in
+  let pools = Obs.Registry.counter "par.pools" in
+  let p0 = Obs.Metric.value pools in
+  let solve jobs =
+    match Synth.Explore.solve ~jobs ~capacity:120 tech apps with
+    | Ok s ->
+      ( s.Synth.Explore.cost.Synth.Cost.total,
+        Format.asprintf "%a" Synth.Binding.pp s.Synth.Explore.binding,
+        s.Synth.Explore.explored,
+        s.Synth.Explore.pruned )
+    | Error d -> Alcotest.failf "%a" Synth.Explore.pp_diagnostic d
+  in
+  let one = solve 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair (pair int string) (pair int int)))
+        (Printf.sprintf "jobs=%d as jobs=1" jobs)
+        (let c, b, e, p = one in
+         ((c, b), (e, p)))
+        (let c, b, e, p = solve jobs in
+         ((c, b), (e, p))))
+    [ 2; 4 ];
+  Alcotest.(check int) "no domain pool" p0 (Obs.Metric.value pools)
+
 let suite =
   ( "synth",
     [
@@ -746,4 +876,12 @@ let suite =
       QCheck_alcotest.to_alcotest ~long:false prop_variant_bound_exact;
       QCheck_alcotest.to_alcotest ~long:false prop_one_search;
       QCheck_alcotest.to_alcotest ~long:false prop_variant_aware_never_worse;
+      Alcotest.test_case "pinned impl unavailable" `Quick
+        test_pinned_impl_unavailable;
+      Alcotest.test_case "infeasible stays distinct" `Quick
+        test_genuinely_infeasible_is_distinct;
+      Alcotest.test_case "pinned diagnostic, six processes" `Quick
+        test_pinned_diagnostic_six_processes;
+      Alcotest.test_case "solve ignores jobs and starts no pool" `Quick
+        test_solve_ignores_jobs;
     ] )

@@ -7,8 +7,7 @@
    Optional checks:
      --expect-tconf           at least one "t_conf" span carrying
                               source/target configuration args
-     --expect-worker-lanes N  at least N explorer domain lanes with
-                              task spans
+     --expect-worker-lanes N  at least N explorer domain lanes
      --expect-incumbent-counter
                               at least one "incumbent cost" counter
                               sample (the explorer's descent track)
