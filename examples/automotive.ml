@@ -5,8 +5,8 @@
    example builds an engine controller whose emission strategy and
    whose diagnostic protocol both exist in EU and US variants.  The two
    variant sets are *related*: a product always picks the same region
-   for both (Variant_space linkage).  Synthesis then places the
-   software on a two-ECU architecture under an end-to-end deadline.
+   for both (Variant_space linkage), and every linked product is
+   checked against an end-to-end deadline.
 
    Run with: dune exec examples/automotive.exe *)
 
@@ -142,32 +142,4 @@ let () =
             (Format.asprintf "%a" V.Variant_space.pp_assignment assignment)
             Spi.Constraint_.pp c Spi.Constraint_.pp_outcome o)
         (Spi.Constraint_.check_all ~latency_of model (V.System.constraints system)))
-    (V.Variant_space.enumerate ~linkage system);
-
-  (* two-ECU placement over the linked products *)
-  Format.printf "@.=== Two-ECU placement (variant-aware) ===@.";
-  let apps =
-    List.map
-      (fun assignment ->
-        let model = V.Flatten.flatten system (V.Variant_space.to_choice assignment) in
-        Synth.App.of_model
-          (Format.asprintf "%a" V.Variant_space.pp_assignment assignment)
-          model)
-      (V.Variant_space.enumerate ~linkage system)
-  in
-  let union = I.Process_id.Set.elements (Synth.App.union_procs apps) in
-  let tech =
-    Synth.Tech.of_weights ~weight:V.Generator.process_weight union
-  in
-  let ecus =
-    [
-      Synth.Multi.processor ~name:"ecu-main" ~capacity:100 ~cost:20;
-      Synth.Multi.processor ~name:"ecu-aux" ~capacity:60 ~cost:8;
-    ]
-  in
-  match Synth.Multi.optimal tech ecus apps with
-  | None -> Format.printf "no feasible placement@."
-  | Some sol ->
-    Format.printf "%a@." Synth.Multi.pp_solution sol;
-    Format.printf "@.Mutually exclusive regional variants share both ECUs; \
-                   only the common part is counted once per product.@."
+    (V.Variant_space.enumerate ~linkage system)

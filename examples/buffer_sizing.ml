@@ -2,10 +2,10 @@
 
    SPI's purpose is to carry enough information for scheduling and
    allocation — buffer sizing included.  This example compares the
-   conservative static queue bounds (Spi.Analysis) against empirical
-   sizing from simulation (Sim.Sizing) on a bursty workload, then
-   verifies the chosen sizes and shows what the paper's valves do to
-   the video system's buffers during a reconfiguration.
+   conservative static queue bounds (Spi.Analysis) against the
+   high-water marks a simulation observes (Sim.Stats) on a bursty
+   workload, then shows what the paper's valves do to the video
+   system's buffers during a reconfiguration.
 
    Run with: dune exec examples/buffer_sizing.exe *)
 
@@ -14,17 +14,25 @@ module I = Spi.Ids
 let cid = I.Channel_id.of_string
 
 let pipeline =
-  Spi.Builder.(
-    empty
-    |> queue "in" |> queue "s1" |> queue "s2" |> queue "out"
-    |> stage "parse" ~latency:(fixed 1) ~from:"in" ~into:"s1"
-    |> worker "expand" ~latency:(fixed 2)
-         ~consumes:[ ("s1", 1) ]
-         ~produces:[ ("s2", 3) ]
-    |> worker "pack" ~latency:(fixed 4)
-         ~consumes:[ ("s2", 3) ]
-         ~produces:[ ("out", 1) ]
-    |> build_exn)
+  let system =
+    Lang.Parser.system_of_string
+      {|system pipeline {
+          channel in queue
+          channel s1 queue
+          channel s2 queue
+          channel out queue
+          process parse {
+            mode parse.default { latency 1 consume in 1 produce s1 1 }
+          }
+          process expand {
+            mode expand.default { latency 2 consume s1 1 produce s2 3 }
+          }
+          process pack {
+            mode pack.default { latency 4 consume s2 3 produce out 1 }
+          }
+        }|}
+  in
+  Variants.Flatten.flatten system (Variants.Flatten.first_cluster system)
 
 let bursty =
   (* 3 bursts of 6 tokens *)
@@ -40,21 +48,17 @@ let bursty =
 let () =
   Format.printf "=== Static vs empirical buffer bounds ===@.";
   Format.printf "%-8s | %12s | %12s@." "channel" "static bound" "observed";
-  let suggestions = Sim.Sizing.suggest ~stimuli:[ bursty ] pipeline in
+  let stats =
+    Sim.Stats.of_result pipeline (Sim.Engine.run ~stimuli:bursty pipeline)
+  in
   List.iter
     (fun (cid_, static) ->
-      let observed =
-        List.find_map
-          (fun s ->
-            if I.Channel_id.equal s.Sim.Sizing.chan cid_ then
-              Some s.Sim.Sizing.observed
-            else None)
-          suggestions
-      in
       Format.printf "%-8s | %12s | %12s@."
         (I.Channel_id.to_string cid_)
         (match static with Some b -> string_of_int b | None -> "cyclic")
-        (match observed with Some o -> string_of_int o | None -> "-"))
+        (match Sim.Stats.channel cid_ stats with
+        | Some c -> string_of_int c.Sim.Stats.high_water
+        | None -> "-"))
     (Spi.Analysis.queue_bounds ~source_executions:18 pipeline);
 
   (match Spi.Analysis.bottleneck pipeline with
@@ -63,24 +67,6 @@ let () =
       I.Process_id.pp pid latency
       (Spi.Analysis.min_initiation_interval pipeline)
   | None -> ());
-
-  Format.printf "@.=== Sizing with a safety margin of 1 ===@.";
-  let sized =
-    Sim.Sizing.apply (Sim.Sizing.suggest ~margin:1 ~stimuli:[ bursty ] pipeline) pipeline
-  in
-  List.iter
-    (fun chan ->
-      match Spi.Chan.capacity chan with
-      | Some cap ->
-        Format.printf "  %s: capacity %d@."
-          (I.Channel_id.to_string (Spi.Chan.id chan))
-          cap
-      | None -> ())
-    (Spi.Model.channels sized);
-  (match Sim.Sizing.verify ~stimuli:[ bursty ] sized with
-  | Ok () -> Format.printf "verification: the sized model absorbs the workload@."
-  | Error c ->
-    Format.printf "verification FAILED: %s overflows@." (I.Channel_id.to_string c));
 
   Format.printf "@.=== Video system: buffers across a reconfiguration ===@.";
   let built = Video.System.build Video.System.default_params in

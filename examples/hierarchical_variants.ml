@@ -105,7 +105,8 @@ let tv_system =
 
 let () =
   V.System.validate_exn tv_system;
-  Format.printf "=== Multi-standard TV receiver (hierarchical variants) ===@.";
+  Format.printf
+    "=== A multi-standard TV receiver (hierarchical variants) ===@.";
   Format.printf "%a@." V.System.pp tv_system;
   Format.printf "%a@." V.Commonality.pp (V.Commonality.analyze tv_system);
 

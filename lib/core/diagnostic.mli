@@ -1,11 +1,11 @@
 (** Structured error payloads for the variant-structure operations.
 
-    The derivation operations ({!Flatten}, {!Clusterize}, {!Extraction},
-    {!Evolution}) used to raise exceptions carrying bare strings; their
-    payload is now a diagnostic that keeps the offending element's id
-    machine-readable, so callers (the linter, the CLI) can point at the
-    culprit without parsing messages.  Each module also offers
-    [Result]-returning wrappers around its raising entry points. *)
+    The derivation operations ({!Flatten}, {!Extraction}) used to raise
+    exceptions carrying bare strings; their payload is now a diagnostic
+    that keeps the offending element's id machine-readable, so callers
+    (the linter, the CLI) can point at the culprit without parsing
+    messages.  Each module also offers [Result]-returning wrappers
+    around its raising entry points. *)
 
 type t = {
   subject : string option;

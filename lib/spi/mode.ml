@@ -62,7 +62,6 @@ let produced_channels m =
 
 let consumptions m = Cmap.bindings m.consumes
 let productions m = Cmap.bindings m.produces
-let with_latency latency m = { m with latency }
 let rename id m = { m with id }
 
 let remap_keys what f map =

@@ -46,7 +46,6 @@ val produced_channels : t -> Ids.Channel_id.Set.t
 val consumptions : t -> (Ids.Channel_id.t * Interval.t) list
 val productions : t -> (Ids.Channel_id.t * production) list
 
-val with_latency : Interval.t -> t -> t
 val rename : Ids.Mode_id.t -> t -> t
 
 val map_channels : (Ids.Channel_id.t -> Ids.Channel_id.t) -> t -> t

@@ -172,19 +172,6 @@ let to_graph m =
   let g = Cmap.fold (fun cid pid g -> Graph.add_edge (P pid) (C cid) g) m.writer g in
   Cmap.fold (fun cid pid g -> Graph.add_edge (C cid) (P pid) g) m.reader g
 
-let replace_process p m =
-  let pid = Process.id p in
-  if not (Pmap.mem pid m.processes) then
-    invalid_arg
-      (Format.asprintf "Model.replace_process: unknown process %a"
-         Ids.Process_id.pp pid);
-  let processes =
-    List.map
-      (fun q -> if Ids.Process_id.equal (Process.id q) pid then p else q)
-      (processes m)
-  in
-  build_exn ~processes ~channels:(channels m)
-
 let union a b =
   build
     ~processes:(processes a @ processes b)

@@ -58,10 +58,6 @@ val to_graph : t -> Graph.t
 (** The bipartite graph: edge [P p -> C c] when [p] writes [c] and
     [C c -> P p] when [p] reads [c]. *)
 
-val replace_process : Process.t -> t -> t
-(** Replaces the process with the same id.
-    @raise Invalid_argument if absent or if the result fails validation. *)
-
 val union : t -> t -> (t, error list) result
 (** Disjoint union; shared channel ids must be declared identically in at
     most one side's processes' referencing (validation reruns). *)

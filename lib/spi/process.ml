@@ -117,10 +117,6 @@ let with_activation activation p =
   validate p.id p.modes activation;
   { p with activation }
 
-let with_modes modes p =
-  validate p.id modes p.activation;
-  { p with modes }
-
 let pp ppf p =
   Format.fprintf ppf "@[<v2>process %a:@,%a@,activation:@,%a@]"
     Ids.Process_id.pp p.id

@@ -52,7 +52,6 @@ val map_channels : (Ids.Channel_id.t -> Ids.Channel_id.t) -> t -> t
 val rename : Ids.Process_id.t -> t -> t
 
 val with_activation : Activation.t -> t -> t
-val with_modes : Mode.t list -> t -> t
 (** @raise Invalid_argument under the same conditions as {!make}. *)
 
 val pp : Format.formatter -> t -> unit

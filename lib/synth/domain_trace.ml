@@ -1,7 +1,4 @@
-(* Records are five ints: [kind; a; b; c; d].
-   kind 1 (task):        wait_from_ns, claimed_ns, end_ns, task index
-   kind 2 (improvement): ts_ns, cost, 0, 0
-   kind 3 (steal):       ts_ns, victim worker, stealing worker, task id *)
+(* Records are two ints, one incumbent improvement each: [ts_ns; cost]. *)
 
 type buffer = {
   domain : int;
@@ -10,7 +7,7 @@ type buffer = {
   mutable drops : int;
 }
 
-let stride = 5
+let stride = 2
 let default_capacity = 4096
 let enabled = Atomic.make false
 let cap_ref = Atomic.make default_capacity
@@ -52,31 +49,19 @@ let enable ?(capacity = default_capacity) () =
 let disable () = Atomic.set enabled false
 let is_enabled () = Atomic.get enabled
 
-let push kind a b c d =
+let push ts cost =
   let buf = Domain.DLS.get key in
   if (buf.len + 1) * stride > Array.length buf.data then
     buf.drops <- buf.drops + 1
   else begin
     let o = buf.len * stride in
-    buf.data.(o) <- kind;
-    buf.data.(o + 1) <- a;
-    buf.data.(o + 2) <- b;
-    buf.data.(o + 3) <- c;
-    buf.data.(o + 4) <- d;
+    buf.data.(o) <- ts;
+    buf.data.(o + 1) <- cost;
     buf.len <- buf.len + 1
   end
 
-let register_domain () =
-  if Atomic.get enabled then ignore (Domain.DLS.get key : buffer)
-
-let record_task ~wait_from_ns ~claimed_ns ~end_ns ~task =
-  if Atomic.get enabled then push 1 wait_from_ns claimed_ns end_ns task
-
 let record_improvement ~cost =
-  if Atomic.get enabled then push 2 (Obs.Clock.now_ns ()) cost 0 0
-
-let record_steal ~victim ~worker ~task =
-  if Atomic.get enabled then push 3 (Obs.Clock.now_ns ()) victim worker task
+  if Atomic.get enabled then push (Obs.Clock.now_ns ()) cost
 
 let registered () =
   Mutex.lock lock;
@@ -104,79 +89,28 @@ let emit_timeline ?(pid = 1) ?(name = "explorer") sink =
       T.sink_thread_order sink ~pid ~tid order;
       for r = 0 to buf.len - 1 do
         let o = r * stride in
-        match buf.data.(o) with
-        | 1 ->
-          let wait_from = buf.data.(o + 1)
-          and claimed = buf.data.(o + 2)
-          and end_ns = buf.data.(o + 3)
-          and task = buf.data.(o + 4) in
-          if claimed > wait_from then
-            sink.T.event
-              (T.Complete
-                 {
-                   name = "queue wait";
-                   cat = "pool";
-                   pid;
-                   tid;
-                   ts = us wait_from;
-                   dur = float_of_int (claimed - wait_from) /. 1000.;
-                   args = [];
-                 });
-          sink.T.event
-            (T.Complete
-               {
-                 name = Printf.sprintf "task %d" task;
-                 cat = "task";
-                 pid;
-                 tid;
-                 ts = us claimed;
-                 dur = float_of_int (end_ns - claimed) /. 1000.;
-                 args = [ ("task", J.Int task) ];
-               })
-        | 2 ->
-          let ts = us buf.data.(o + 1) and cost = buf.data.(o + 2) in
-          sink.T.event
-            (T.Instant
-               {
-                 name = "incumbent";
-                 cat = "search";
-                 pid;
-                 tid;
-                 ts;
-                 args = [ ("cost", J.Int cost) ];
-               });
-          (* the same improvements as a counter track: viewers draw the
-             incumbent cost as a step function descending over the
-             search, one series shared by all lanes of the group *)
-          sink.T.event
-            (T.Counter
-               {
-                 name = "incumbent cost";
-                 pid;
-                 ts;
-                 values = [ ("cost", float_of_int cost) ];
-               })
-        | 3 ->
-          let ts = us buf.data.(o + 1)
-          and victim = buf.data.(o + 2)
-          and worker = buf.data.(o + 3)
-          and task = buf.data.(o + 4) in
-          sink.T.event
-            (T.Instant
-               {
-                 name = "steal";
-                 cat = "pool";
-                 pid;
-                 tid;
-                 ts;
-                 args =
-                   [
-                     ("victim", J.Int victim);
-                     ("worker", J.Int worker);
-                     ("task", J.Int task);
-                   ];
-               })
-        | _ -> ()
+        let ts = us buf.data.(o) and cost = buf.data.(o + 1) in
+        sink.T.event
+          (T.Instant
+             {
+               name = "incumbent";
+               cat = "search";
+               pid;
+               tid;
+               ts;
+               args = [ ("cost", J.Int cost) ];
+             });
+        (* the same improvements as a counter track: viewers draw the
+           incumbent cost as a step function descending over the search,
+           one series shared by all lanes of the group *)
+        sink.T.event
+          (T.Counter
+             {
+               name = "incumbent cost";
+               pid;
+               ts;
+               values = [ ("cost", float_of_int cost) ];
+             })
       done)
     bufs;
   let d = dropped () in

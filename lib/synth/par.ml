@@ -40,10 +40,8 @@ let steal_counter w =
   in
   grow ()
 
-(* A scheduled task: [id] names it on the Domain_trace lanes (seeds keep
-   their array index; pushed children draw fresh ids after the seeds),
-   [enq_ns] stamps when it became claimable. *)
-type 'a cell = { id : int; enq_ns : int; v : 'a }
+(* A scheduled task: [enq_ns] stamps when it became claimable. *)
+type 'a cell = { enq_ns : int; v : 'a }
 
 type 'a pool = {
   jobs : int;
@@ -53,7 +51,6 @@ type 'a pool = {
   pending : int Atomic.t;  (** tasks enqueued or running, not yet done *)
   failure : exn option Atomic.t;
   cancel : unit -> bool;
-  next_id : int Atomic.t;
 }
 
 type 'a ctx = {
@@ -70,9 +67,7 @@ let deque_capacity = 256
 
 let push ctx v =
   let p = ctx.pool in
-  let cell =
-    { id = Atomic.fetch_and_add p.next_id 1; enq_ns = Obs.Clock.now_ns (); v }
-  in
+  let cell = { enq_ns = Obs.Clock.now_ns (); v } in
   (* count it before it becomes stealable, so [pending] never
      under-reports an enqueued task *)
   Atomic.incr p.pending;
@@ -111,8 +106,6 @@ let try_steal ctx =
         | Ws_deque.Stolen cell ->
           Obs.Metric.incr m_steals;
           Obs.Metric.incr ctx.w_steals;
-          Domain_trace.record_steal ~victim:v ~worker:ctx.worker
-            ~task:cell.id;
           Some cell
         | Ws_deque.Empty -> probe (k + 1)
         | Ws_deque.Lost_race ->
@@ -128,7 +121,6 @@ let try_steal ctx =
    is the pool-wide quiescence signal (workers spin — the pool's
    lifetime is one search, not a service). *)
 let run_worker pool ~init ~f worker =
-  Domain_trace.register_domain ();
   let ctx =
     {
       pool;
@@ -139,7 +131,6 @@ let run_worker pool ~init ~f worker =
     }
   in
   let acc = ref (init ()) in
-  let prev_end_ns = ref (Obs.Clock.now_ns ()) in
   let n_seeds = Array.length pool.seeds in
   let run cell =
     (* claimed tasks are cancelled, not run, once a failure is
@@ -149,11 +140,7 @@ let run_worker pool ~init ~f worker =
       Obs.Metric.observe m_queue_wait (claimed_ns - cell.enq_ns);
       (match f ctx !acc cell.v with
       | acc' ->
-        let end_ns = Obs.Clock.now_ns () in
-        Obs.Metric.observe m_task_run (end_ns - claimed_ns);
-        Domain_trace.record_task ~wait_from_ns:!prev_end_ns ~claimed_ns
-          ~end_ns ~task:cell.id;
-        prev_end_ns := end_ns;
+        Obs.Metric.observe m_task_run (Obs.Clock.now_ns () - claimed_ns);
         acc := acc'
       | exception e ->
         (* keep the first failure; losing later ones is fine *)
@@ -213,12 +200,11 @@ let make_pool ~jobs ~cancel seeds =
   {
     jobs;
     deques = Array.init jobs (fun _ -> Ws_deque.create ~capacity:deque_capacity);
-    seeds = Array.mapi (fun i v -> { id = i; enq_ns = start_ns; v }) seeds;
+    seeds = Array.map (fun v -> { enq_ns = start_ns; v }) seeds;
     cursor = Atomic.make 0;
     pending = Atomic.make n;
     failure = Atomic.make None;
     cancel;
-    next_id = Atomic.make n;
   }
 
 let run_pool ~jobs ~cancel ~init ~merge ~f seeds =
@@ -226,7 +212,7 @@ let run_pool ~jobs ~cancel ~init ~merge ~f seeds =
   Obs.Metric.add m_tasks (Array.length seeds);
   let pool = make_pool ~jobs ~cancel seeds in
   (* pool tasks inherit the spawning domain's request trace (batch
-     items, explorer tasks): capture once here, restore on each spawned
+     items, family splits): capture once here, restore on each spawned
      domain so spans recorded inside tasks join the request's tree.
      Worker 0 runs on the calling domain and needs nothing. *)
   let rctx = Obs.Rtrace.capture () in

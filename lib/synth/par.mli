@@ -3,9 +3,9 @@
     Its users are the family simulation's split-off sub-families
     ({!fold} with {!push}), the daemon's batch items, the fault
     campaign's seeds and the Pareto enumeration's subtrees ({!map}).
-    The synthesis branch and bound ({!Explore}, {!Multi}) runs on the
-    calling domain and does not use it.  Scheduling is three-tiered,
-    in claim order:
+    The synthesis branch and bound ({!Explore}) runs on the calling
+    domain and does not use it.  Scheduling is three-tiered, in claim
+    order:
 
     + each worker drains its own bounded {!Ws_deque} of dynamically
       pushed children, LIFO — depth-first through the work it is
@@ -27,9 +27,8 @@
     Observability (see docs/OBSERVABILITY.md): [par.tasks], [par.pools],
     [par.task_queue_wait_ns] (push-to-claim latency per task),
     [par.task_run_ns], [par.steals] (plus per-worker [par.steals.w<i>]),
-    [par.steal_failures] (lost steal races), [par.deque_overflows]
-    (pushes refused on a full deque), and per-domain steal instants on
-    the {!Domain_trace} lanes. *)
+    [par.steal_failures] (lost steal races) and [par.deque_overflows]
+    (pushes refused on a full deque). *)
 
 val available_jobs : unit -> int
 (** Domains this machine can usefully run, i.e.

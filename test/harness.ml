@@ -9,6 +9,11 @@ let pid = I.Process_id.of_string
 
 let seeded seed = Random.State.make [| seed |]
 
+(* The model of a variant-free system written in the .spi format. *)
+let model_of_spi text =
+  let system = Lang.Parser.system_of_string text in
+  Variants.Flatten.flatten system (Variants.Flatten.first_cluster system)
+
 (* Random single-processor instance in the style of the brute-force
    property in [Test_synth]: overlapping applications over a random
    technology. *)
@@ -62,33 +67,6 @@ let random_mixed_instance ~n ~seed =
           (match subset () with [] -> [ List.hd pids ] | s -> s))
   in
   (tech, apps)
-
-(* Random multi-processor instance: [n] processes with sw and/or hw
-   options over [n_cpu] heterogeneous processors.  Loads are kept small
-   relative to capacities so most instances are feasible. *)
-let random_multi_instance ~n ~n_cpu ~seed =
-  let rng = seeded seed in
-  let tech, apps = random_instance ~n ~seed:(seed lxor 0x5bd1e995) in
-  ignore tech;
-  let pids = List.init n (fun i -> pid (Format.sprintf "q%d" i)) in
-  let tech =
-    Synth.Tech.make
-      (List.map
-         (fun p ->
-           ( p,
-             Synth.Tech.both
-               ~load:(5 + Random.State.int rng 50)
-               ~area:(5 + Random.State.int rng 60) ))
-         pids)
-  in
-  let procs =
-    List.init n_cpu (fun c ->
-        Synth.Multi.processor
-          ~name:(Format.sprintf "cpu%d" c)
-          ~capacity:(60 + Random.State.int rng 80)
-          ~cost:(5 + Random.State.int rng 30))
-  in
-  (tech, procs, apps)
 
 (* Job-count sweeps.  [sweep_jobs] runs [f jobs] for each count and
    conjoins the results — for use inside qcheck properties.  The

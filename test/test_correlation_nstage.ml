@@ -242,10 +242,12 @@ let test_infer_tightens_figure1 () =
 
 let test_infer_none_without_tags () =
   let plain =
-    Spi.Builder.(
-      empty |> queue "a" |> queue "b"
-      |> stage "p" ~latency:(fixed 1) ~from:"a" ~into:"b"
-      |> build_exn)
+    Harness.model_of_spi
+      {|system plain {
+          channel a queue
+          channel b queue
+          process p { mode p.default { latency 1 consume a 1 produce b 1 } }
+        }|}
   in
   Alcotest.(check bool) "no tags, no correlation" true
     (Option.is_none (C.infer ~channel:(cid "a") plain))

@@ -1,4 +1,5 @@
-(* Tests for the reuse analysis and JSON export. *)
+(* Tests for the run exports (JSON, CSV, VCD) and the variant-structure
+   dot export. *)
 
 module I = Spi.Ids
 module V = Variants
@@ -6,102 +7,12 @@ module F2 = Paper.Figure2
 
 let one = Interval.point 1
 
-let chain_proc ~from_ ~to_ name =
-  Spi.Process.simple ~latency:one
-    ~consumes:[ (from_, one) ]
-    ~produces:[ (to_, Spi.Mode.produce one) ]
-    (I.Process_id.of_string name)
-
-(* a cluster with figure2's i/o signature *)
-let compatible_cluster =
-  let pi = V.Port.input "i" and po = V.Port.output "o" in
-  V.Cluster.make ~ports:[ pi; po ]
-    ~processes:
-      [
-        chain_proc
-          ~from_:(V.Port.channel_of (V.Port.id pi))
-          ~to_:(V.Port.channel_of (V.Port.id po))
-          "g3core";
-      ]
-    "g3"
-
-let incompatible_cluster =
-  let pi = V.Port.input "other_in" and po = V.Port.output "o" in
-  V.Cluster.make ~ports:[ pi; po ]
-    ~processes:
-      [
-        chain_proc
-          ~from_:(V.Port.channel_of (V.Port.id pi))
-          ~to_:(V.Port.channel_of (V.Port.id po))
-          "weird";
-      ]
-    "weird"
-
-let iface1 () = List.hd (V.System.interfaces F2.system)
-
-let test_compatible () =
-  Alcotest.(check bool) "signature matches" true
-    (V.Reuse.is_compatible (iface1 ()) compatible_cluster)
-
-let test_incompatible () =
-  match V.Reuse.check (iface1 ()) incompatible_cluster with
-  | V.Reuse.Compatible -> Alcotest.fail "mismatch expected"
-  | V.Reuse.Port_mismatch m ->
-    Alcotest.(check int) "missing input i" 1
-      (I.Port_id.Set.cardinal m.V.Reuse.missing_inputs);
-    Alcotest.(check int) "extra input other_in" 1
-      (I.Port_id.Set.cardinal m.V.Reuse.extra_inputs);
-    Alcotest.(check int) "outputs fine" 0
-      (I.Port_id.Set.cardinal m.V.Reuse.missing_outputs)
-
-let test_host_interfaces () =
-  let hosts = V.Reuse.host_interfaces F2.system compatible_cluster in
-  Alcotest.(check (list string)) "iface1 hosts it" [ "iface1" ]
-    (List.map I.Interface_id.to_string hosts);
-  Alcotest.(check int) "nothing hosts the weird one" 0
-    (List.length (V.Reuse.host_interfaces F2.system incompatible_cluster))
-
-let test_extend_interface () =
-  match V.Reuse.extend_interface (iface1 ()) compatible_cluster with
-  | Error e -> Alcotest.failf "extension failed: %s" e
-  | Ok extended ->
-    Alcotest.(check int) "three variants now" 3 (V.Interface.variant_count extended);
-    Alcotest.(check int) "still validates" 0
-      (List.length (V.Interface.validate extended));
-    (* adding it again collides *)
-    (match V.Reuse.extend_interface extended compatible_cluster with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "duplicate accepted");
-    (* incompatible clusters are rejected *)
-    match V.Reuse.extend_interface (iface1 ()) incompatible_cluster with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "mismatch accepted"
-
-let test_extended_interface_synthesizes () =
-  (* the reused part becomes a third derivable application *)
-  match V.Reuse.extend_interface (iface1 ()) compatible_cluster with
-  | Error e -> Alcotest.failf "extension failed: %s" e
-  | Ok extended ->
-    let site =
-      match V.System.find_site F2.iface1 F2.system with
-      | Some s -> { s with V.Structure.iface = extended }
-      | None -> Alcotest.fail "site missing"
-    in
-    let system =
-      V.System.make
-        ~processes:(V.System.processes F2.system)
-        ~channels:(V.System.channels F2.system)
-        ~sites:[ site ] "figure2-extended"
-    in
-    Alcotest.(check int) "three applications" 3
-      (List.length (V.Flatten.applications system))
-
-(* ------------------------------- JSON ------------------------------- *)
-
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
+
+(* ------------------------------- JSON ------------------------------- *)
 
 let test_json_export () =
   let model = Paper.Figure1.model in
@@ -157,22 +68,8 @@ let test_json_reconfiguration_fields () =
   Alcotest.(check bool) "reconfigure_to present" true
     (contains ~needle:"\"reconfigure_to\"" json)
 
-let suite =
-  ( "reuse-json",
-    [
-      Alcotest.test_case "compatible" `Quick test_compatible;
-      Alcotest.test_case "incompatible" `Quick test_incompatible;
-      Alcotest.test_case "host interfaces" `Quick test_host_interfaces;
-      Alcotest.test_case "extend interface" `Quick test_extend_interface;
-      Alcotest.test_case "extended interface synthesizes" `Quick
-        test_extended_interface_synthesizes;
-      Alcotest.test_case "json export" `Quick test_json_export;
-      Alcotest.test_case "json escaping" `Quick test_json_escaping;
-      Alcotest.test_case "json reconfiguration fields" `Quick
-        test_json_reconfiguration_fields;
-    ] )
+(* ------------------------------- dot -------------------------------- *)
 
-(* appended: variant-structure dot export *)
 let test_dot_system () =
   let dot = V.Dot_system.to_string F2.system_with_selection in
   List.iter
@@ -195,11 +92,8 @@ let test_dot_system () =
   Alcotest.(check bool) "generated renders" true
     (String.length (V.Dot_system.to_string nested) > 100)
 
-let suite =
-  let name, tests = suite in
-  (name, tests @ [ Alcotest.test_case "dot system" `Quick test_dot_system ])
+(* ------------------------------- CSV -------------------------------- *)
 
-(* appended: CSV export *)
 let test_csv_export () =
   let model = Paper.Figure1.model in
   let result = Sim.Engine.run ~stimuli:(Paper.Figure1.stimuli_mixed ~n:3) model in
@@ -241,6 +135,56 @@ let test_csv_export () =
      in
      contains ~needle:"\"" q)
 
+(* ------------------------------- VCD -------------------------------- *)
+
+let test_vcd_export () =
+  let model = Paper.Figure1.model in
+  let result =
+    Sim.Engine.run ~stimuli:(Paper.Figure1.stimuli_mixed ~n:4) model
+  in
+  let vcd = Sim.Vcd.of_result model result in
+  Alcotest.(check bool) "header" true (contains ~needle:"$timescale" vcd);
+  Alcotest.(check bool) "definitions closed" true
+    (contains ~needle:"$enddefinitions" vcd);
+  Alcotest.(check bool) "process var" true (contains ~needle:"proc_p2" vcd);
+  Alcotest.(check bool) "channel var" true (contains ~needle:"chan_c1" vcd);
+  Alcotest.(check bool) "dumpvars" true (contains ~needle:"$dumpvars" vcd);
+  Alcotest.(check bool) "has timestamps" true (contains ~needle:"#1" vcd);
+  (* every binary value line references a declared id code *)
+  let lines = String.split_on_char '\n' vcd in
+  Alcotest.(check bool) "non-trivial dump" true (List.length lines > 20)
+
+let test_vcd_reconfiguration_marks () =
+  let built = Video.System.build Video.System.default_params in
+  let stimuli =
+    Video.Scenario.switching_demo ~frames:10 ~period:5 ~switches:[ (22, "fB") ] ()
+  in
+  let result =
+    Sim.Engine.run ~configurations:built.Video.System.configurations ~stimuli
+      built.Video.System.model
+  in
+  let vcd = Sim.Vcd.of_result built.Video.System.model result in
+  (* the reconfiguration prefix is encoded as value 2 = binary 10 *)
+  Alcotest.(check bool) "reconfiguration state present" true
+    (contains ~needle:"b10 " vcd)
+
+(* The two suites keep the names they had when they also tested reuse
+   checks and multi-processor synthesis, so their test IDs stay stable. *)
 let suite =
-  let name, tests = suite in
-  (name, tests @ [ Alcotest.test_case "csv export" `Quick test_csv_export ])
+  ( "reuse-json",
+    [
+      Alcotest.test_case "json export" `Quick test_json_export;
+      Alcotest.test_case "json escaping" `Quick test_json_escaping;
+      Alcotest.test_case "json reconfiguration fields" `Quick
+        test_json_reconfiguration_fields;
+      Alcotest.test_case "dot system" `Quick test_dot_system;
+      Alcotest.test_case "csv export" `Quick test_csv_export;
+    ] )
+
+let vcd_suite =
+  ( "multi-vcd",
+    [
+      Alcotest.test_case "vcd export" `Quick test_vcd_export;
+      Alcotest.test_case "vcd reconfiguration marks" `Quick
+        test_vcd_reconfiguration_marks;
+    ] )

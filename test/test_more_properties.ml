@@ -1,6 +1,5 @@
 (* A second round of cross-module properties: printer idempotence,
-   budget monotonicity, multi/single-processor agreement, Pareto
-   consistency, clusterize round-trips on random cuts. *)
+   budget monotonicity, Pareto consistency. *)
 
 module I = Spi.Ids
 module V = Variants
@@ -40,11 +39,12 @@ let prop_budget_monotone =
     (fun (b1, b2) ->
       let lo = min b1 b2 and hi = max b1 b2 in
       let model =
-        Spi.Builder.(
-          empty |> queue "c"
-          |> source "gen" ~latency:(fixed 1) ~into:"c" ()
-          |> sink "eat" ~latency:(fixed 1) ~from:"c" ()
-          |> build_exn)
+        Harness.model_of_spi
+          {|system budget {
+              channel c queue
+              process gen { mode gen.default { latency 1 produce c 1 } }
+              process eat { mode eat.default { latency 1 consume c 1 } }
+            }|}
       in
       let firings budget =
         (Sim.Engine.run
@@ -64,38 +64,6 @@ let random_tech rng pids =
              ~area:(5 + Random.State.int rng 60) ))
        pids)
 
-let prop_multi_matches_single =
-  QCheck.Test.make ~name:"Multi with one default CPU = Explore" ~count:40
-    (QCheck.int_range 0 2000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let pids =
-        List.init (2 + Random.State.int rng 4) (fun i ->
-            I.Process_id.of_string (Format.sprintf "p%d" i))
-      in
-      let tech = random_tech rng pids in
-      let apps =
-        [
-          Synth.App.make "a" (List.filteri (fun i _ -> i mod 2 = 0) pids @ [ List.hd pids ]);
-          Synth.App.make "b" pids;
-        ]
-      in
-      let cpu =
-        Synth.Multi.processor ~name:"cpu" ~capacity:Synth.Schedule.default_capacity
-          ~cost:(Synth.Tech.processor_cost tech)
-      in
-      let single =
-        Option.map
-          (fun (s : Synth.Explore.solution) -> s.Synth.Explore.cost.Synth.Cost.total)
-          (Synth.Explore.optimal tech apps)
-      in
-      let multi =
-        Option.map
-          (fun (s : Synth.Multi.solution) -> s.Synth.Multi.total_cost)
-          (Synth.Multi.optimal tech [ cpu ] apps)
-      in
-      single = multi)
-
 let prop_pareto_contains_optimum =
   QCheck.Test.make ~name:"Pareto frontier starts at the cost optimum" ~count:40
     (QCheck.int_range 0 2000)
@@ -113,70 +81,6 @@ let prop_pareto_contains_optimum =
         first.Synth.Pareto.total_cost = s.Synth.Explore.cost.Synth.Cost.total
       | Some _, [] | None, _ :: _ -> false)
 
-let prop_clusterize_roundtrip =
-  QCheck.Test.make ~name:"carve + flatten preserves behaviour on random cuts"
-    ~count:25
-    (QCheck.pair arb_system_params (QCheck.int_range 0 100))
-    (fun (params, cut_seed) ->
-      let system = gen_system params in
-      let model = V.Flatten.flatten system (V.Flatten.first_cluster system) in
-      let procs = List.map Spi.Process.id (Spi.Model.processes model) in
-      let rng = Random.State.make [| cut_seed |] in
-      let inside =
-        I.Process_id.Set.of_list
-          (List.filter (fun _ -> Random.State.bool rng) procs)
-      in
-      if I.Process_id.Set.is_empty inside then true
-      else
-        let carved =
-          V.Clusterize.carve ~interface_name:"cut" ~cluster_name:"orig" inside
-            model
-        in
-        V.System.validate carved = []
-        &&
-        let reflat =
-          V.Flatten.flatten carved (V.Flatten.first_cluster carved)
-        in
-        let inputs = Spi.Model.unwritten_channels model in
-        let stimuli m =
-          List.concat_map
-            (fun cid ->
-              if
-                Option.is_some (Spi.Model.find_channel cid m)
-              then
-                List.init 2 (fun i ->
-                    { Sim.Engine.at = 1 + i; channel = cid; token = Spi.Token.plain })
-              else [])
-            (I.Channel_id.Set.elements inputs)
-        in
-        let firings m = (Sim.Engine.run ~stimuli:(stimuli m) m).Sim.Engine.firings in
-        firings model = firings reflat)
-
-let prop_refine_never_widens =
-  QCheck.Test.make ~name:"refinement never widens intervals" ~count:25
-    arb_system_params
-    (fun params ->
-      let system = gen_system params in
-      let model = V.Flatten.flatten system (V.Flatten.first_cluster system) in
-      let inputs = Spi.Model.unwritten_channels model in
-      let stimuli =
-        List.concat_map
-          (fun cid ->
-            List.init 3 (fun i ->
-                { Sim.Engine.at = 1 + (3 * i); channel = cid; token = Spi.Token.plain }))
-          (I.Channel_id.Set.elements inputs)
-      in
-      let result = Sim.Engine.run ~stimuli model in
-      let refined = Sim.Refine.refine_model result model in
-      List.for_all
-        (fun proc ->
-          let pid = Spi.Process.id proc in
-          let original = Spi.Model.get_process pid model in
-          Interval.subset
-            (Spi.Process.latency_hull (Spi.Model.get_process pid refined))
-            (Spi.Process.latency_hull original))
-        (Spi.Model.processes model))
-
 let suite =
   ( "more-properties",
     List.map
@@ -184,8 +88,5 @@ let suite =
       [
         prop_printer_idempotent;
         prop_budget_monotone;
-        prop_multi_matches_single;
         prop_pareto_contains_optimum;
-        prop_clusterize_roundtrip;
-        prop_refine_never_widens;
       ] )

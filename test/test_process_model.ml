@@ -200,27 +200,6 @@ let test_model_graph () =
       | Spi.Model.P _, Spi.Model.C _ | Spi.Model.C _, Spi.Model.P _ -> ())
     g ()
 
-let test_model_replace_process () =
-  let m =
-    Spi.Model.build_exn
-      ~processes:[ simple "p" ~consumes:[ "a" ] ~produces:[] ]
-      ~channels:[ Spi.Chan.queue (cid "a") ]
-  in
-  let p' =
-    Spi.Process.simple ~latency:(Interval.point 9)
-      ~consumes:[ (cid "a", one) ]
-      ~produces:[] (pid "p")
-  in
-  let m' = Spi.Model.replace_process p' m in
-  Alcotest.(check bool) "replaced" true
-    (Interval.equal
-       (Spi.Process.latency_hull (Spi.Model.get_process (pid "p") m'))
-       (Interval.point 9));
-  try
-    ignore (Spi.Model.replace_process (simple "ghost" ~consumes:[] ~produces:[]) m);
-    Alcotest.fail "replacing unknown process accepted"
-  with Invalid_argument _ -> ()
-
 let test_model_union () =
   let m1 =
     Spi.Model.build_exn
@@ -262,7 +241,6 @@ let suite =
       Alcotest.test_case "model ok" `Quick test_model_ok;
       Alcotest.test_case "model errors" `Quick test_model_errors;
       Alcotest.test_case "model graph" `Quick test_model_graph;
-      Alcotest.test_case "replace process" `Quick test_model_replace_process;
       Alcotest.test_case "model union" `Quick test_model_union;
       Alcotest.test_case "source processes" `Quick test_source_processes;
     ] )

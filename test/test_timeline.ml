@@ -3,7 +3,7 @@
    overlap, every flow head follows its tail, begin/end nest), fault
    instants land on the affected process's lane, t_conf spans carry the
    configuration switch, the deadline-headroom report flags violations,
-   and the explorer's per-domain buffers survive a real pool. *)
+   and the explorer lane carries every incumbent improvement. *)
 
 module T = Obs.Trace_event
 module J = Obs.Json
@@ -220,82 +220,36 @@ let test_headroom_flags_violations () =
 
 (* -------------------------- explorer lanes -------------------------- *)
 
-let test_domain_trace_pool () =
+(* The explorer records its incumbent improvements on the calling
+   domain: one lane, with one instant and one counter sample per
+   improvement, in recording order. *)
+let test_explorer_lane_incumbents () =
   Synth.Domain_trace.enable ();
-  let tasks = Array.init 8 (fun i -> i) in
-  let _ =
-    Synth.Par.map ~jobs:2
-      (fun i ->
-        Synth.Domain_trace.record_improvement ~cost:(100 - i);
-        i * i)
-      tasks
-  in
+  List.iter
+    (fun cost -> Synth.Domain_trace.record_improvement ~cost)
+    [ 90; 57; 41 ];
   let b = T.create () in
   Synth.Domain_trace.append_timeline ~pid:9 b;
   Synth.Domain_trace.disable ();
-  let task_indices = ref [] in
-  List.iter
-    (fun ev ->
-      match ev with
-      | T.Complete { cat = "task"; args; _ } -> (
-        match List.assoc_opt "task" args with
-        | Some (J.Int i) -> task_indices := i :: !task_indices
-        | _ -> Alcotest.fail "task span lacks its index")
-      | _ -> ())
-    (T.events b);
-  Alcotest.(check (list int))
-    "every task appears exactly once" (List.init 8 Fun.id)
-    (List.sort compare !task_indices);
-  let incumbents =
-    List.filter
-      (fun ev ->
-        match ev with T.Instant { name = "incumbent"; _ } -> true | _ -> false)
-      (T.events b)
+  let instants, counters =
+    List.fold_left
+      (fun (instants, counters) ev ->
+        match ev with
+        | T.Instant { name = "incumbent"; pid = 9; tid; args; _ } -> (
+          match List.assoc_opt "cost" args with
+          | Some (J.Int c) -> ((tid, c) :: instants, counters)
+          | _ -> Alcotest.fail "incumbent instant lacks its cost")
+        | T.Counter { name = "incumbent cost"; pid = 9; values; _ } ->
+          (instants, List.assoc "cost" values :: counters)
+        | _ -> (instants, counters))
+      ([], []) (T.events b)
   in
-  Alcotest.(check int) "one incumbent instant per task" 8
-    (List.length incumbents);
-  check_wellformed b
-
-(* Steal instants are recorded into the stealing domain's buffer, so on
-   the timeline each one must share its lane with the span of the very
-   task it stole — the thief runs the stolen task right after recording
-   the steal.  [Harness.force_steals] makes at least one steal certain. *)
-let test_steal_instants_on_stealing_lane () =
-  Synth.Domain_trace.enable ();
-  ignore (Harness.force_steals ~jobs:2 ~children:6 () : int);
-  let b = T.create () in
-  Synth.Domain_trace.append_timeline ~pid:8 b;
-  Synth.Domain_trace.disable ();
-  let steals = ref [] in
-  let task_lanes = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | T.Instant { name = "steal"; tid; args; _ } ->
-        let arg k =
-          match List.assoc_opt k args with
-          | Some (J.Int v) -> v
-          | _ -> Alcotest.failf "steal instant lacks %s arg" k
-        in
-        steals := (tid, arg "victim", arg "worker", arg "task") :: !steals
-      | T.Complete { cat = "task"; tid; args; _ } -> (
-        match List.assoc_opt "task" args with
-        | Some (J.Int i) -> Hashtbl.replace task_lanes i tid
-        | _ -> Alcotest.fail "task span lacks its index")
-      | _ -> ())
-    (T.events b);
-  Alcotest.(check bool) "at least one steal instant" true (!steals <> []);
-  List.iter
-    (fun (tid, victim, worker, task) ->
-      Alcotest.(check bool) "thief and victim differ" true (victim <> worker);
-      match Hashtbl.find_opt task_lanes task with
-      | None -> Alcotest.failf "stolen task %d has no span" task
-      | Some lane ->
-        Alcotest.(check int)
-          (Printf.sprintf "steal of task %d is on the stealing domain's lane"
-             task)
-          lane tid)
-    !steals
+  Alcotest.(check (list int)) "one instant per improvement" [ 90; 57; 41 ]
+    (List.rev_map snd instants);
+  Alcotest.(check (list (float 0.))) "one counter sample per improvement"
+    [ 90.; 57.; 41. ] (List.rev counters);
+  Alcotest.(check int) "one lane" 1
+    (List.length (List.sort_uniq compare (List.map fst instants)))
 
 let test_domain_trace_drops () =
   Synth.Domain_trace.enable ~capacity:4 ();
@@ -338,10 +292,8 @@ let suite =
         test_tconf_span_args;
       Alcotest.test_case "deadline headroom flags violations" `Quick
         test_headroom_flags_violations;
-      Alcotest.test_case "domain pool traces every task once" `Quick
-        test_domain_trace_pool;
-      Alcotest.test_case "steal instants land on the stealing lane" `Quick
-        test_steal_instants_on_stealing_lane;
+      Alcotest.test_case "explorer lane carries every incumbent" `Quick
+        test_explorer_lane_incumbents;
       Alcotest.test_case "per-domain buffers count overflow" `Quick
         test_domain_trace_drops;
       Alcotest.test_case "span ring capacity is configurable" `Quick
