@@ -245,16 +245,16 @@ let check_file ?tolerance path =
     let ic = open_in_bin path in
     let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    match records_of_string contents with
+    match Result.map List.rev (records_of_string contents) with
     | Error e -> Error [ Format.sprintf "%s: %s" path e ]
     | Ok [] -> Error [ Format.sprintf "%s holds no records" path ]
-    | Ok records ->
-      let rec last_two = function
-        | [ fresh ] -> (None, fresh)
-        | [ base; fresh ] -> (Some base, fresh)
-        | _ :: rest -> last_two rest
-        | [] -> assert false
+    | Ok (fresh :: earlier) ->
+      (* a --tiny CI record is gated against the last tiny record, not
+         against the full-size record committed right before it *)
+      let baseline =
+        match List.find_opt (same_workload_set fresh) earlier with
+        | Some _ as like -> like
+        | None -> List.nth_opt earlier 0
       in
-      let baseline, fresh = last_two records in
       check ?tolerance ~baseline ~fresh ()
   end

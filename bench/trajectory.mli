@@ -2,9 +2,10 @@
     trajectory (the JSON array that [bench/main.exe explore-json]
     appends to, see docs/BENCH.md).
 
-    The gate compares the freshest record against the one before it:
-    a CI run first appends a record for the current tree, then calls
-    {!check_file}, so the baseline is the last committed record. *)
+    The gate compares the freshest record against the last earlier
+    record over the same workload set: a CI run first appends a record
+    for the current tree, then calls {!check_file}, so the baseline is
+    the last committed record of the same shape. *)
 
 type run = { jobs : int; wall_s : float; cost : int option }
 
@@ -61,4 +62,7 @@ val check :
 
 val check_file : ?tolerance:float -> string -> (string, string list) result
 (** Load a trajectory file and run {!check} with the last record as
-    fresh and the previous one (if any) as baseline. *)
+    fresh.  The baseline is the last earlier record with the same
+    workload set; when there is none, the record right before the fresh
+    one (if any), so the cost arm still compares shared workloads by
+    name. *)

@@ -1795,13 +1795,8 @@ let top_cmd =
        (match as_int [ "windows" ] series with
        | Some w -> string_of_int w
        | None -> "0"));
-    (let tasks =
-       as_float [ "counters"; "par.tasks"; "last_per_s" ] series
-     and steals =
-       as_float [ "counters"; "par.steals"; "last_per_s" ] series
-     in
-     line "pool          tasks/s %-6s steals/s %s" (fmt_rate tasks)
-       (fmt_rate steals));
+    line "pool          tasks/s %s"
+      (fmt_rate (as_float [ "counters"; "par.tasks"; "last_per_s" ] series));
     Buffer.contents b
   in
   let run socket interval_ms frames raw =

@@ -112,7 +112,6 @@ let () =
   V.System.validate_exn system;
   Format.printf "=== Engine controller with regional variants ===@.";
   Format.printf "%a@." V.System.pp system;
-  Format.printf "%a@." V.Commonality.pp (V.Commonality.analyze system);
 
   (* related variant sets: emission and diagnostics pick the same region *)
   let linkage =

@@ -108,7 +108,6 @@ let () =
   Format.printf
     "=== A multi-standard TV receiver (hierarchical variants) ===@.";
   Format.printf "%a@." V.System.pp tv_system;
-  Format.printf "%a@." V.Commonality.pp (V.Commonality.analyze tv_system);
 
   (* top-level choices multiply with nested ones: pal{stereo,mono} + ntsc *)
   let derive name choices =

@@ -2,7 +2,7 @@
 
     A handler owns the exploration store, the idempotency cache and the
     default limits; {!handle} turns one admitted request into one
-    response.  Batch sub-requests run on the work-stealing pool
+    response.  Batch sub-requests run on a domain pool
     ({!Synth.Par.map}) with one domain each; store writes are collected
     as deferred commits and applied on the calling domain afterwards, so
     the journal and the caches stay single-writer. *)

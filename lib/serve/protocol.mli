@@ -32,7 +32,7 @@ type op =
           (default [false] on the wire) is accepted and ignored: every
           response reports [compiled = true] *)
   | Batch of request list
-      (** sub-requests run on the work-stealing pool; nesting depth 1 *)
+      (** sub-requests run on a domain pool; nesting depth 1 *)
 
 and request = {
   id : string option;

@@ -580,12 +580,7 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
           leaves = a.leaves @ b.leaves;
         })
       ~f:(fun pool stats task ->
-        let local = Stack.create () in
-        let offer t = if not (Synth.Par.push pool t) then Stack.push t local in
-        exec stats offer task;
-        while not (Stack.is_empty local) do
-          exec stats offer (Stack.pop local)
-        done;
+        exec stats (Synth.Par.push pool) task;
         stats)
       [| { sub = root; start = Sweep } |]
   in

@@ -90,10 +90,10 @@ val run :
     splitting never forks more sub-families than full splitting, and the
     per-configuration results are identical under both policies.
 
-    [jobs] (default 1) runs sub-families as steal-able tasks on the
-    {!Synth.Par} work-stealing domain pool: each split offers the new
-    sub-families to idle domains.  Results are identical for every job
-    count.
+    [jobs] (default 1) runs sub-families as tasks on a {!Synth.Par}
+    domain pool: each split pushes the new sub-families onto the pool's
+    stack, where idle domains claim them.  Results are identical for
+    every job count.
 
     Registers [sim.family.*] metrics: [runs], [configs], [splits],
     [subfamilies], [shared_firings], [compiles] (plans built), the

@@ -16,10 +16,12 @@ type point = {
 val frontier : ?jobs:int -> ?capacity:int -> Tech.t -> App.t list -> point list
 (** Pareto-optimal feasible bindings, sorted by increasing cost (and
     hence decreasing load).  Dominated and duplicate-valued points are
-    removed.  Empty when no feasible binding exists.  [jobs] follows
-    the {!Explore.solve} convention (1 sequential, [n > 1] domains, 0
-    auto): the enumeration splits into independent subtree tasks; the
-    objective vectors returned are identical for every job count. *)
+    removed.  Empty when no feasible binding exists.  [jobs] (default
+    1) sizes the {!Par.map} the independent subtree tasks run on: 1
+    runs them on the calling domain, [n > 1] on [n] domains, 0 on
+    {!Par.available_jobs}.  The objective vectors returned are
+    identical for every job count.
+    @raise Invalid_argument when [jobs < 0]. *)
 
 val dominates : point -> point -> bool
 (** [dominates a b] when [a] is no worse on both axes and better on at

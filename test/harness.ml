@@ -76,30 +76,38 @@ let default_jobs = [ 2; 4; 8 ]
 
 let sweep_jobs ?(jobs = default_jobs) f = List.for_all f jobs
 
-(* Pool workload that forces at least one steal, deterministically: the
-   single seed task pushes [children] subtasks onto its own deque and
-   then refuses to return until one of them has run.  The owner is stuck
-   inside the seed and the seed cursor is exhausted, so the only way a
-   child can run is a steal by another (hungry) worker.  Returns the
-   number of tasks that ran ([children + 1]). *)
+(* Pool workload that forces work onto a second domain,
+   deterministically: the single seed task pushes [children] subtasks
+   and then refuses to return until one of them has run.  The seed's
+   domain is stuck inside the seed, so that child runs on another
+   domain.  Returns the number of tasks that ran ([children + 1]) and
+   the number of children that ran on a domain other than the seed's.
+   Needs [jobs >= 2]. *)
 let force_steals ~jobs ~children () =
-  let children_run = Atomic.make 0 in
-  Synth.Par.fold ~jobs
-    ~init:(fun () -> 0)
-    ~merge:( + )
-    ~f:(fun ctx acc -> function
-      | `Seed ->
-        for _ = 1 to children do
-          ignore (Synth.Par.push ctx `Child : bool)
-        done;
-        while Atomic.get children_run = 0 do
-          Domain.cpu_relax ()
-        done;
-        acc + 1
-      | `Child ->
-        Atomic.incr children_run;
-        acc + 1)
-    [| `Seed |]
+  let children_run = Atomic.make 0 and moved = Atomic.make 0 in
+  let seed_domain = Atomic.make (-1) in
+  let tasks =
+    Synth.Par.fold ~jobs
+      ~init:(fun () -> 0)
+      ~merge:( + )
+      ~f:(fun ctx acc -> function
+        | `Seed ->
+          Atomic.set seed_domain (Domain.self () :> int);
+          for _ = 1 to children do
+            Synth.Par.push ctx `Child
+          done;
+          while Atomic.get children_run = 0 do
+            Domain.cpu_relax ()
+          done;
+          acc + 1
+        | `Child ->
+          if (Domain.self () :> int) <> Atomic.get seed_domain then
+            Atomic.incr moved;
+          Atomic.incr children_run;
+          acc + 1)
+      [| `Seed |]
+  in
+  (tasks, Atomic.get moved)
 
 (* ------------------- simulation workloads (Compile) ------------------ *)
 

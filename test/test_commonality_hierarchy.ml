@@ -1,4 +1,4 @@
-(* Tests for commonality analysis and hierarchical (nested) variants. *)
+(* Tests for hierarchical (nested) variants. *)
 
 module I = Spi.Ids
 module V = Variants
@@ -6,45 +6,6 @@ module V = Variants
 let pid = I.Process_id.of_string
 let cid = I.Channel_id.of_string
 let one = Interval.point 1
-
-let pset names = I.Process_id.Set.of_list (List.map pid names)
-
-(* --------------------------- commonality ---------------------------- *)
-
-let test_commonality_sets () =
-  let r =
-    V.Commonality.of_process_sets
-      [ pset [ "a"; "b"; "x" ]; pset [ "a"; "b"; "y" ]; pset [ "a"; "y"; "z" ] ]
-  in
-  Alcotest.(check int) "apps" 3 r.V.Commonality.applications;
-  Alcotest.(check int) "shared" 1 (I.Process_id.Set.cardinal r.V.Commonality.shared);
-  Alcotest.(check bool) "a shared" true
-    (I.Process_id.Set.mem (pid "a") r.V.Commonality.shared);
-  Alcotest.(check int) "partial" 2
-    (I.Process_id.Set.cardinal r.V.Commonality.partially_shared);
-  Alcotest.(check int) "specific" 2
-    (I.Process_id.Set.cardinal r.V.Commonality.variant_specific);
-  (* 9 considered vs 5 distinct *)
-  Alcotest.(check int) "duplicated decisions" 4 r.V.Commonality.duplicated_decisions
-
-let test_commonality_identical_apps () =
-  let r = V.Commonality.of_process_sets [ pset [ "a"; "b" ]; pset [ "a"; "b" ] ] in
-  Alcotest.(check bool) "full overlap" true (r.V.Commonality.overlap_fraction = 1.0)
-
-let test_commonality_figure2 () =
-  let r = V.Commonality.analyze Paper.Figure2.system in
-  Alcotest.(check int) "apps" 2 r.V.Commonality.applications;
-  (* PA, PB shared; 2 + 3 cluster processes variant-specific *)
-  Alcotest.(check int) "shared" 2 (I.Process_id.Set.cardinal r.V.Commonality.shared);
-  Alcotest.(check int) "specific" 5
-    (I.Process_id.Set.cardinal r.V.Commonality.variant_specific);
-  Alcotest.(check int) "duplicated" 2 r.V.Commonality.duplicated_decisions
-
-let test_commonality_empty () =
-  try
-    ignore (V.Commonality.of_process_sets []);
-    Alcotest.fail "empty accepted"
-  with Invalid_argument _ -> ()
 
 (* ---------------------------- hierarchy ----------------------------- *)
 
@@ -162,14 +123,6 @@ let test_nested_dataflow () =
   Alcotest.(check bool) "quiescent" true
     (result.Sim.Engine.outcome = Sim.Engine.Quiescent)
 
-let test_nested_commonality () =
-  let r = V.Commonality.analyze nested_system in
-  Alcotest.(check int) "apps" 4 r.V.Commonality.applications;
-  (* head and tail are everywhere; pre/post shared by the three deep apps *)
-  Alcotest.(check int) "shared" 2 (I.Process_id.Set.cardinal r.V.Commonality.shared);
-  Alcotest.(check int) "partial (pre, post)" 2
-    (I.Process_id.Set.cardinal r.V.Commonality.partially_shared)
-
 let test_nested_unwired_subsite_rejected () =
   let bad_inner =
     V.Cluster.make
@@ -187,16 +140,10 @@ let test_nested_unwired_subsite_rejected () =
 let suite =
   ( "commonality-hierarchy",
     [
-      Alcotest.test_case "commonality sets" `Quick test_commonality_sets;
-      Alcotest.test_case "commonality identical apps" `Quick
-        test_commonality_identical_apps;
-      Alcotest.test_case "commonality figure2" `Quick test_commonality_figure2;
-      Alcotest.test_case "commonality empty" `Quick test_commonality_empty;
       Alcotest.test_case "nested validates" `Quick test_nested_validates;
       Alcotest.test_case "nested applications" `Quick test_nested_applications;
       Alcotest.test_case "nested flatten names" `Quick test_nested_flatten_names;
       Alcotest.test_case "nested dataflow" `Quick test_nested_dataflow;
-      Alcotest.test_case "nested commonality" `Quick test_nested_commonality;
       Alcotest.test_case "nested unwired sub-site rejected" `Quick
         test_nested_unwired_subsite_rejected;
     ] )

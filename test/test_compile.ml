@@ -175,8 +175,8 @@ let prop_limits_and_budgets =
       in
       differential ~limits ~stimuli ~firing_budget model)
 
-(* The faultsim campaign shape: many seeds fanned over the work-stealing
-   pool, each compiled run compared against an interpreted reference —
+(* The faultsim campaign shape: many seeds fanned over the domain pool,
+   each compiled run compared against an interpreted reference —
    and the whole campaign must be job-count invariant. *)
 let prop_jobs_sweep =
   QCheck.Test.make ~name:"compiled campaign is job-count invariant" ~count:4

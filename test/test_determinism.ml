@@ -139,7 +139,7 @@ let prop_policy_monotone_makespan =
       and w = span Sim.Engine.Worst_case in
       b <= t && t <= w)
 
-(* Fault-campaign determinism across the work-stealing pool: the
+(* Fault-campaign determinism across the domain pool: the
    faultsim CLI fans independent seeds out with {!Synth.Par.map} and
    prints in seed order afterwards, so the per-seed report lines must be
    byte-identical for every job count.  This reproduces the CLI's

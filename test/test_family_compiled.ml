@@ -216,7 +216,7 @@ let prop_narrow_never_worse =
       && narrow.Sim.Family.subfamilies <= full.Sim.Family.subfamilies
       && fingerprint narrow = fingerprint full)
 
-(* Sub-families are steal-able tasks, and one plan serves every run. *)
+(* Sub-families are pool tasks, and one plan serves every run. *)
 let prop_jobs_invariant =
   QCheck.Test.make ~name:"compiled family run is job-count invariant" ~count:5
     QCheck.(int_range 0 999)

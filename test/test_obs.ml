@@ -197,35 +197,24 @@ let test_with_span () =
   Alcotest.(check int) "duration observed in the same-name histogram" 1
     (Obs.Metric.count h)
 
-(* ------------------------- steal counters --------------------------- *)
+(* -------------------------- task counter ---------------------------- *)
 
-(* The aggregate [par.steals] and the per-worker [par.steals.w<i>]
-   counters are bumped pairwise on every successful steal, so across any
-   quiesced workload their deltas must agree exactly — a lost increment
-   on either side breaks the equality.  [Harness.force_steals]
-   guarantees the workload actually steals. *)
-let test_steal_counter_conservation () =
-  let total = Obs.Registry.counter "par.steals" in
-  let per_worker =
-    List.init 16 (fun i ->
-        Obs.Registry.counter (Printf.sprintf "par.steals.w%d" i))
-  in
-  let before_total = Obs.Metric.value total in
-  let before = List.map Obs.Metric.value per_worker in
+(* [par.tasks] counts every task a pool runs: the seeds when a pool
+   starts and every push, so across quiesced workloads its delta is
+   exactly seeds + pushes — a lost or doubled increment breaks the
+   equality.  Each [Harness.force_steals] run has 1 seed and 16
+   pushes. *)
+let test_task_counter_conservation () =
+  let tasks = Obs.Registry.counter "par.tasks" in
+  let before = Obs.Metric.value tasks in
   for _ = 1 to 5 do
-    ignore (Harness.force_steals ~jobs:4 ~children:16 () : int)
+    ignore (Harness.force_steals ~jobs:4 ~children:16 () : int * int)
   done;
-  let d_total = Obs.Metric.value total - before_total in
-  let d_workers =
-    List.fold_left2
-      (fun acc c b -> acc + Obs.Metric.value c - b)
-      0 per_worker before
-  in
-  Alcotest.(check bool) "stealing happened" true (d_total >= 5);
-  Alcotest.(check int) "no lost steal increments" d_total d_workers
+  Alcotest.(check int) "par.tasks = seeds + pushes" (5 * (1 + 16))
+    (Obs.Metric.value tasks - before)
 
-let test_steals_in_snapshot () =
-  ignore (Harness.force_steals ~jobs:2 ~children:8 () : int);
+let test_tasks_in_snapshot () =
+  ignore (Harness.force_steals ~jobs:2 ~children:8 () : int * int);
   let snap = Obs.Registry.snapshot () in
   match J.parse (J.to_string snap) with
   | Error e -> Alcotest.failf "snapshot does not re-parse: %s" e
@@ -236,11 +225,9 @@ let test_steals_in_snapshot () =
         J.to_int
     in
     Alcotest.(check (option int))
-      "par.steals round-trips through obs/v1"
-      (Some (Obs.Metric.value (Obs.Registry.counter "par.steals")))
-      (counter "par.steals");
-    Alcotest.(check bool) "per-worker steal counter is in the snapshot" true
-      (counter "par.steals.w0" <> None || counter "par.steals.w1" <> None)
+      "par.tasks round-trips through obs/v1"
+      (Some (Obs.Metric.value (Obs.Registry.counter "par.tasks")))
+      (counter "par.tasks")
 
 (* Snapshot files are replaced atomically: the temp file never lingers
    and a concurrent reader sees either the old or the new contents. *)
@@ -787,10 +774,10 @@ let suite =
         test_registry_identity;
       Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
       Alcotest.test_case "with_span" `Quick test_with_span;
-      Alcotest.test_case "steal counter conservation" `Quick
-        test_steal_counter_conservation;
-      Alcotest.test_case "par.steals in the snapshot" `Quick
-        test_steals_in_snapshot;
+      Alcotest.test_case "task counter conservation" `Quick
+        test_task_counter_conservation;
+      Alcotest.test_case "par.tasks in the snapshot" `Quick
+        test_tasks_in_snapshot;
       Alcotest.test_case "atomic snapshot replacement" `Quick
         test_atomic_file_write;
       Alcotest.test_case "span capacity guard" `Quick test_span_capacity_guard;

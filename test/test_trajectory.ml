@@ -230,6 +230,45 @@ let test_next_record_gated_against_rebaseline () =
   expect_failure "regressed" "aggregate speedup regressed"
     (check ~baseline:rebaseline ~fresh:(record ~speedup:1.0 ()) ())
 
+(* bench-explore/v1 text: one jobs=1 run per named workload, each with
+   the given sim speedup. *)
+let record_json ~names ~sim =
+  let workload name =
+    Printf.sprintf
+      {|{"name":"%s","runs":[{"jobs":1,"wall_s":0.1,"cost":41}],"speedup_max_jobs":1.0,"sim":{"speedup":%g}}|}
+      name sim
+  in
+  Printf.sprintf
+    {|{"schema":"bench-explore/v1","max_jobs":1,"workloads":[%s],"aggregate":{"speedup_max_jobs":1.0}}|}
+    (String.concat "," (List.map workload names))
+
+(* In a full, tiny, full, tiny trajectory the last (tiny) record is
+   gated against the first tiny one, not against the full record right
+   before it, so its sim arm is gated. *)
+let test_file_gates_like_records () =
+  let full = [ "table1"; "figure2-gen-large" ]
+  and tiny = [ "table1"; "figure2-gen-tiny" ] in
+  let gate last_sim =
+    let path = Filename.temp_file "trajectory" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc
+              ("["
+              ^ String.concat ","
+                  [
+                    record_json ~names:full ~sim:4.0;
+                    record_json ~names:tiny ~sim:4.0;
+                    record_json ~names:full ~sim:4.0;
+                    record_json ~names:tiny ~sim:last_sim;
+                  ]
+              ^ "]"));
+        T.check_file ~tolerance:0.3 path)
+  in
+  expect_ok "tiny record inside the budget" (gate 3.5);
+  expect_failure "tiny record below the floor" "sim speedup regressed" (gate 1.0)
+
 let sample_json =
   {|[
   {
@@ -355,6 +394,8 @@ let suite =
         test_rebaseline_keeps_other_arms;
       Alcotest.test_case "costs compare by workload name" `Quick
         test_cost_change_across_workload_sets;
+      Alcotest.test_case "a file's last record meets a like baseline" `Quick
+        test_file_gates_like_records;
       Alcotest.test_case "the next record is gated against a re-baseline"
         `Quick test_next_record_gated_against_rebaseline;
     ] )
