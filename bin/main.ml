@@ -1328,17 +1328,15 @@ let schedule_cmd =
     Term.(const run $ const ())
 
 let pareto_cmd =
-  let run jobs metrics_path =
-    let points =
-      Synth.Pareto.frontier ~jobs F2.table1_tech [ F2.app1; F2.app2 ]
-    in
+  let run metrics_path =
+    let points, _ = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
     Format.printf "cost/load Pareto frontier (%d points):@." (List.length points);
     List.iter (fun p -> Format.printf "  %a@." Synth.Pareto.pp_point p) points;
     write_metrics metrics_path
   in
   Cmd.v
     (Cmd.info "pareto" ~doc:"Cost/load frontier for the Table 1 example")
-    Term.(const run $ jobs_arg $ metrics_arg)
+    Term.(const run $ metrics_arg)
 
 let report_cmd =
   let run () =

@@ -209,19 +209,20 @@ let synthesize t ~deadline_ns ~id ~model ~tech ~capacity =
       in
       (response, commits))
 
-let pareto ~jobs ~id ~model ~tech ~capacity =
+let pareto ~deadline_ns ~id ~model ~tech ~capacity =
   match (load_system ?id model, load_tech ?id tech) with
   | Error e, _ | _, Error e -> (e, [])
   | Ok system, Ok _ when too_large system -> (refuse_too_large ?id "pareto", [])
   | Ok system, Ok tech -> (
     let apps = Synth.App.of_system system in
-    match Synth.Pareto.frontier ~jobs ?capacity tech apps with
+    match Synth.Pareto.frontier ?capacity ?deadline_ns tech apps with
     | exception Not_found ->
       (P.error ?id "technology library misses an application process", [])
-    | points ->
+    | points, degraded ->
       ( P.ok ?id
           [
             ("op", J.String "pareto");
+            ("degraded", J.Bool degraded);
             ( "points",
               J.List
                 (List.map
@@ -389,7 +390,7 @@ let rec run_op t ~admitted_ns ~queue_depth ~jobs (r : P.request) =
   | P.Synthesize { model; tech; capacity } ->
     synthesize t ~deadline_ns ~id ~model ~tech ~capacity
   | P.Pareto { model; tech; capacity } ->
-    pareto ~jobs ~id ~model ~tech ~capacity
+    pareto ~deadline_ns ~id ~model ~tech ~capacity
   | P.Simulate { model; until; compiled = _; family } ->
     simulate t ~deadline_ns ~id ~jobs ~model ~until ~family
   | P.Batch items ->

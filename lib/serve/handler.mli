@@ -32,7 +32,8 @@ val handle : t -> admitted_ns:int -> queue_depth:int -> Protocol.request ->
   Obs.Json.t
 (** Executes the request; deadlines are absolute from [admitted_ns], so
     time spent queued counts against the budget.  A synthesize past its
-    deadline answers a degraded incumbent; a simulate past its deadline
+    deadline answers a degraded incumbent, and a pareto the frontier
+    walked so far, marked degraded; a simulate past its deadline
     answers {!Protocol.deadline_exceeded}.  Never raises: every failure
     becomes a [status = "error"] response.
 

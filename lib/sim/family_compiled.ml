@@ -187,10 +187,8 @@ type stats = {
    leaves in member order. *)
 let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
     ?(limits = Engine.default_limits) ?(overflow = Spi.Semantics.Reject)
-    ?(stimuli = []) ?(firing_budget = []) ?faults ?(jobs = 1)
-    ?(split = `Narrow) plan =
+    ?(stimuli = []) ?(firing_budget = []) ?faults ?(jobs = 1) plan =
   let start_ns = Obs.Clock.now_ns () in
-  let narrow = split = `Narrow in
   (match faults with
   | Some p when p.Fault.degrade <> None ->
     invalid_arg
@@ -538,7 +536,7 @@ let featured ~record ~leaf ?deadline_ns ?(policy = Engine.Typical)
       else Family.cold_site_of c.cold (I.Channel_id.to_string cid)
     in
     match cold_target with
-    | Some site when narrow && narrowable c site cid ->
+    | Some site when narrowable c site cid ->
       c.warm <- I.Channel_id.Set.add cid c.warm;
       (* probes folded [cid] to a constant while it was cold-owned *)
       c.hotspots <- None;
@@ -612,8 +610,7 @@ let per_config plan cells f =
         (* unreachable: the leaves partition the full space *)
         invalid_arg "Family_compiled.run: configuration left unfinished")
 
-let run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults ?jobs ?split
-    plan =
+let run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults ?jobs plan =
   let results = Array.make plan.p_n None in
   (* Every member gets the result its own per-configuration run would
      produce — shared trace, plus a final state set on the member's
@@ -664,7 +661,7 @@ let run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults ?jobs ?split
   in
   let totals, leaves =
     featured ~record:true ~leaf ?policy ?limits ?overflow ?stimuli
-      ?firing_budget ?faults ?jobs ?split plan
+      ?firing_budget ?faults ?jobs plan
   in
   {
     Family.runs =
@@ -678,7 +675,7 @@ let run ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults ?jobs ?split
   }
 
 let summarize ?deadline_ns ?policy ?limits ?overflow ?stimuli ?firing_budget
-    ?faults ?jobs ?split plan =
+    ?faults ?jobs plan =
   let cells = Array.make plan.p_n None in
   let leaf members r _ outcome =
     P.iter
@@ -691,7 +688,7 @@ let summarize ?deadline_ns ?policy ?limits ?overflow ?stimuli ?firing_budget
   in
   let totals, leaves =
     featured ~record:false ~leaf ?deadline_ns ?policy ?limits ?overflow
-      ?stimuli ?firing_budget ?faults ?jobs ?split plan
+      ?stimuli ?firing_budget ?faults ?jobs plan
   in
   ({
      configs =

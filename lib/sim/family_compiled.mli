@@ -28,7 +28,7 @@
     contents, outcome, firing counts and the fault-plan RNG stream
     included.  The three-way differential harness in
     [test/test_family_compiled.ml] enforces this across generated
-    systems, fault plans, seeds, job counts and split policies;
+    systems, fault plans, seeds and job counts;
     docs/FAMILY.md states the proof obligation.
 
     Restrictions (checked, [Invalid_argument]):
@@ -72,7 +72,6 @@ val run :
   ?firing_budget:(Spi.Ids.Process_id.t * int) list ->
   ?faults:Fault.plan ->
   ?jobs:int ->
-  ?split:[ `Narrow | `Full ] ->
   plan ->
   Family.report
 (** Simulates every configuration of the plan's variant space in one
@@ -80,15 +79,13 @@ val run :
     semantics and apply uniformly to every configuration; stimuli may
     target shared (unprefixed) channels or a site's internals.
 
-    [split] picks the policy for a stimulus aimed inside a still-cold
-    site.  [`Full] forces the site's sub-families apart at injection
-    time.  [`Narrow] (the default) first checks whether every member
-    declares the target channel identically (kind, capacity, initial
-    tokens): if so the channel is marked {e warm} and the write is
-    carried live by the whole sub-family — the split happens later, and
-    only if one of the site's variants actually activates.  Narrow
-    splitting never forks more sub-families than full splitting, and the
-    per-configuration results are identical under both policies.
+    A stimulus aimed inside a still-cold site first checks whether
+    every member declares the target channel identically (kind,
+    capacity, initial tokens).  If so the channel is marked {e warm}
+    and the write is carried live by the whole sub-family: the split
+    happens later, and only if one of the site's variants actually
+    activates.  Otherwise the site's sub-families split apart at
+    injection time.
 
     [jobs] (default 1) runs sub-families as tasks on a {!Synth.Par}
     domain pool: each split pushes the new sub-families onto the pool's
@@ -139,7 +136,6 @@ val summarize :
   ?firing_budget:(Spi.Ids.Process_id.t * int) list ->
   ?faults:Fault.plan ->
   ?jobs:int ->
-  ?split:[ `Narrow | `Full ] ->
   plan ->
   summary
 (** {!run}'s featured pass with recording off ({!Crt.start}'s

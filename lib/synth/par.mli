@@ -2,9 +2,9 @@
 
     Its users are the family simulation's split-off sub-families
     ({!fold} with {!push}), the daemon's batch items, the fault
-    campaign's seeds and the Pareto enumeration's subtrees ({!map}).
-    The synthesis branch and bound ({!Explore}) runs on the calling
-    domain and does not use it.
+    campaign's seeds ({!map}).
+    The synthesis branch and bound ({!Explore}) and the Pareto walk
+    over it ({!Pareto}) run on the calling domain and do not use it.
 
     The pool is one task stack shared by every worker under one lock.
     The seeds start on it in order; a {!push}ed child goes on top, so

@@ -25,7 +25,7 @@ let build ?capacity ?(models = []) ?(constraints = []) tech apps =
   in
   let frontier =
     if Binding.cardinal Binding.empty = 0 && List.length apps <= 4 then
-      Pareto.frontier ?capacity tech apps
+      fst (Pareto.frontier ?capacity tech apps)
     else []
   in
   let applications =

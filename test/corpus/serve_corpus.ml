@@ -28,6 +28,9 @@ let simulate ?deadline_ms ?jobs ~family model =
   request ?deadline_ms ?jobs
     (P.Simulate { model; until = None; compiled = false; family })
 
+let pareto ?deadline_ms ?jobs ?capacity ~tech model =
+  request ?deadline_ms ?jobs (P.Pareto { model; tech; capacity })
+
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 (* A generated pipeline: 8 shared processes, then [sites] sites of
@@ -42,6 +45,22 @@ let generated ~sites ~variants =
       cluster_processes = 3;
       latency_range = (1, 10);
     }
+
+(* A technology over every process of [system], weighted by
+   [Generator.process_weight]: software load 5 + w/4, hardware area
+   10 + w, processor 15. *)
+let weighted_tech system =
+  let pids =
+    Spi.Ids.Process_id.Set.elements
+      (Synth.App.union_procs (Synth.App.of_system system))
+  in
+  Synth.Tech.make ~processor_cost:15
+    (List.map
+       (fun pid ->
+         let w = V.Generator.process_weight pid in
+         (pid, Synth.Tech.both ~load:(5 + (w / 4)) ~area:(10 + w)))
+       pids)
+  |> Lang.Tech_file.to_string ~name:"weighted"
 
 (* [tokens] initial tokens on the first input of the site [pick]
    chooses from the sites in series. *)
@@ -101,6 +120,12 @@ let rows dir =
       ]
   in
   let synthesize = request (P.Synthesize { model = codec; tech; capacity = None }) in
+  (* 26 processes, 8 applications *)
+  let gen3x2 = generated ~sites:3 ~variants:2 in
+  let pareto_gen jobs =
+    pareto ~jobs ~capacity:100 ~tech:(weighted_tech gen3x2)
+      (Lang.Printer.to_string gen3x2)
+  in
   simulate_rows
   @ [
       row "batch"
@@ -109,9 +134,13 @@ let rows dir =
               [
                 simulate ~family:true gen;
                 simulate ~family:false (model "figure3");
-                request (P.Pareto { model = codec; tech; capacity = None });
+                pareto ~tech codec;
               ]));
-      row "pareto codec" (request (P.Pareto { model = codec; tech; capacity = None }));
+      row "pareto codec" (pareto ~tech codec);
+      row "pareto deadline passed" (pareto ~deadline_ms:0 ~tech codec);
+      row "pareto gen-3x2 jobs 1" (pareto_gen 1);
+      row ~same_as:"pareto gen-3x2 jobs 1" "pareto gen-3x2 jobs 2"
+        (pareto_gen 2);
       row "synthesize codec cold" synthesize;
       row "synthesize codec warm" synthesize;
       (* 2^13 configurations, past the handler's cap *)

@@ -1,7 +1,7 @@
 (* Shared workload builders for the synthesis test-suite: seeded random
-   instances for every explorer entry point, plus a job-count sweep
-   helper.  Every builder is deterministic in [seed] so failures
-   reported by qcheck shrink to a reproducible instance. *)
+   instances for every explorer entry point, plus the exhaustive Pareto
+   enumeration as an oracle.  Every builder is deterministic in [seed]
+   so failures reported by qcheck shrink to a reproducible instance. *)
 
 module I = Spi.Ids
 
@@ -68,13 +68,68 @@ let random_mixed_instance ~n ~seed =
   in
   (tech, apps)
 
-(* Job-count sweeps.  [sweep_jobs] runs [f jobs] for each count and
-   conjoins the results — for use inside qcheck properties.  The
-   default sweep covers oversubscription (8) beyond the physical core
-   count of small CI machines. *)
-let default_jobs = [ 2; 4; 8 ]
+(* Random instance whose loads, areas and processor cost lie in 1..3,
+   so many bindings tie on cost, on load or on both. *)
+let random_tie_instance ~n ~seed =
+  let rng = seeded seed in
+  let pids = List.init n (fun i -> pid (Format.sprintf "t%d" i)) in
+  let small () = 1 + Random.State.int rng 3 in
+  let tech =
+    Synth.Tech.make ~processor_cost:(small ())
+      (List.map
+         (fun p -> (p, Synth.Tech.both ~load:(small ()) ~area:(small ())))
+         pids)
+  in
+  let subset () = List.filter (fun _ -> Random.State.bool rng) pids in
+  let apps =
+    List.init (small ()) (fun i ->
+        Synth.App.make
+          (Format.sprintf "a%d" i)
+          (match subset () with [] -> [ List.hd pids ] | s -> s))
+  in
+  (tech, apps)
 
-let sweep_jobs ?(jobs = default_jobs) f = List.for_all f jobs
+(* The Pareto oracle: the (cost, worst load) vector of every feasible
+   leaf of the binding tree, with dominated vectors dropped and equal
+   ones merged, sorted by cost.  A software placement that overloads
+   one of its applications cuts its subtree, as in the explorer. *)
+let pareto_oracle ?(capacity = Synth.Schedule.default_capacity) tech apps =
+  let procs =
+    Array.of_list (I.Process_id.Set.elements (Synth.App.union_procs apps))
+  in
+  let apps = Array.of_list apps in
+  let members p =
+    List.filter
+      (fun i -> I.Process_id.Set.mem p apps.(i).Synth.App.procs)
+      (List.init (Array.length apps) Fun.id)
+  in
+  let loads = Array.make (Array.length apps) 0 in
+  let leaves = ref [] in
+  let rec go i area any_sw =
+    if i = Array.length procs then
+      leaves :=
+        ( (area + if any_sw then Synth.Tech.processor_cost tech else 0),
+          Array.fold_left max 0 loads )
+        :: !leaves
+    else begin
+      let o = Synth.Tech.options_of tech procs.(i) and ms = members procs.(i) in
+      (match o.Synth.Tech.sw with
+      | Some { Synth.Tech.load } ->
+        List.iter (fun a -> loads.(a) <- loads.(a) + load) ms;
+        if List.for_all (fun a -> loads.(a) <= capacity) ms then
+          go (i + 1) area true;
+        List.iter (fun a -> loads.(a) <- loads.(a) - load) ms
+      | None -> ());
+      match o.Synth.Tech.hw with
+      | Some { Synth.Tech.area = a } -> go (i + 1) (area + a) any_sw
+      | None -> ()
+    end
+  in
+  go 0 0 false;
+  let dominates (c, l) (c', l') = c <= c' && l <= l' && (c < c' || l < l') in
+  let all = !leaves in
+  List.filter (fun p -> not (List.exists (fun q -> dominates q p) all)) all
+  |> List.sort_uniq compare
 
 (* Pool workload that forces work onto a second domain,
    deterministically: the single seed task pushes [children] subtasks
@@ -247,8 +302,8 @@ let family_fault_plan ~seed system =
    stimuli can target site internals that every configuration declares.
    On odd seeds the second inner variant declares [w] with an initial
    token: the declarations disagree across the space, so the family
-   engines' narrow-split test must reject the injection and fall back
-   to a full split.  Deterministic in [seed]. *)
+   engine's narrowing test must reject the injection and split the
+   site at once.  Deterministic in [seed]. *)
 let nested_family_system ~seed =
   let rng = seeded seed in
   let chan = I.Channel_id.of_string in

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Serve daemon smoke: start the daemon, synthesize cold, kill -9
+# Serve daemon smoke: start the daemon, synthesize cold, check that a
+# synthesize and a pareto past their deadline answer degraded, kill -9
 # mid-campaign and corrupt the journal tail as a crash would, restart,
 # and assert that the torn tail is diagnosed, the warm-cache request
 # hits, and its costs are byte-identical to the cold run.
@@ -28,6 +29,8 @@ sleep 1
 "$BIN" request --socket "$SOCK" synthesize --file "$MODEL" --tech "$TECH" \
   > "$WORK/serve-cold.json"
 "$BIN" request --socket "$SOCK" synthesize --file "$MODEL" --tech "$TECH" \
+  --deadline-ms 0 | grep -q '"degraded":true'
+"$BIN" request --socket "$SOCK" pareto --file "$MODEL" --tech "$TECH" \
   --deadline-ms 0 | grep -q '"degraded":true'
 
 # leave a request in flight, then crash the daemon hard and tear the

@@ -87,15 +87,15 @@ let summary_agrees (report : Sim.Family.report)
    runs vs the per-configuration interpreter, under one scenario, and
    the summary pass vs the featured pass. *)
 let three_way ?policy ?limits ?overflow ?stimuli ?firing_budget ?faults
-    ?(jobs = 1) ?split system =
+    ?(jobs = 1) system =
   let plan = Sim.Family_compiled.plan system in
   let report =
     Sim.Family_compiled.run ?policy ?limits ?overflow ?stimuli ?firing_budget
-      ?faults ~jobs ?split plan
+      ?faults ~jobs plan
   in
   let summary =
     Sim.Family_compiled.summarize ?policy ?limits ?overflow ?stimuli
-      ?firing_budget ?faults ~jobs ?split plan
+      ?firing_budget ?faults ~jobs plan
   in
   let assignments = Array.of_list (Variants.Variant_space.enumerate system) in
   let models =
@@ -179,8 +179,7 @@ let prop_nested_adversarial =
     (fun seed ->
       let system = Harness.nested_family_system ~seed in
       let stimuli = Harness.nested_family_stimuli system in
-      let jobs = 1 + (seed mod 2) in
-      three_way ~stimuli ~jobs system && three_way ~stimuli ~jobs ~split:`Full system)
+      three_way ~stimuli ~jobs:(1 + (seed mod 2)) system)
 
 let prop_nested_with_faults =
   QCheck.Test.make ~name:"three-way differential (nested sites, fault plans)"
@@ -191,30 +190,6 @@ let prop_nested_with_faults =
       let stimuli = Harness.nested_family_stimuli ~tokens:4 system in
       let faults = Harness.family_fault_plan ~seed system in
       three_way ~stimuli ~faults system)
-
-(* The narrow heuristic's contract: it never forks more sub-families
-   than full splitting, and the per-configuration results are identical
-   under both policies. *)
-let prop_narrow_never_worse =
-  QCheck.Test.make ~name:"narrow splitting <= full splitting, same results"
-    ~count:20
-    QCheck.(int_range 0 9999)
-    (fun seed ->
-      let system = Harness.nested_family_system ~seed in
-      let stimuli = Harness.nested_family_stimuli system in
-      let fingerprint (r : Sim.Family.report) =
-        Array.to_list r.Sim.Family.runs
-        |> List.map (fun cr ->
-               Format.asprintf "%d %a" cr.Sim.Family.index Sim.Trace.pp
-                 cr.Sim.Family.result.Sim.Engine.trace)
-        |> String.concat "\n"
-      in
-      let plan = Sim.Family_compiled.plan system in
-      let narrow = Sim.Family_compiled.run ~stimuli ~split:`Narrow plan in
-      let full = Sim.Family_compiled.run ~stimuli ~split:`Full plan in
-      narrow.Sim.Family.splits <= full.Sim.Family.splits
-      && narrow.Sim.Family.subfamilies <= full.Sim.Family.subfamilies
-      && fingerprint narrow = fingerprint full)
 
 (* Sub-families are pool tasks, and one plan serves every run. *)
 let prop_jobs_invariant =
@@ -268,7 +243,7 @@ let prop_flat_jobs_invariant =
 (* ------------------------------ unit tests --------------------------- *)
 
 (* The acceptance sweep: 200 seeded workloads alternating flat and
-   nested systems, policies, fault plans and split heuristics — every
+   nested systems, policies and fault plans — every
    configuration byte-identical across the three engines. *)
 let test_200_workloads () =
   for seed = 0 to 199 do
@@ -290,11 +265,10 @@ let test_200_workloads () =
       if seed mod 4 = 3 then Some (Harness.family_fault_plan ~seed system)
       else None
     in
-    let split = if seed mod 5 = 0 then `Full else `Narrow in
     Alcotest.(check bool)
       (Format.sprintf "workload %d" seed)
       true
-      (three_way ~policy ~stimuli ?faults ~split system)
+      (three_way ~policy ~stimuli ?faults system)
   done
 
 (* The flat-system acceptance sweep: 200 seeded flat systems mixing
@@ -381,8 +355,8 @@ let test_plan_key () =
 
 (* Flattened per-configuration models have no configuration to fall
    back to, so a degradation plan is refused up front, whatever the
-   system shape, split heuristic or job count. *)
-let degradation_rejected ?jobs ?split system () =
+   system shape or job count. *)
+let degradation_rejected ?jobs system () =
   let plan = Sim.Family_compiled.plan system in
   let faults =
     Sim.Fault.plan
@@ -390,7 +364,7 @@ let degradation_rejected ?jobs ?split system () =
       ~seed:7 ()
   in
   let rejected =
-    match Sim.Family_compiled.run ~faults ?jobs ?split plan with
+    match Sim.Family_compiled.run ~faults ?jobs plan with
     | (_ : Sim.Family.report) -> false
     | exception Invalid_argument _ -> true
   in
@@ -586,8 +560,8 @@ let test_large_leftovers () =
 (* Probe invalidation: site X's only way in is its internal channel
    [X.k], and X's probes fold [X.k] to "empty" while it is cold.  Site Y
    splits the run at t=2, the probes are rebuilt and cached, and at t=5
-   a stimulus into [X.k] warms the channel under [`Narrow] (every
-   variant declares it alike).  The cached probes must be rebuilt then,
+   a stimulus into [X.k] warms the channel (every variant declares it
+   alike).  The cached probes must be rebuilt then,
    or X would never be seen hot and its processes never fire. *)
 let warm_probe_system () =
   let c i = chan (Format.sprintf "c%d" i) in
@@ -617,20 +591,58 @@ let test_warm_invalidates_probes () =
       [ 5; 9 ]
   in
   List.iter
-    (fun (split, jobs) ->
+    (fun jobs ->
       Alcotest.(check bool)
-        (Format.sprintf "three-way, %s, jobs %d"
-           (match split with `Narrow -> "narrow" | `Full -> "full")
-           jobs)
+        (Format.sprintf "three-way, jobs %d" jobs)
         true
-        (three_way ~stimuli ~split ~jobs system))
-    [ (`Narrow, 1); (`Narrow, 2); (`Full, 1); (`Full, 2) ];
-  let narrow =
-    Sim.Family_compiled.run ~stimuli ~split:`Narrow
-      (Sim.Family_compiled.plan system)
+        (three_way ~stimuli ~jobs system))
+    [ 1; 2 ];
+  let report =
+    Sim.Family_compiled.run ~stimuli (Sim.Family_compiled.plan system)
   in
   Alcotest.(check int) "X split every Y sub-family" 4
-    narrow.Sim.Family.subfamilies
+    report.Sim.Family.subfamilies
+
+(* Narrow splitting: both variants of site X declare [X.k] alike, and
+   [xk] fires only on two tokens there.  One stimulus into [X.k] warms
+   the channel and rides the whole family unsplit; a second one
+   activates [xk], and only then does the family split. *)
+let deferred_split_system () =
+  let x_variant lat =
+    ( [ Spi.Chan.queue (chan "k") ],
+      [ proc "xin" ~from_:pin ~to_:[ chan "k" ];
+        proc "xk" ~lat ~take:2 ~from_:(chan "k") ~to_:[ pout ] ] )
+  in
+  system "deferred_split"
+    ~channels:[ Spi.Chan.queue (chan "c0"); Spi.Chan.queue (chan "c1") ]
+    ~processes:[]
+    [ site "X" ~from_:(chan "c0") ~to_:(chan "c1") [ x_variant 1; x_variant 4 ] ]
+
+let test_narrow_defers_split () =
+  let system = deferred_split_system () in
+  let plan = Sim.Family_compiled.plan system in
+  List.iter
+    (fun (ats, splits, subfamilies) ->
+      let stimuli =
+        List.map
+          (fun at ->
+            { Sim.Engine.at; channel = chan "X.k"; token = Spi.Token.make ~payload:at () })
+          ats
+      in
+      let label = Format.sprintf "%d stimuli" (List.length ats) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Format.sprintf "%s: three-way, jobs %d" label jobs)
+            true
+            (three_way ~stimuli ~jobs system))
+        [ 1; 2 ];
+      let report = Sim.Family_compiled.run ~stimuli plan in
+      Alcotest.(check (pair int int))
+        (label ^ ": splits, subfamilies")
+        (splits, subfamilies)
+        (report.Sim.Family.splits, report.Sim.Family.subfamilies))
+    [ ([ 3 ], 0, 1); ([ 3; 6 ], 1, 2) ]
 
 (* Two variants that read different input ports: v1 reads [pa] (host
    [ca]), v2 reads [pb] (host [cb]).  S moves three initial tokens from
@@ -672,14 +684,12 @@ let two_port_system () =
 let test_two_port_site () =
   let system = two_port_system () in
   List.iter
-    (fun (split, jobs) ->
+    (fun jobs ->
       Alcotest.(check bool)
-        (Format.sprintf "three-way, %s, jobs %d"
-           (match split with `Narrow -> "narrow" | `Full -> "full")
-           jobs)
+        (Format.sprintf "three-way, jobs %d" jobs)
         true
-        (three_way ~split ~jobs system))
-    [ (`Narrow, 1); (`Narrow, 2); (`Full, 1) ];
+        (three_way ~jobs system))
+    [ 1; 2 ];
   let s = Sim.Family_compiled.summarize (Sim.Family_compiled.plan system) in
   let c = s.configs.(1) in
   Alcotest.(check string) "configuration 1" "site=v2" (render_assignment c.assignment);
@@ -898,8 +908,9 @@ let suite =
       QCheck_alcotest.to_alcotest ~long:false prop_generated_workloads;
       QCheck_alcotest.to_alcotest ~long:false prop_nested_adversarial;
       QCheck_alcotest.to_alcotest ~long:false prop_nested_with_faults;
-      QCheck_alcotest.to_alcotest ~long:false prop_narrow_never_worse;
       QCheck_alcotest.to_alcotest ~long:false prop_jobs_invariant;
+      Alcotest.test_case "narrow splitting waits for a variant to activate"
+        `Quick test_narrow_defers_split;
       Alcotest.test_case "200 seeded workloads, three engines byte-identical"
         `Slow test_200_workloads;
       Alcotest.test_case "headroom agrees with per-config makespans" `Quick
@@ -909,7 +920,7 @@ let suite =
       Alcotest.test_case "plan keys are stable and discriminating" `Quick
         test_plan_key;
       Alcotest.test_case "degradation plans are rejected" `Quick
-        (degradation_rejected ~jobs:2 ~split:`Full
+        (degradation_rejected ~jobs:2
            (Harness.nested_family_system ~seed:1));
       Alcotest.test_case "oversized variant spaces are refused" `Quick
         test_oversized_space;

@@ -75,7 +75,8 @@ let prop_pareto_contains_optimum =
       in
       let tech = random_tech rng pids in
       let apps = [ Synth.App.make "a" pids ] in
-      match Synth.Explore.optimal tech apps, Synth.Pareto.frontier tech apps with
+      let frontier, _ = Synth.Pareto.frontier tech apps in
+      match Synth.Explore.optimal tech apps, frontier with
       | None, [] -> true
       | Some s, first :: _ ->
         first.Synth.Pareto.total_cost = s.Synth.Explore.cost.Synth.Cost.total

@@ -66,7 +66,7 @@ let test_timing_custom_model () =
     (Synth.Timing.latency_of ~latency_model chain_tech b (pid "p"))
 
 let test_pareto_frontier_table1 () =
-  let points = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
+  let points, _ = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
   Alcotest.(check bool) "nonempty" true (points <> []);
   (* sorted by cost, loads strictly decreasing along the frontier *)
   let rec check_sorted = function
@@ -90,7 +90,7 @@ let test_pareto_frontier_table1 () =
   | [] -> Alcotest.fail "frontier empty"
 
 let test_pareto_no_dominated_points () =
-  let points = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
+  let points, _ = Synth.Pareto.frontier F2.table1_tech [ F2.app1; F2.app2 ] in
   List.iter
     (fun p ->
       Alcotest.(check bool) "not dominated" false
@@ -99,8 +99,57 @@ let test_pareto_no_dominated_points () =
 
 let test_pareto_infeasible () =
   let tech = Synth.Tech.make [ (pid "x", Synth.Tech.sw_only ~load:500) ] in
-  Alcotest.(check int) "empty frontier" 0
-    (List.length (Synth.Pareto.frontier tech [ Synth.App.make "a" [ pid "x" ] ]))
+  let points, _ =
+    Synth.Pareto.frontier tech [ Synth.App.make "a" [ pid "x" ] ]
+  in
+  Alcotest.(check int) "empty frontier" 0 (List.length points)
+
+(* A deadline that has already passed: the first solve answers the
+   explorer's greedy completion, degraded, and the walk stops there. *)
+let test_pareto_deadline_passed () =
+  let apps = [ F2.app1; F2.app2 ] in
+  let points, degraded =
+    Synth.Pareto.frontier ~deadline_ns:0 F2.table1_tech apps
+  in
+  Alcotest.(check bool) "degraded" true degraded;
+  match points with
+  | [ p ] ->
+    Alcotest.(check bool) "feasible" true
+      (Synth.Schedule.is_feasible
+         (Synth.Schedule.check F2.table1_tech p.Synth.Pareto.binding apps))
+  | _ -> Alcotest.fail "expected the one greedy point"
+
+(* The walk against the exhaustive enumeration on random, mixed-option
+   and tie-heavy instances under capacities that bind: the same
+   (cost, load) list, and every point's binding binds every process,
+   prices to its cost and has its worst load. *)
+let prop_pareto_oracle =
+  QCheck.Test.make ~name:"pareto = exhaustive enumeration (300 instances)"
+    ~count:300
+    QCheck.(triple (int_range 1 10) (int_range 0 2) (int_range 0 100_000))
+    (fun (n, kind, seed) ->
+      let (tech, apps), capacity =
+        match kind with
+        | 0 -> (Harness.random_instance ~n ~seed, seed mod 121)
+        | 1 -> (Harness.random_mixed_instance ~n ~seed, seed mod 121)
+        | _ -> (Harness.random_tie_instance ~n ~seed, seed mod 16)
+      in
+      let points, degraded = Synth.Pareto.frontier ~capacity tech apps in
+      let procs = Synth.App.union_procs apps in
+      let sound (p : Synth.Pareto.point) =
+        let cost = Synth.Cost.of_binding tech p.binding in
+        I.Process_id.Set.equal procs
+          (I.Process_id.Set.of_list (Synth.Binding.processes p.binding))
+        && cost.Synth.Cost.total = p.total_cost
+        && List.fold_left
+             (fun m a -> max m (Synth.Schedule.app_load tech p.binding a))
+             0 apps
+           = p.worst_load
+      in
+      let objectives (p : Synth.Pareto.point) = (p.total_cost, p.worst_load) in
+      (not degraded)
+      && List.map objectives points = Harness.pareto_oracle ~capacity tech apps
+      && List.for_all sound points)
 
 let test_dominates () =
   let mk c l = { Synth.Pareto.binding = Synth.Binding.empty; total_cost = c; worst_load = l } in
@@ -121,5 +170,8 @@ let suite =
       Alcotest.test_case "pareto no dominated points" `Quick
         test_pareto_no_dominated_points;
       Alcotest.test_case "pareto infeasible" `Quick test_pareto_infeasible;
+      Alcotest.test_case "pareto past its deadline" `Quick
+        test_pareto_deadline_passed;
+      QCheck_alcotest.to_alcotest ~long:false prop_pareto_oracle;
       Alcotest.test_case "dominates" `Quick test_dominates;
     ] )

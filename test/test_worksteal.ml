@@ -1,33 +1,6 @@
-(* Differential proof of the domain pool: the Pareto enumeration must
-   produce the same frontier as its sequential reference on randomized
-   workloads, across job counts that cover an odd worker and
-   oversubscription.  Plus direct regression tests for the pool itself:
-   work that deterministically moves to a second domain, prompt
-   cancellation after a failure, unrefused pushes and re-split
-   accounting. *)
-
-let jobs_sweep = Harness.default_jobs (* 2, 4, 8 *)
-
-(* ----------------------- differential property ---------------------- *)
-
-(* The Pareto enumeration is the one synthesis entry point that still
-   runs on the pool: its frontier objectives must not depend on the job
-   count. *)
-let prop_pareto_differential =
-  QCheck.Test.make ~name:"pareto: par == seq (200 workloads)" ~count:200
-    QCheck.(pair (int_range 4 6) (int_range 0 100_000))
-    (fun (n, seed) ->
-      let tech, apps = Harness.random_instance ~n ~seed in
-      let objectives pts =
-        List.map
-          (fun p -> (p.Synth.Pareto.total_cost, p.Synth.Pareto.worst_load))
-          pts
-      in
-      let seq = objectives (Synth.Pareto.frontier ~jobs:1 tech apps) in
-      Harness.sweep_jobs ~jobs:jobs_sweep (fun jobs ->
-          objectives (Synth.Pareto.frontier ~jobs tech apps) = seq))
-
-(* --------------------- scheduler regression tests ------------------- *)
+(* Regression tests for the domain pool: work that deterministically
+   moves to a second domain, prompt cancellation after a failure,
+   unrefused pushes and re-split accounting. *)
 
 (* Deterministic forced move: one seed task pushes children and then
    refuses to finish until one of them has run.  Its domain is stuck
@@ -142,7 +115,6 @@ let test_no_lost_tasks () =
 let suite =
   ( "worksteal",
     [
-      QCheck_alcotest.to_alcotest prop_pareto_differential;
       Alcotest.test_case "forced steal" `Quick test_forced_steal;
       Alcotest.test_case "cancellation, sequential" `Quick
         test_cancellation_seq;
