@@ -35,10 +35,10 @@ let read path = In_channel.with_open_bin path In_channel.input_all
 
 (* A generated pipeline: 8 shared processes, then [sites] sites of
    [variants] clusters of 3 processes each. *)
-let generated ~sites ~variants =
+let generated ?(seed = 1) ~sites ~variants () =
   V.Generator.generate
     {
-      V.Generator.seed = 1;
+      V.Generator.seed;
       shared_processes = 8;
       sites;
       variants_per_site = variants;
@@ -61,6 +61,23 @@ let weighted_tech system =
          (pid, Synth.Tech.both ~load:(5 + (w / 4)) ~area:(10 + w)))
        pids)
   |> Lang.Tech_file.to_string ~name:"weighted"
+
+(* The explore benchmark's front-loaded technology: the first six
+   processes are cheap in software and dear in hardware (area 300 + w),
+   the rest weighted by [Generator.process_weight] and [seed]. *)
+let front_loaded_tech ~seed system =
+  let pids =
+    Spi.Ids.Process_id.Set.elements
+      (Synth.App.union_procs (Synth.App.of_system system))
+  in
+  Synth.Tech.make ~processor_cost:15
+    (List.mapi
+       (fun i pid ->
+         let w = 1 + (((V.Generator.process_weight pid * 31) + (seed * 53)) mod 100) in
+         if i < 6 then (pid, Synth.Tech.both ~load:(4 + (w mod 5)) ~area:(300 + w))
+         else (pid, Synth.Tech.both ~load:((w / 3) + 5) ~area:(w + 10)))
+       pids)
+  |> Lang.Tech_file.to_string ~name:"front-loaded"
 
 (* [tokens] initial tokens on the first input of the site [pick]
    chooses from the sites in series. *)
@@ -89,7 +106,7 @@ let rows dir =
   let model name = read (Filename.concat dir (name ^ ".spi")) in
   let codec = model "codec" and tech = read (Filename.concat dir "codec.tech") in
   let gen3x3 ~pick ~tokens =
-    Lang.Printer.to_string (loaded ~pick ~tokens (generated ~sites:3 ~variants:3))
+    Lang.Printer.to_string (loaded ~pick ~tokens (generated ~sites:3 ~variants:3 ()))
   in
   (* e2e's sim-family shape (3 sub-families), and one that splits into
      all 27 at the first site *)
@@ -121,7 +138,7 @@ let rows dir =
   in
   let synthesize = request (P.Synthesize { model = codec; tech; capacity = None }) in
   (* 26 processes, 8 applications *)
-  let gen3x2 = generated ~sites:3 ~variants:2 in
+  let gen3x2 = generated ~sites:3 ~variants:2 () in
   let pareto_gen jobs =
     pareto ~jobs ~capacity:100 ~tech:(weighted_tech gen3x2)
       (Lang.Printer.to_string gen3x2)
@@ -143,10 +160,27 @@ let rows dir =
         (pareto_gen 2);
       row "synthesize codec cold" synthesize;
       row "synthesize codec warm" synthesize;
+    ]
+  (* synth-cold's shape: figure2-gen-large problems (27 applications,
+     35 processes) the journal has not seen, at capacity 140 *)
+  @ List.map
+      (fun seed ->
+        let system = generated ~seed ~sites:3 ~variants:3 () in
+        row
+          (Printf.sprintf "synthesize gen-3x3 seed %d cold" seed)
+          (request
+             (P.Synthesize
+                {
+                  model = Lang.Printer.to_string system;
+                  tech = front_loaded_tech ~seed system;
+                  capacity = Some 140;
+                })))
+      [ 1; 2; 3 ]
+  @ [
       (* 2^13 configurations, past the handler's cap *)
       row "too_large"
         (simulate ~family:true
-           (Lang.Printer.to_string (generated ~sites:13 ~variants:2)));
+           (Lang.Printer.to_string (generated ~sites:13 ~variants:2 ())));
       row "deadline passed" (simulate ~deadline_ms:0 ~family:true gen);
     ]
   @ [
