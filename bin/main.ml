@@ -465,47 +465,25 @@ let trace_arg =
            incrementally: each run's events are appended as the campaign \
            progresses, so memory stays bounded")
 
-let trace_buffered_flag =
-  Arg.(
-    value & flag
-    & info [ "trace-buffered" ]
-        ~doc:
-          "Hold the whole timeline in memory and write $(b,--trace) once at \
-           the end instead of streaming (the output bytes are identical)")
-
-(* One handle regardless of export mode: [flush] after each run's emit
-   (a no-op when buffered), [finish] once at the end. *)
+(* [flush] after each run's emit, [finish] once at the end. *)
 type trace_out = {
   sink : Obs.Trace_event.sink;
   flush : unit -> unit;
   finish : unit -> unit;
 }
 
-let trace_out ~buffered path =
+let trace_out path =
   Option.map
     (fun p ->
-      let written n =
-        Format.printf "@.timeline written to %s (%d events)@." p n
-      in
-      if buffered then begin
-        let builder = Obs.Trace_event.create () in
-        {
-          sink = Obs.Trace_event.buffer_sink builder;
-          flush = (fun () -> ());
-          finish =
-            (fun () ->
-              Obs.Trace_event.to_file p builder;
-              written (Obs.Trace_event.length builder));
-        }
-      end
-      else begin
-        let stream = Obs.Trace_stream.create p in
-        {
-          sink = Obs.Trace_stream.sink stream;
-          flush = (fun () -> Obs.Trace_stream.flush stream);
-          finish = (fun () -> written (Obs.Trace_stream.close stream));
-        }
-      end)
+      let stream = Obs.Trace_stream.create p in
+      {
+        sink = Obs.Trace_stream.sink stream;
+        flush = (fun () -> Obs.Trace_stream.flush stream);
+        finish =
+          (fun () ->
+            Format.printf "@.timeline written to %s (%d events)@." p
+              (Obs.Trace_stream.close stream));
+      })
     path
 
 let vcd_arg =
@@ -621,14 +599,13 @@ let print_config_traces ~title report =
 (* The tail of every family command: the family-lane timeline of one
    report, the metrics snapshot, and the exit code of the worst
    configuration over all [reports]. *)
-let finish_family ~trace_path ~trace_buffered ~metrics_path system ~timeline
-    reports =
+let finish_family ~trace_path ~metrics_path system ~timeline reports =
   Option.iter
     (fun out ->
       Option.iter (Sim.Family.emit_timeline out.sink system) timeline;
       out.flush ();
       out.finish ())
-    (trace_out ~buffered:trace_buffered trace_path);
+    (trace_out trace_path);
   write_metrics metrics_path;
   let code =
     List.fold_left (fun acc r -> max acc (family_worst_code r)) 0 reports
@@ -638,7 +615,7 @@ let finish_family ~trace_path ~trace_buffered ~metrics_path system ~timeline
 (* One featured pass, its per-configuration table, and the shared tail —
    simulate and simulate-file differ only in how they build the scenario. *)
 let simulate_family ?firing_budget ~policy ~stimuli ~jobs ~deadline ~show_trace
-    ~trace_path ~trace_buffered ~metrics_path system =
+    ~trace_path ~metrics_path system =
   let report =
     Sim.Family_compiled.run ~policy ~stimuli ?firing_budget
       ~jobs:(resolve_jobs jobs)
@@ -646,12 +623,12 @@ let simulate_family ?firing_budget ~policy ~stimuli ~jobs ~deadline ~show_trace
   in
   print_family_report ?deadline system report;
   if show_trace then print_config_traces ~title:"trace of" report;
-  finish_family ~trace_path ~trace_buffered ~metrics_path system
+  finish_family ~trace_path ~metrics_path system
     ~timeline:(Some report) [ report ]
 
 let simulate_cmd =
   let run_family bundled policy jobs deadline show_trace trace_path
-      trace_buffered metrics_path =
+      metrics_path =
     match bundled.system with
     | None ->
       Format.eprintf
@@ -663,14 +640,14 @@ let simulate_cmd =
         bundled.description;
       simulate_family ~firing_budget:bundled.budgets ~policy
         ~stimuli:(bundled.stimuli ()) ~jobs ~deadline ~show_trace ~trace_path
-        ~trace_buffered ~metrics_path (sys ())
+        ~metrics_path (sys ())
   in
   let run bundled policy family jobs deadline show_trace vcd_path trace_path
-      trace_buffered span_capacity metrics_path =
+      span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family then
       run_family bundled policy jobs deadline show_trace trace_path
-        trace_buffered metrics_path
+        metrics_path
     else begin
       let model = bundled.model () in
       let configurations = bundled.configurations () in
@@ -690,7 +667,7 @@ let simulate_cmd =
       | Some path ->
         Sim.Vcd.to_file path model result;
         Format.printf "@.VCD written to %s@." path);
-      (match trace_out ~buffered:trace_buffered trace_path with
+      (match trace_out trace_path with
       | None -> ()
       | Some out ->
         Sim.Timeline.emit out.sink model result;
@@ -710,7 +687,7 @@ let simulate_cmd =
     Term.(
       const run $ model_arg $ policy_arg $ family_flag $ jobs_arg
       $ deadline_opt_arg $ print_trace_flag $ vcd_arg $ trace_arg
-      $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
+      $ span_capacity_arg $ metrics_arg)
 
 let faultsim_cmd =
   let model_name_arg =
@@ -791,7 +768,7 @@ let faultsim_cmd =
     Sim.Fault.plan ~channels ~processes ~seed ()
   in
   let run_family model_name seeds no_faults deadline drop transient trace_seed
-      jobs trace_path trace_buffered metrics_path =
+      jobs trace_path metrics_path =
     let system =
       match List.assoc_opt model_name family_systems with
       | Some make -> make ()
@@ -881,13 +858,13 @@ let faultsim_cmd =
     (* the family lane convention assigns pid = configuration index + 1,
        so one exported seed keeps the lanes unambiguous; --trace-seed
        selects it (default: first seed) *)
-    finish_family ~trace_path ~trace_buffered ~metrics_path system
+    finish_family ~trace_path ~metrics_path system
       ~timeline:
         (List.assoc_opt (Option.value trace_seed ~default:1) reports)
       (List.map snd reports)
   in
   let run model_name seeds no_faults family deadline drop transient trace_seed
-      jobs trace_path trace_buffered span_capacity metrics_path =
+      jobs trace_path span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if seeds < 1 then begin
       Format.eprintf "faultsim: --seeds must be positive@.";
@@ -895,7 +872,7 @@ let faultsim_cmd =
     end;
     if family then
       run_family model_name seeds no_faults deadline drop transient trace_seed
-        jobs trace_path trace_buffered metrics_path
+        jobs trace_path metrics_path
     else
     let with_valves =
       match model_name with
@@ -1016,7 +993,7 @@ let faultsim_cmd =
     Format.printf "@.%a@."
       Video.Checker.pp_headroom
       (Video.Checker.deadline_headroom built.Video.System.model results);
-    (match trace_out ~buffered:trace_buffered trace_path with
+    (match trace_out trace_path with
     | None -> ()
     | Some out ->
       (* one pid per seed keeps the campaign's runs separate lanes-wise;
@@ -1045,7 +1022,7 @@ let faultsim_cmd =
     Term.(
       const run $ model_name_arg $ seeds_arg $ no_faults_flag $ family_flag
       $ deadline_arg $ drop_arg $ transient_arg $ trace_seed_arg $ jobs_arg
-      $ trace_arg $ trace_buffered_flag $ span_capacity_arg $ metrics_arg)
+      $ trace_arg $ span_capacity_arg $ metrics_arg)
 
 let simulate_file_cmd =
   let variant_arg =
@@ -1072,7 +1049,7 @@ let simulate_file_cmd =
       & info [ "csv" ] ~docv:"FILE" ~doc:"Write the trace as CSV to $(docv)")
   in
   let run path variants drive policy family jobs deadline show_trace vcd_path
-      json_path csv_path trace_path trace_buffered span_capacity metrics_path =
+      json_path csv_path trace_path span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if family && (vcd_path <> None || json_path <> None || csv_path <> None)
     then begin
@@ -1095,8 +1072,7 @@ let simulate_file_cmd =
                featured pass covers every cluster choice)@.";
           simulate_family ~policy
             ~stimuli:(shared_boundary_stimuli ~tokens:drive ~spacing:1 system)
-            ~jobs ~deadline ~show_trace ~trace_path ~trace_buffered
-            ~metrics_path system
+            ~jobs ~deadline ~show_trace ~trace_path ~metrics_path system
         end
         else
         let choice iid =
@@ -1135,7 +1111,7 @@ let simulate_file_cmd =
         Option.iter (fun p -> Sim.Vcd.to_file p model result) vcd_path;
         Option.iter (fun p -> Sim.Json.to_file p model result) json_path;
         Option.iter (fun p -> Sim.Csv.trace_to_file p result) csv_path;
-        (match trace_out ~buffered:trace_buffered trace_path with
+        (match trace_out trace_path with
         | None -> ()
         | Some out ->
           Sim.Timeline.emit out.sink model result;
@@ -1154,8 +1130,8 @@ let simulate_file_cmd =
     Term.(
       const run $ file_arg $ variant_arg $ drive_arg $ policy_arg
       $ family_flag $ jobs_arg $ deadline_opt_arg $ print_trace_flag
-      $ vcd_arg $ json_arg $ csv_arg $ trace_arg $ trace_buffered_flag
-      $ span_capacity_arg $ metrics_arg)
+      $ vcd_arg $ json_arg $ csv_arg $ trace_arg $ span_capacity_arg
+      $ metrics_arg)
 
 let analyze_cmd =
   let run bundled =
@@ -1228,7 +1204,7 @@ let dot_system_cmd =
     Term.(const run $ name_arg)
 
 let synthesize_cmd =
-  let run trace_path trace_buffered span_capacity metrics_path =
+  let run trace_path span_capacity metrics_path =
     apply_span_capacity span_capacity;
     if Option.is_some trace_path then Synth.Domain_trace.enable ();
     let tech = F2.table1_tech in
@@ -1242,7 +1218,7 @@ let synthesize_cmd =
     | Some r -> Format.printf "%-14s %a@." "Superposition" Synth.Cost.pp r.Synth.Superpose.cost
     | None -> Format.printf "superposition infeasible@.");
     print "With variants" (Synth.Explore.optimal_exn tech apps);
-    let out = trace_out ~buffered:trace_buffered trace_path in
+    let out = trace_out trace_path in
     (match out with
     | Some o ->
       Synth.Domain_trace.emit_timeline ~pid:1 ~name:"explorer" o.sink;
@@ -1286,8 +1262,7 @@ let synthesize_cmd =
          "Run the Table 1 synthesis flows and simulate each application's \
           flattened model as a sanity check")
     Term.(
-      const run $ trace_arg $ trace_buffered_flag $ span_capacity_arg
-      $ metrics_arg)
+      const run $ trace_arg $ span_capacity_arg $ metrics_arg)
 
 let schedule_cmd =
   let run () =

@@ -61,9 +61,11 @@ let current () = Option.map fst (Domain.DLS.get key)
 (* --------------------------- recording ----------------------------- *)
 
 let add t span =
-  (* claim a slot before consing so the list never exceeds [capacity];
-     overflow is counted, not silent *)
-  if Atomic.fetch_and_add t.count 1 >= t.capacity then
+  (* a child claims one of [capacity - 1] slots before consing, and the
+     root (parent 0), which closes last, always lands, so the list never
+     exceeds [capacity] and keeps its root; overflow is counted, not
+     silent *)
+  if span.parent <> 0 && Atomic.fetch_and_add t.count 1 >= t.capacity - 1 then
     Atomic.incr t.dropped
   else begin
     let rec cons () =

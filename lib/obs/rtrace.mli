@@ -6,7 +6,7 @@
     active trace also lands in that trace, parented to the innermost
     open span.  [Synth.Par] captures the spawning domain's context and
     restores it on each worker, so spans recorded inside pool tasks
-    (explorer tasks, batch items, simulation runs) join the same tree.
+    (batch items, simulation runs) join the same tree.
 
     Recording is lock-free (a CAS cons into a bounded list) and happens
     once per task or run — never per node; with no active trace the
@@ -25,7 +25,8 @@ type span = {
 
 val create : ?capacity:int -> string -> t
 (** [create rid] mints a trace for request [rid].  At most [capacity]
-    (default 512) spans are retained; overflow is counted in
+    (default 512) spans are retained, the root always among them, so
+    its children keep [capacity - 1]; overflow is counted in
     {!dropped}, never silent.
     @raise Invalid_argument when [capacity < 1]. *)
 

@@ -15,7 +15,7 @@
     run, then flushing), the finished file is byte-identical to
     {!Trace_event.to_file} over the same records — same canonical
     per-pid segment ordering, same indentation, same trailing newline.
-    [test/validate_trace.ml --identical] enforces this.
+    The obs suite's byte-equality test enforces this.
 
     Crash safety: output accumulates in a temporary file next to [path]
     and is renamed over it only by {!close}, so readers never see a

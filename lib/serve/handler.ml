@@ -430,7 +430,7 @@ let handle t ~admitted_ns ~queue_depth (r : P.request) =
     | other -> other)
   | id_opt ->
     (* Every request runs under a freshly minted trace: spans recorded
-       anywhere below (explore tasks, simulation runs, batch items on
+       anywhere below (explore solves, simulation runs, batch items on
        pool domains) parent into its tree.  The rid threads through
        the response, the structured log stream and the daemon's
        [--trace] timeline, so one identifier joins all three. *)

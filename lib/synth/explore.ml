@@ -39,8 +39,6 @@ type node = {
   members : int array;  (** indices of the applications containing [pid] *)
 }
 
-type counters = { mutable explored : int; mutable pruned : int }
-
 exception Diagnosed of diagnostic
 
 (* Observability: node totals are folded into the registry once per
@@ -51,7 +49,6 @@ exception Diagnosed of diagnostic
 let m_nodes = Obs.Registry.counter "explore.nodes_expanded"
 let m_pruned = Obs.Registry.counter "explore.pruned"
 let m_solves = Obs.Registry.counter "explore.solves"
-let m_tasks = Obs.Registry.counter "explore.tasks"
 let m_improvements = Obs.Registry.counter "explore.incumbent_improvements"
 let m_ttfi = Obs.Registry.gauge "explore.time_to_first_incumbent_ns"
 let m_deadline_hits = Obs.Registry.counter "explore.deadline_hits"
@@ -223,7 +220,22 @@ let max_table_words = 1 lsl 21
 
 exception Over_budget
 
-let build_bound ~capacity ~nodes ~n_apps =
+(* The nodes whose load can move to hardware (a positive software load
+   and a hardware option), ascending area per unit of load: the
+   fractional-knapsack order of the bound's items. *)
+let knapsack_items nodes =
+  List.filter
+    (fun j ->
+      match nodes.(j) with
+      | { sw = Some load; hw = Some _; _ } -> load > 0
+      | _ -> false)
+    (List.init (Array.length nodes) Fun.id)
+  |> List.stable_sort (fun j1 j2 ->
+         let load j = Option.get nodes.(j).sw
+         and area j = Option.get nodes.(j).hw in
+         compare_ratio (area j1) (load j1) (area j2) (load j2))
+
+let build_bound ~capacity ~nodes ~n_apps order =
   let budget = ref max_table_words in
   let spend words =
     budget := !budget - words;
@@ -232,17 +244,8 @@ let build_bound ~capacity ~nodes ~n_apps =
   let n = Array.length nodes in
   let item_load = Array.map (fun nd -> Option.value nd.sw ~default:0) nodes in
   let item_area = Array.map (fun nd -> Option.value nd.hw ~default:0) nodes in
-  (* one exact sort of the possible items; groups then keep theirs in
-     ascending [rank] by insertion *)
+  (* groups keep their items in ascending [rank] by insertion *)
   let rank = Array.make n 0 in
-  let order =
-    List.filter
-      (fun j -> item_load.(j) > 0 && Option.is_some nodes.(j).hw)
-      (List.init n Fun.id)
-    |> List.stable_sort (fun j1 j2 ->
-           compare_ratio item_area.(j1) item_load.(j1) item_area.(j2)
-             item_load.(j2))
-  in
   List.iteri (fun r j -> rank.(j) <- r) order;
   let insert items j =
     let m = Array.length items in
@@ -398,21 +401,19 @@ let variant_cut ~capacity ~processor_cost ~loads bound =
     base >= incumbent
     || (worst + row.max_sw_load > capacity && groups_cut row (incumbent - base))
 
-(* The branch-and-bound core.  Search state: index into [nodes], the
-   binding prefix, accumulated ASIC area, whether any process went to
-   software (the processor cost trigger), the per-application software
-   loads in [loads] and the highest of them ([worst]).  Two lower
-   bounds of a partial assignment: the plain one, area so far +
-   processor cost if any software so far (every completion only adds
-   cost), and at nodes that survive it the variant-aware [bound]
-   table's.  A partial assignment dies as soon as one application's
-   load exceeds capacity (software loads only grow), or as soon as the
-   table shows no completion fits.
-
-   Child order: software first.  The software child always carries the
-   lower bound (software adds no area), so this is best-first descent,
-   and it is what lets the estimate-sorted seeds establish a tight
-   incumbent early.
+(* The branch-and-bound search: one descent from the root, software
+   child first, against the incumbent [seed].  Search state: index into
+   [nodes], the binding prefix in [choices], accumulated ASIC area,
+   whether any process went to software (the processor cost trigger),
+   the per-application software loads in [loads] and the highest of
+   them ([worst]).  Two lower bounds of a partial assignment: the plain
+   one, area so far + processor cost if any software so far (every
+   completion only adds cost), and at nodes that survive it the
+   variant-aware [bound] table's.  A partial assignment dies as soon as
+   one application's load exceeds capacity (software loads only grow),
+   or as soon as the table shows no completion fits.  The software
+   child always carries the lower bound (software adds no area), so the
+   descent is best-first.
 
    Counter semantics: [explored] counts decision nodes expanded — nodes
    that survive both bound checks and branch on a process.  [pruned]
@@ -439,18 +440,34 @@ let materialize ~nodes ~n choices =
 (* The recursion is written with mutually recursive child functions and
    index loops rather than local closures or [Array.iter]: the body
    must not allocate per node, or minor collections dominate the run
-   time of a search that expands millions of nodes. *)
-(* [should_stop] is the cooperative cancellation hook: it is consulted
-   once every 1024 expanded nodes — a single [land] on the hot path
-   between polls, so a deadline costs nothing measurable and a run
-   without one is byte-identical — and once it fires [stopped] latches
-   and the recursion unwinds without expanding further nodes.  The
-   caller learns the search was cut short from its own hook's state
-   (the incumbent found so far is still valid, it is just not proved
-   optimal). *)
-let search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
-    ~loads ~choices ~counters ~current_bound ~improve start area0 any_sw0 =
-  let stopped = ref false in
+   time of a search that expands millions of nodes.  The deadline is
+   polled once every 1024 expanded nodes — a single [land] on the hot
+   path between polls, so a deadline costs nothing measurable and a run
+   without one is byte-identical — and once it has passed [stopped]
+   latches and the recursion unwinds without expanding further nodes.
+   The incumbent found so far is still valid, just not proved optimal.
+   A deadline already past at the start expands nothing: the seed is
+   the answer.  Everything runs on the calling domain. *)
+let search ~start_ns ~deadline_ns ~capacity ~processor_cost ~accept ~nodes
+    ~bound ~n_apps seed =
+  let n = Array.length nodes in
+  let loads = Array.make n_apps 0 and choices = Array.make n 0 in
+  let explored = ref 0 and pruned = ref 0 in
+  let best = ref None and incumbent = ref max_int in
+  let improve cost binding worst =
+    if !incumbent = max_int then
+      Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
+    incumbent := cost;
+    best := Some (binding, worst);
+    Domain_trace.record_improvement ~cost
+  in
+  Option.iter (fun (cost, binding, worst) -> improve cost binding worst) seed;
+  let expired () =
+    match deadline_ns with
+    | Some dl -> Obs.Clock.now_ns () >= dl
+    | None -> false
+  in
+  let stopped = ref (expired ()) in
   (* hoisted so the recursive closures are allocated once per call, not
      once per node *)
   let rec add_loads members m load k worst =
@@ -469,19 +486,19 @@ let search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
   in
   let rec go i area any_sw worst =
     let lower = area + if any_sw then processor_cost else 0 in
-    let incumbent = current_bound () in
     if !stopped then ()
-    else if lower >= incumbent then counters.pruned <- counters.pruned + 1
-    else if i < n && cut i area any_sw worst incumbent then
-      counters.pruned <- counters.pruned + 1
+    else if lower >= !incumbent then incr pruned
+    else if i < n && cut i area any_sw worst !incumbent then incr pruned
     else if i = n then begin
       let binding = materialize ~nodes ~n choices in
-      if accept binding then improve lower binding worst
+      if accept binding then begin
+        Obs.Metric.incr m_improvements;
+        improve lower binding worst
+      end
     end
     else begin
-      counters.explored <- counters.explored + 1;
-      if counters.explored land 1023 = 0 && should_stop () then
-        stopped := true
+      incr explored;
+      if !explored land 1023 = 0 && expired () then stopped := true
       else begin
         sw_child i area worst;
         hw_child i area any_sw worst
@@ -503,247 +520,26 @@ let search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
         choices.(i) <- choice_sw;
         go (i + 1) area true worst
       end
-      else counters.pruned <- counters.pruned + 1;
+      else incr pruned;
       for k = 0 to m - 1 do
         loads.(members.(k)) <- loads.(members.(k)) - load
       done
     | None -> ()
   in
-  go start area0 any_sw0 (Array.fold_left max 0 loads)
+  go 0 0 false 0;
+  (!best, !explored, !pruned, !stopped)
 
-(* The search: enumerate the decision tree down to a split depth into
-   independent subtree tasks rooted at that depth (each carrying its
-   own loads snapshot), order the tasks by the cost of a greedy
-   completion of their prefix, dive the best one for an incumbent, and
-   run the rest cheapest-first.  The search is best-first at both
-   levels: tasks run cheapest-estimate-first, and inside a task the
-   lower-bound child (software) is descended first.  The cheapest
-   greedy completion also seeds the incumbent, so the most promising
-   subtrees run against a tight bound from the first node and the
-   expensive subtrees are pruned wholesale.  Everything runs on the
-   calling domain. *)
-type task = {
-  t_choices : int array;  (** full-length decision vector, prefix filled *)
-  t_area : int;
-  t_any_sw : bool;
-  t_loads : int array;
-  t_bound : int;
-}
-
-let run_search ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost ~accept
-    ~nodes ~bound ~n_apps =
-  (* the deadline latch: the throttled clock poll in [search] sets it,
-     and once it is set no further task starts *)
-  let cancelled =
-    (* an already-expired deadline collapses the search before it
-       starts: the greedy seeding below still provides the incumbent *)
-    ref
-      (match deadline_ns with
-      | Some dl -> Obs.Clock.now_ns () >= dl
-      | None -> false)
-  in
-  let should_stop =
-    match deadline_ns with
-    | None -> fun () -> !cancelled
-    | Some dl ->
-      fun () ->
-        !cancelled
-        ||
-        if Obs.Clock.now_ns () >= dl then begin
-          cancelled := true;
-          true
-        end
-        else false
-  in
-  let n = Array.length nodes in
-  (* a shallow split: at most 2^4 seeds, enough for the greedy estimates
-     to order the subtrees; a tree of fewer than two nodes is one task
-     at its root *)
-  let depth = max 0 (min (n - 2) 4) in
-  let counters = { explored = 0; pruned = 0 } in
-  let tasks = ref [] in
-  let loads = Array.make n_apps 0 in
-  let choices = Array.make n 0 in
-  (* Against a validated warm incumbent the prefix prunes exactly as
-     [search] does: a subtree that cannot beat it becomes no task, so an
-     optimal warm start leaves little or nothing to run.  Without one
-     only capacity prunes here, and each task's root applies the bound.
-     Node counts fold into the totals. *)
-  let warm_cost, cut =
-    match (warm, bound) with
-    | Some (cost, _, _), Some bound ->
-      (cost, variant_cut ~capacity ~processor_cost ~loads bound)
-    | Some (cost, _, _), None -> (cost, fun _ _ _ _ _ -> false)
-    | None, _ -> (max_int, fun _ _ _ _ _ -> false)
-  in
-  let rec enumerate i area any_sw worst =
-    let lower = area + if any_sw then processor_cost else 0 in
-    if lower >= warm_cost || (i < n && cut i area any_sw worst warm_cost) then
-      counters.pruned <- counters.pruned + 1
-    else if i = depth then
-      tasks :=
-        {
-          t_choices = Array.copy choices;
-          t_area = area;
-          t_any_sw = any_sw;
-          t_loads = Array.copy loads;
-          t_bound = lower;
-        }
-        :: !tasks
-    else begin
-      counters.explored <- counters.explored + 1;
-      let nd = nodes.(i) in
-      (match nd.hw with
-      | Some a ->
-        choices.(i) <- choice_hw;
-        enumerate (i + 1) (area + a) any_sw worst
-      | None -> ());
-      match nd.sw with
-      | Some load ->
-        let worst' = ref worst in
-        Array.iter
-          (fun ai ->
-            loads.(ai) <- loads.(ai) + load;
-            worst' := max !worst' loads.(ai))
-          nd.members;
-        if !worst' <= capacity then begin
-          choices.(i) <- choice_sw;
-          enumerate (i + 1) area true !worst'
-        end
-        else counters.pruned <- counters.pruned + 1;
-        Array.iter (fun ai -> loads.(ai) <- loads.(ai) - load) nd.members
-      | None -> ()
-    end
-  in
-  enumerate 0 0 false 0;
-  let tasks = Array.of_list !tasks in
-  (* Greedy completion of a task prefix: place each remaining process in
-     software when the loads allow it, in hardware otherwise.  The
-     result is a feasible solution of the task's subtree (when every
-     process has the needed option), which serves two purposes:
-
-     - the cheapest greedy completion seeds the incumbent with a real
-       candidate, so no task searches with a cold [max_int] bound;
-     - tasks run cheapest-estimate-first.  The greedy cost is an upper
-       bound on the subtree optimum, which predicts solution quality
-       far better than the lower bound: a prefix that commits
-       everything to software looks unbeatable to the bound yet burns
-       the capacity that its completion then pays for in area. *)
-  let greedy_complete t =
-    let loads = Array.copy t.t_loads in
-    let filled = Array.copy t.t_choices in
-    let area = ref t.t_area and any_sw = ref t.t_any_sw in
-    let feasible = ref true in
-    for i = depth to n - 1 do
-      if !feasible then begin
-        let nd = nodes.(i) in
-        let sw_fits =
-          match nd.sw with
-          | None -> false
-          | Some load ->
-            Array.for_all (fun ai -> loads.(ai) + load <= capacity) nd.members
-        in
-        if sw_fits then begin
-          let load = Option.get nd.sw in
-          Array.iter (fun ai -> loads.(ai) <- loads.(ai) + load) nd.members;
-          filled.(i) <- choice_sw;
-          any_sw := true
-        end
-        else
-          match nd.hw with
-          | Some a ->
-            filled.(i) <- choice_hw;
-            area := !area + a
-          | None -> feasible := false
-      end
-    done;
-    if !feasible then
-      let cost = !area + if !any_sw then processor_cost else 0 in
-      Some (cost, materialize ~nodes ~n filled, Array.fold_left max 0 loads)
-    else None
-  in
-  let estimates = Array.map greedy_complete tasks in
-  let order = Array.init (Array.length tasks) Fun.id in
-  let estimate i =
-    match estimates.(i) with Some (c, _, _) -> c | None -> max_int
-  in
-  Array.sort
-    (fun a b ->
-      match Int.compare (estimate a) (estimate b) with
-      | 0 -> Int.compare tasks.(a).t_bound tasks.(b).t_bound
-      | c -> c)
-    order;
-  let tasks = Array.map (fun i -> tasks.(i)) order in
-  let best = ref None and incumbent = ref max_int in
-  (* a validated warm incumbent competes with the greedy completions on
-     equal terms; whichever is cheaper seeds the bound *)
-  (match warm with
-  | Some (cost, binding, worst) ->
-    incumbent := cost;
-    best := Some (binding, worst)
-  | None -> ());
-  Array.iter
-    (fun e ->
-      match e with
-      | Some (cost, binding, worst)
-        when cost < !incumbent && accept binding ->
-        incumbent := cost;
-        best := Some (binding, worst)
-      | Some _ | None -> ())
-    estimates;
-  Obs.Metric.add m_tasks (Array.length tasks);
-  (* the greedy seeding above is the first incumbent when it exists;
-     otherwise the first improvement below records the gauge *)
-  if !incumbent < max_int then begin
-    Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-    Domain_trace.record_improvement ~cost:!incumbent
-  end;
-  let improve cost binding worst =
-    if cost < !incumbent then begin
-      if !incumbent = max_int then
-        Obs.Metric.set m_ttfi (Obs.Clock.elapsed_ns start_ns);
-      Obs.Metric.incr m_improvements;
-      incumbent := cost;
-      best := Some (binding, worst);
-      Domain_trace.record_improvement ~cost
-    end
-  in
-  let run t =
-    search ~should_stop ~capacity ~processor_cost ~accept ~nodes ~bound ~n
-      ~loads:t.t_loads ~choices:t.t_choices ~counters
-      ~current_bound:(fun () -> !incumbent)
-      ~improve depth t.t_area t.t_any_sw
-  in
-  (* Dive the best-estimated subtree to the bottom first: the greedy
-     completion only bounds its optimum from above, and the dive usually
-     lands the true global optimum, so every remaining task runs against
-     a tight bound.  The rest then run in estimate order, one span each;
-     none starts once the deadline latch is set. *)
-  Array.iteri
-    (fun k t ->
-      if not !cancelled then
-        if k = 0 then run t
-        else begin
-          let task_ns = Obs.Clock.now_ns () in
-          run t;
-          Obs.Registry.record_span ~name:"explore.task_ns" ~start_ns:task_ns
-            ~dur_ns:(Obs.Clock.elapsed_ns task_ns)
-        end)
-    tasks;
-  (!best, counters, !cancelled)
-
-(* Replay a stored binding against the *current* compiled problem: every
-   pinned implementation must be respected, every application
-   schedulable, and [accept] satisfied.  Processes the stored binding
-   does not cover (the model grew since the record was written) are
-   completed greedily — software when it fits, hardware otherwise — so
-   a partial per-application merge still yields a seed.  The binding is
-   rebuilt over exactly the node set, so stale processes in the stored
-   record neither pollute the cost nor leak into the result.  A warm
-   candidate that fails any check is dropped — warm starts accelerate,
-   they never decide. *)
-let warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps warm =
-  let n = Array.length nodes in
+(* A seed for the search: the processes visited in [order], each kept
+   where [binding] puts it and, when [binding] does not cover it,
+   placed greedily — software when every application it belongs to
+   keeps its load within capacity, hardware otherwise.  Every decision
+   is local and final, one linear pass with no backtracking, so a
+   process with no allowed option, a pin or overload the binding
+   breaks, or a binding [accept] rejects drops the seed.  The result is
+   rebuilt over exactly the node set, so stale processes in a stored
+   binding neither pollute the cost nor leak into the result.  Seeds
+   accelerate; they never decide. *)
+let complete ~capacity ~processor_cost ~accept ~nodes ~n_apps order binding =
   let loads = Array.make n_apps 0 in
   let sw_fits nd load =
     let ok = ref true in
@@ -758,36 +554,40 @@ let warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps warm =
       false
     end
   in
-  let rec place i area any_sw b =
-    if i = n then begin
+  let rec place k area any_sw b =
+    if k = Array.length order then begin
       let cost = area + if any_sw then processor_cost else 0 in
       if accept b then Some (cost, b, Array.fold_left max 0 loads) else None
     end
     else
-      let nd = nodes.(i) in
-      (* every decision is local and final — one linear pass, no
-         backtracking, so a failure simply drops the candidate *)
+      let nd = nodes.(order.(k)) in
       let hw () =
         match nd.hw with
         | Some a ->
-          place (i + 1) (area + a) any_sw (Binding.bind nd.pid Binding.Hw b)
+          place (k + 1) (area + a) any_sw (Binding.bind nd.pid Binding.Hw b)
         | None -> None
       in
-      match Binding.impl_of nd.pid warm with
+      match Binding.impl_of nd.pid binding with
       | Some Binding.Hw -> hw ()
       | Some Binding.Sw -> (
         match nd.sw with
         | Some load when sw_fits nd load ->
-          place (i + 1) area true (Binding.bind nd.pid Binding.Sw b)
+          place (k + 1) area true (Binding.bind nd.pid Binding.Sw b)
         | Some _ | None -> None)
       | None -> (
-        (* uncovered: greedy completion, software when it fits *)
         match nd.sw with
         | Some load when sw_fits nd load ->
-          place (i + 1) area true (Binding.bind nd.pid Binding.Sw b)
+          place (k + 1) area true (Binding.bind nd.pid Binding.Sw b)
         | Some _ | None -> hw ())
   in
   place 0 0 false Binding.empty
+
+(* The cheaper of two seeds; on equal cost, the first. *)
+let cheaper a b =
+  match (a, b) with
+  | Some (ca, _, _), Some (cb, _, _) when cb < ca -> b
+  | None, _ -> b
+  | Some _, _ -> a
 
 let solve ?jobs:_ ?(capacity = Schedule.default_capacity)
     ?(fixed = Binding.empty) ?(accept = fun _ -> true) ?deadline_ns ?warm
@@ -803,32 +603,48 @@ let solve ?jobs:_ ?(capacity = Schedule.default_capacity)
   | nodes ->
     let processor_cost = Tech.processor_cost tech in
     let n_apps = Array.length apps in
+    let n = Array.length nodes in
+    let items = knapsack_items nodes in
+    let complete =
+      complete ~capacity ~processor_cost ~accept ~nodes ~n_apps
+    in
+    let decision = Array.init n Fun.id in
+    (* every node that moves no load to hardware first, so software-only
+       ones meet empty loads, then the items dearest area per unit of
+       load first: the reverse of the bound's knapsack order *)
+    let knapsack =
+      let is_item = Array.make n false in
+      List.iter (fun j -> is_item.(j) <- true) items;
+      Array.of_list
+        (List.filter (fun j -> not is_item.(j)) (List.init n Fun.id)
+        @ List.rev items)
+    in
     let warm =
-      match warm with
-      | None -> None
-      | Some b -> (
-        match
-          warm_candidate ~capacity ~processor_cost ~accept ~nodes ~n_apps b
-        with
-        | Some _ as c ->
-          Obs.Metric.incr m_warm_accepted;
-          c
-        | None ->
-          Obs.Metric.incr m_warm_rejected;
-          None)
+      Option.bind warm (fun b ->
+          let c = complete decision b in
+          Obs.Metric.incr
+            (if Option.is_some c then m_warm_accepted else m_warm_rejected);
+          c)
+    in
+    (* a validated warm start (a store hit seeds from it), then the
+       greedy completions of the empty binding in decision and knapsack
+       order: the cheapest seeds the search *)
+    let seed =
+      List.fold_left cheaper warm
+        [ complete decision Binding.empty; complete knapsack Binding.empty ]
     in
     let bound =
-      match build_bound ~capacity ~nodes ~n_apps with
+      match build_bound ~capacity ~nodes ~n_apps items with
       | bound -> Some bound
       | exception Over_budget -> None
     in
-    let best, counters, deadline_hit =
-      run_search ~start_ns ~deadline_ns ~warm ~capacity ~processor_cost
-        ~accept ~nodes ~bound ~n_apps
+    let best, explored, pruned, deadline_hit =
+      search ~start_ns ~deadline_ns ~capacity ~processor_cost ~accept ~nodes
+        ~bound ~n_apps seed
     in
     if deadline_hit then Obs.Metric.incr m_deadline_hits;
-    Obs.Metric.add m_nodes counters.explored;
-    Obs.Metric.add m_pruned counters.pruned;
+    Obs.Metric.add m_nodes explored;
+    Obs.Metric.add m_pruned pruned;
     Obs.Registry.record_span ~name:"explore.solve_ns" ~start_ns
       ~dur_ns:(Obs.Clock.elapsed_ns start_ns);
     (match best with
@@ -839,8 +655,8 @@ let solve ?jobs:_ ?(capacity = Schedule.default_capacity)
           binding;
           cost = Cost.of_binding tech binding;
           worst_load;
-          explored = counters.explored;
-          pruned = counters.pruned;
+          explored;
+          pruned;
           degraded = deadline_hit;
         })
 

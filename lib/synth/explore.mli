@@ -35,14 +35,15 @@
     per-application scan when its highest load leaves room for every
     group's undecided load.
 
-    The search runs on the calling domain and starts no other.  It
-    splits the decision tree at a shallow depth into subtree tasks;
-    given a warm start, the split prunes against it exactly as the
-    search itself does, so an optimal warm start usually leaves few
-    tasks or none.  It orders the tasks by the cost of a greedy
-    completion of their prefix, seeds the incumbent with the cheapest
-    one, dives the best task to the bottom, and then runs the rest
-    cheapest-first, each software child first. *)
+    The search runs on the calling domain and starts no other: one
+    descent from the root, software child first, against the cheapest
+    of three seeds.  In tie-break order these are the warm start (when
+    one is given and valid), the greedy completion of the empty binding
+    in decision order, and the greedy completion in knapsack order:
+    software-only processes first, then the dearest hardware area per
+    unit of software load first.  A greedy completion places each
+    process in software when every application it belongs to keeps its
+    load within capacity, in hardware otherwise. *)
 
 type solution = {
   binding : Binding.t;
@@ -100,14 +101,14 @@ val solve :
     past it stops expanding, returning the best incumbent found so far
     with [degraded = true] — or [Error Deadline_no_incumbent] when none
     was found.  A deadline that has already expired answers the
-    cheapest greedy completion (or the warm start) without searching.
+    cheapest seed without searching.
     Without a deadline the search is exact.
 
     [warm] is a previously found binding (e.g. replayed from the
     exploration store): it is re-validated against the current problem —
     pins, capacity, [accept], with uncovered processes completed
-    greedily — and, when valid, seeds the incumbent so equal-or-worse
-    subtrees prune immediately.  The search
+    greedily — and, when valid and no greedy seed is cheaper, seeds the
+    incumbent so equal-or-worse subtrees prune immediately.  The search
     still proves optimality, so a warm run returns exactly the costs of
     a cold one; an invalid warm binding is counted and ignored.
     @raise Not_found when an application process is missing from the

@@ -43,7 +43,7 @@ val frontier :
     no binding before the deadline, and the flag is then [true].  A
     degraded solve's binding is still feasible, and no listed point
     dominates it, so it stays as the last point.  A deadline that has
-    already passed answers the explorer's greedy completion alone.
+    already passed answers the explorer's cheapest seed alone.
 
     Empty when no feasible binding exists.
     @raise Not_found when an application process is missing from the

@@ -445,6 +445,10 @@ let test_rtrace_overflow_counted () =
     (Obs.Rtrace.dropped tr > 0);
   Alcotest.(check bool) "capacity respected" true
     (List.length (Obs.Rtrace.spans tr) <= 2);
+  Alcotest.(check bool) "the root is kept" true
+    (List.exists
+       (fun (s : Obs.Rtrace.span) -> s.Obs.Rtrace.name = "root")
+       (Obs.Rtrace.spans tr));
   match Obs.Json.member "dropped" (Obs.Rtrace.to_json tr) with
   | Some (J.Int n) when n > 0 -> ()
   | _ -> Alcotest.fail "dropped count missing from rtrace/v1"

@@ -1038,6 +1038,69 @@ let test_handler_trace_spans () =
   let quiet = handle ~handler:t (plain P.Ping) in
   Alcotest.(check bool) "opt-in only" true (J.member "trace" quiet = None)
 
+(* A traced pareto walk keeps its whole tree: on the serve corpus's
+   generated 3 x 2 system (26 processes, 8 applications) at capacity
+   100 the frontier has 59 points, so the walk makes at least 59
+   solves, and the root, the walk and every solve land in the tree. *)
+let test_traced_pareto_walk () =
+  let system =
+    V.Generator.generate
+      {
+        V.Generator.seed = 1;
+        shared_processes = 8;
+        sites = 3;
+        variants_per_site = 2;
+        cluster_processes = 3;
+        latency_range = (1, 10);
+      }
+  in
+  let tech =
+    Synth.Tech.make ~processor_cost:15
+      (List.map
+         (fun pid ->
+           let w = V.Generator.process_weight pid in
+           (pid, Synth.Tech.both ~load:(5 + (w / 4)) ~area:(10 + w)))
+         (Spi.Ids.Process_id.Set.elements
+            (Synth.App.union_procs (Synth.App.of_system system))))
+  in
+  let op =
+    P.Pareto
+      {
+        model = Lang.Printer.to_string system;
+        tech = Lang.Tech_file.to_string ~name:"weighted" tech;
+        capacity = Some 100;
+      }
+  in
+  let solves = Obs.Registry.counter "explore.solves" in
+  let before = Obs.Metric.value solves in
+  let r = handle { (plain op) with P.trace = true } in
+  let solves = Obs.Metric.value solves - before in
+  Alcotest.(check string) "ok" "ok" (P.status_of_response r);
+  Alcotest.(check (option int)) "points" (Some 59)
+    (Option.map List.length (Option.bind (J.member "points" r) J.to_list));
+  let trace =
+    match J.member "trace" r with
+    | Some tr -> tr
+    | None -> Alcotest.fail "trace requested but absent"
+  in
+  Alcotest.(check (option int)) "nothing dropped" (Some 0)
+    (Option.bind (J.member "dropped" trace) J.to_int);
+  let spans =
+    Option.value ~default:[] (Option.bind (J.member "spans" trace) J.to_list)
+  in
+  let count name =
+    List.length
+      (List.filter
+         (fun s -> Option.bind (J.member "name" s) J.to_string_opt = Some name)
+         spans)
+  in
+  Alcotest.(check int) "one serve.request" 1 (count "serve.request");
+  Alcotest.(check int) "one pareto.frontier_ns" 1 (count "pareto.frontier_ns");
+  Alcotest.(check bool) "a solve per point at least" true (solves >= 59);
+  Alcotest.(check int) "one explore.solve_ns per solve" solves
+    (count "explore.solve_ns");
+  Alcotest.(check int) "no explore.task_ns" 0 (count "explore.task_ns")
+
 (* Metrics polls against a live batch workload: the shared registry,
    exposition and series are the concurrency surface (handlers are
    per-connection state, so each side gets its own). *)
@@ -1501,6 +1564,8 @@ let suite =
         test_handler_metrics_verb;
       Alcotest.test_case "trace spans in the response" `Quick
         test_handler_trace_spans;
+      Alcotest.test_case "a traced pareto walk keeps its tree" `Quick
+        test_traced_pareto_walk;
       Alcotest.test_case "metrics polls under batch load" `Quick
         test_metrics_under_load;
       Alcotest.test_case "client retries are logged" `Quick

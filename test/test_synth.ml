@@ -339,20 +339,23 @@ let prop_variant_bound_exact =
                  (Synth.Binding.processes fixed))
         [ 1; 2 ])
 
-(* The greedy completion of the empty prefix, in decision order:
-   software when every application it belongs to keeps its load within
-   [capacity], hardware otherwise.  [None] when some process then has
-   no allowed option. *)
-let root_greedy ~capacity ~fixed tech apps =
-  let procs = I.Process_id.Set.elements (Synth.App.union_procs apps) in
+(* A process's options under the pins of [fixed]. *)
+let pinned_options ~fixed tech p =
+  let o = Synth.Tech.options_of tech p in
+  let pin = Synth.Binding.impl_of p fixed in
+  ( (if pin = Some Synth.Binding.Hw then None else o.Synth.Tech.sw),
+    if pin = Some Synth.Binding.Sw then None else o.Synth.Tech.hw )
+
+(* The greedy completion of the empty binding, visiting [procs] in
+   order: software when every application it belongs to keeps its load
+   within [capacity], hardware otherwise.  [None] when some process
+   then has no allowed option. *)
+let greedy_in_order ~capacity ~fixed tech apps procs =
   let loads = Array.make (List.length apps) 0 in
   List.fold_left
     (fun acc p ->
       Option.bind acc (fun (area, any_sw) ->
-          let o = Synth.Tech.options_of tech p in
-          let pin = Synth.Binding.impl_of p fixed in
-          let sw = if pin = Some Synth.Binding.Hw then None else o.Synth.Tech.sw
-          and hw = if pin = Some Synth.Binding.Sw then None else o.Synth.Tech.hw in
+          let sw, hw = pinned_options ~fixed tech p in
           let members =
             List.concat
               (List.mapi
@@ -373,12 +376,40 @@ let root_greedy ~capacity ~fixed tech apps =
   |> Option.map (fun (area, any_sw) ->
          area + if any_sw then Synth.Tech.processor_cost tech else 0)
 
+(* The greedy completion in decision order. *)
+let root_greedy ~capacity ~fixed tech apps =
+  greedy_in_order ~capacity ~fixed tech apps
+    (I.Process_id.Set.elements (Synth.App.union_procs apps))
+
+(* The greedy completion in knapsack order: first every process that
+   can move no load to hardware (software-only, hardware-only or of
+   load 0), then the rest by hardware area per unit of software load,
+   dearest first, equal ratios in reverse decision order. *)
+let knapsack_greedy ~capacity ~fixed tech apps =
+  let item p =
+    match pinned_options ~fixed tech p with
+    | Some s, Some h when s.Synth.Tech.load > 0 ->
+      Some (s.Synth.Tech.load, h.Synth.Tech.area)
+    | _ -> None
+  in
+  let items, rest =
+    List.partition
+      (fun p -> Option.is_some (item p))
+      (I.Process_id.Set.elements (Synth.App.union_procs apps))
+  in
+  let cheapest_first p q =
+    let l1, a1 = Option.get (item p) and l2, a2 = Option.get (item q) in
+    Int.compare (a1 * l2) (a2 * l1)
+  in
+  greedy_in_order ~capacity ~fixed tech apps
+    (rest @ List.rev (List.stable_sort cheapest_first items))
+
 (* The one search at every job count, on variant instances of every
-   size; half the seeds draw fewer than four processes, where the split
-   depth bottoms out.  A solve returns brute force's optimum, and a
-   solve whose deadline has already expired answers the greedy
-   incumbent, degraded: at most the root greedy completion's cost, and
-   [Deadline_no_incumbent] only when no greedy completion exists. *)
+   size; half the seeds draw fewer than four processes.  A solve
+   returns brute force's optimum, and a solve whose deadline has
+   already expired answers the cheapest seed, degraded: at most the
+   greedy completion's cost in decision order and in knapsack order,
+   and [Deadline_no_incumbent] only when neither exists. *)
 let prop_one_search =
   QCheck.Test.make ~name:"one search: exact at jobs 1 and 2, greedy when expired"
     ~count:600
@@ -397,6 +428,10 @@ let prop_one_search =
       in
       let expected = brute_force ~capacity ~fixed tech apps in
       let greedy = root_greedy ~capacity ~fixed tech apps in
+      let knapsack = knapsack_greedy ~capacity ~fixed tech apps in
+      let at_most bound cost =
+        match bound with Some b -> cost <= b | None -> true
+      in
       let valid (s : Synth.Explore.solution) =
         let b = s.Synth.Explore.binding in
         Synth.Schedule.is_feasible (Synth.Schedule.check ~capacity tech b apps)
@@ -422,13 +457,14 @@ let prop_one_search =
               Synth.Explore.solve ~jobs ~capacity ~fixed
                 ~deadline_ns:(Obs.Clock.now_ns ()) tech apps
             with
-            | Error Synth.Explore.Deadline_no_incumbent -> greedy = None
+            | Error Synth.Explore.Deadline_no_incumbent ->
+              greedy = None && knapsack = None
             | Error _ -> false
             | Ok s ->
               let cost = s.Synth.Explore.cost.Synth.Cost.total in
               s.Synth.Explore.degraded && valid s
               && (match expected with Some e -> cost >= e | None -> false)
-              && match greedy with Some g -> cost <= g | None -> true
+              && at_most greedy cost && at_most knapsack cost
           in
           exact && expired)
         [ 1; 2 ])

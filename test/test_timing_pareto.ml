@@ -105,7 +105,7 @@ let test_pareto_infeasible () =
   Alcotest.(check int) "empty frontier" 0 (List.length points)
 
 (* A deadline that has already passed: the first solve answers the
-   explorer's greedy completion, degraded, and the walk stops there. *)
+   explorer's cheapest seed, degraded, and the walk stops there. *)
 let test_pareto_deadline_passed () =
   let apps = [ F2.app1; F2.app2 ] in
   let points, degraded =

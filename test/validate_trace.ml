@@ -14,38 +14,11 @@
      --allow-nesting          lanes may contain properly nested spans
                               (a request timeline's serve.request wraps
                               the parse/solve spans it contains);
-                              partial overlap still fails
-
-   Alternate mode:
-     --identical A B          the two files are byte-for-byte equal —
-                              enforces the streamed-vs-buffered (and
-                              compiled-vs-interpreted) export contract *)
+                              partial overlap still fails *)
 
 module J = Obs.Json
 
 let fail fmt = Format.kasprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let check_identical a b =
-  let ca = read_file a and cb = read_file b in
-  if String.length ca = 0 then fail "%s: empty file" a;
-  if not (String.equal ca cb) then begin
-    (* locate the first divergent byte for the error message *)
-    let n = min (String.length ca) (String.length cb) in
-    let i = ref 0 in
-    while !i < n && ca.[!i] = cb.[!i] do
-      incr i
-    done;
-    fail "%s and %s differ at byte %d (%d vs %d bytes total)" a b !i
-      (String.length ca) (String.length cb)
-  end;
-  Format.printf "%s = %s (%d bytes identical)@." a b (String.length ca);
-  exit 0
 
 let () =
   let path, expect_tconf, expect_lanes, expect_incumbent, allow_nesting =
@@ -56,7 +29,6 @@ let () =
     and nesting = ref false in
     let rec parse = function
       | [] -> ()
-      | [ "--identical"; a; b ] -> check_identical a b
       | "--expect-tconf" :: rest ->
         tconf := true;
         parse rest
@@ -79,8 +51,7 @@ let () =
     | None ->
       fail
         "usage: validate_trace [--expect-tconf] [--expect-worker-lanes N] \
-         [--expect-incumbent-counter] [--allow-nesting] TRACE.json | \
-         validate_trace --identical A B"
+         [--expect-incumbent-counter] [--allow-nesting] TRACE.json"
   in
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
